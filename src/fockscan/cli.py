@@ -45,6 +45,7 @@ from .errors import (
 )
 from .fock import HilbertSpace
 from .gates import make_plan, verify_ed
+from .parallel import pool_map
 from .protocol import (
     default_tau_grid,
     optimal_tau_int,
@@ -206,13 +207,7 @@ def cmd_snr_sweep(doc, args, out_dir: Path) -> int:
     hi = sec.get("tau_int_max_taudm", 40.0)
     points = sec.get("points", 60)
     configs = [replace(cfg, fock_m=m, cutoff=None) for m in m_list]
-    if args.jobs > 1 and len(configs) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            sweeps = list(pool.map(_sweep_one_star, [(c, lo, hi, points) for c in configs]))
-    else:
-        sweeps = [_sweep_one(c, lo, hi, points) for c in configs]
+    sweeps = pool_map(_sweep_one, [(c, lo, hi, points) for c in configs], args.jobs)
 
     head = _header(doc, args, "snr-sweep",
                    backend=sweeps[0].backend, dt_s=_fmt(sweeps[0].diagnostics.get("dt", 0.0)))
@@ -246,10 +241,6 @@ def cmd_snr_sweep(doc, args, out_dir: Path) -> int:
     )
     _write_json(out_dir / "snr_sweep.json", head, {"curves": summary})
     return 0
-
-
-def _sweep_one_star(a):
-    return _sweep_one(*a)
 
 
 def cmd_scan_rate(doc, args, out_dir: Path) -> int:
@@ -378,8 +369,9 @@ def build_parser() -> argparse.ArgumentParser:
                        default=_env_int("FOCKSCAN_SEED"),
                        help="override the config seed (env: FOCKSCAN_SEED)")
         p.add_argument("--jobs", type=int,
-                       default=_env_int("FOCKSCAN_JOBS") or os.cpu_count() or 1,
-                       help="worker processes for sweeps (env: FOCKSCAN_JOBS)")
+                       default=_env_int("FOCKSCAN_JOBS", os.cpu_count() or 1),
+                       help="worker processes for sweeps, at most one per task and CPU "
+                            "(env: FOCKSCAN_JOBS)")
         p.add_argument("--out", default=os.environ.get("FOCKSCAN_OUT", "."),
                        help="output directory (env: FOCKSCAN_OUT)")
         p.add_argument("--backend", choices=["full", "effective", "auto"],
@@ -388,9 +380,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _env_int(name):
+def _env_int(name, default=None):
     val = os.environ.get(name)
-    return int(val) if val else None
+    return int(val) if val else default
 
 
 def main(argv=None) -> int:
@@ -399,6 +391,8 @@ def main(argv=None) -> int:
     try:
         if not args.config:
             raise ConfigError("--config is required (or set FOCKSCAN_CONFIG)")
+        if args.jobs < 1:
+            raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
         doc = load_config(args.config)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgument
+from .parallel import pool_map
 
 _BESSEL_J0_ROOT = 2.4048  # first zero of J0, fixed to the 5 digits used throughout
 
@@ -181,14 +182,8 @@ def mc_population(
         raise InvalidArgument("t_grid must be non-empty and strictly increasing")
 
     chunks = [(start, min(start + _chunk, n_traj)) for start in range(0, n_traj, _chunk)]
-    if n_jobs > 1 and len(chunks) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        args = [(g, tau_dm, delta, t, lo, hi, seed) for lo, hi in chunks]
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            blocks = list(pool.map(_mc_chunk_star, args))
-    else:
-        blocks = [_mc_chunk(g, tau_dm, delta, t, lo, hi, seed) for lo, hi in chunks]
+    args = [(g, tau_dm, delta, t, lo, hi, seed) for lo, hi in chunks]
+    blocks = pool_map(_mc_chunk, args, n_jobs)
 
     samples = np.concatenate(blocks, axis=0)  # (n_traj, n_grid), index order fixed
     mean = samples.mean(axis=0)
@@ -197,10 +192,6 @@ def mc_population(
     else:
         stderr = np.zeros_like(mean)
     return McResult(t_grid=t, mean=mean, stderr=stderr, n_traj=n_traj, seed=seed)
-
-
-def _mc_chunk_star(args):
-    return _mc_chunk(*args)
 
 
 def _mc_chunk(g, tau_dm, delta, t_grid, lo, hi, seed):

@@ -482,8 +482,7 @@ def effective_propagate_cycle(
 
 def _evolve_window(
     rho: np.ndarray,
-    space: HilbertSpace,
-    noise: NoiseModel,
+    chans: _ChannelSet,
     hamiltonian_pair,
     duration: float,
     n_sub: int,
@@ -491,7 +490,7 @@ def _evolve_window(
     """Evolve one beamsplitter window: exact unitary substeps + dissipator."""
     from .gates import BeamsplitterSpec
 
-    chans = _ChannelSet(space, noise)
+    space = chans.space
     dt = duration / n_sub
     if hamiltonian_pair is not None:
         spec, inverse = hamiltonian_pair
@@ -544,11 +543,12 @@ def swap_fidelity(
     rho = np.outer(
         number_state(space, [1, 0]).vector, number_state(space, [1, 0]).vector.conj()
     )
-    rho = _evolve_window(rho, space, noise, (spec, False), duration, n_sub)
+    rho = _evolve_window(rho, _ChannelSet(space, noise), (spec, False), duration, n_sub)
     idx = space.index_of([0, 1])
     return float(rho[idx, idx].real)
 
 
+@lru_cache(maxsize=32)
 def calibrate_bs_multiplier(
     f_bs: float,
     g_bs: float,
@@ -558,7 +558,14 @@ def calibrate_bs_multiplier(
     rel_tol: float = 1e-6,
     elevate_heating: bool = True,
 ) -> float:
-    """Common rate multiplier whose pi/2 single-photon swap fidelity equals f_bs."""
+    """Common rate multiplier whose pi/2 single-photon swap fidelity equals f_bs.
+
+    The bisection is a pure function of its float and bool arguments, so the
+    result is cached per exact argument tuple (a raised FidelityUnreachable
+    is not cached).  Callers pass the mean pair rates from _mean_pair_rates,
+    whose fsum means are bit-identical for uniform rates at any cavity
+    count, so every N of a uniform array shares one calibration.
+    """
     if not 0 < f_bs <= 1:
         raise InvalidArgument("f_bs must lie in (0, 1]")
     if g_bs <= 0:
@@ -630,16 +637,17 @@ def lossy_ed_apply(
         duration = spec.theta / g_bs
         chans = _ChannelSet(space, noise)
         n_sub = _window_substeps(duration, chans.total_rate)
-        mat = _evolve_window(mat, space, noise, (spec, inverse), duration, n_sub)
+        mat = _evolve_window(mat, chans, (spec, inverse), duration, n_sub)
     return DensityMatrix(space, mat)
 
 
 def _mean_pair_rates(noise: NoiseModel) -> tuple[float, float, float]:
+    """Mean (up, down, phi) rates over the cavities, summed exactly with fsum."""
     n = noise.n_cavities
     return (
-        sum(noise.gamma_up) / n,
-        sum(noise.gamma_down) / n,
-        sum(noise.gamma_phi) / n,
+        math.fsum(noise.gamma_up) / n,
+        math.fsum(noise.gamma_down) / n,
+        math.fsum(noise.gamma_phi) / n,
     )
 
 
@@ -668,4 +676,4 @@ def effective_lossy_window(
     )
     chans = _ChannelSet(space, noise)
     n_sub = _window_substeps(duration, chans.total_rate)
-    return _evolve_window(rho, space, noise, None, duration, n_sub)
+    return _evolve_window(rho, chans, None, duration, n_sub)

@@ -37,6 +37,7 @@ from .gates import EDPlan, make_plan
 from .lindblad import (
     NoiseModel,
     TransformedRates,
+    _mean_pair_rates,
     calibrate_bs_multiplier,
     effective_lossy_window,
     effective_propagate_cycle,
@@ -44,6 +45,7 @@ from .lindblad import (
     propagate_cycle,
     transformed_rates,
 )
+from .parallel import pool_map
 from .sensitivity import thermal_occupation
 
 FULL_BACKEND_MAX_MODES = 3
@@ -242,10 +244,7 @@ def _populations_full(config: ProtocolConfig, tau_grid: np.ndarray):
 
     # lossy distribution: shared forward gate + integration, one inverse per point
     multiplier = calibrate_bs_multiplier(
-        config.bs_fidelity, config.g_bs,
-        sum(noise.gamma_up) / noise.n_cavities,
-        sum(noise.gamma_down) / noise.n_cavities,
-        sum(noise.gamma_phi) / noise.n_cavities,
+        config.bs_fidelity, config.g_bs, *_mean_pair_rates(noise),
         elevate_heating=config.elevate_bs_heating,
     )
     diag["bs_multiplier"] = multiplier
@@ -301,10 +300,7 @@ def _populations_effective(config: ProtocolConfig, tau_grid: np.ndarray):
     if config.bs_fidelity < 1.0 and plan.sequence:
         noise = config.noise_model()
         multiplier = calibrate_bs_multiplier(
-            config.bs_fidelity, config.g_bs,
-            sum(noise.gamma_up) / noise.n_cavities,
-            sum(noise.gamma_down) / noise.n_cavities,
-            sum(noise.gamma_phi) / noise.n_cavities,
+            config.bs_fidelity, config.g_bs, *_mean_pair_rates(noise),
             elevate_heating=config.elevate_bs_heating,
         )
         diag["bs_multiplier"] = multiplier
@@ -720,13 +716,7 @@ def scan_rate_grid(
     tasks = [(n, m) for n in n_list for m in m_list]
     ref_key = (min(n_list), min(m_list))
     args = [(base, n, m, tau_grid_units) for n, m in tasks]
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_scan_point_star, args))
-    else:
-        results = [_scan_point(*a) for a in args]
+    results = pool_map(_scan_point, args, jobs)
     by_key = {(n, m): res for (n, m), res in zip(tasks, results)}
     ref = by_key[ref_key]
     eta_ref = ref[0] / ref[2] if ref[2] > 0 else math.nan
@@ -745,10 +735,6 @@ def scan_rate_grid(
             backend=backend,
         ))
     return rows
-
-
-def _scan_point_star(args):
-    return _scan_point(*args)
 
 
 def _scan_point(base: ProtocolConfig, n: int, m: int, grid_units):

@@ -4,8 +4,13 @@ Run from the repository root after an intentional behaviour change:
 
     python tests/golden/generate.py
 
-and review the diff before committing.
+For every file it writes, it prints whether the bytes changed and the
+largest relative change of any number against the file it replaced; that
+figure belongs in the change log of a golden-moving change.  Review the
+diff before committing.
 """
+import math
+import re
 import shutil
 import sys
 from pathlib import Path
@@ -24,10 +29,33 @@ JOBS = [
     ("reach", "reach.yaml", "reach"),
 ]
 
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|inf", re.IGNORECASE)
+
+
+def _rel_change(a: float, b: float) -> float:
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0
+    return abs(a - b) / max(abs(a), abs(b))
+
+
+def compare(old: bytes | None, new: bytes | None) -> str:
+    """One-line verdict on a rewritten file: unchanged, or how far its numbers moved."""
+    if old is None or new is None:
+        return "new" if old is None else "removed"
+    if old == new:
+        return "unchanged"
+    old_text, new_text = old.decode(), new.decode()
+    old_nums, new_nums = NUMBER.findall(old_text), NUMBER.findall(new_text)
+    if NUMBER.sub("#", old_text) != NUMBER.sub("#", new_text) or len(old_nums) != len(new_nums):
+        return "changed: text differs beyond its numbers"
+    worst = max(_rel_change(float(a), float(b)) for a, b in zip(old_nums, new_nums))
+    return f"changed: max relative numeric change {worst:.3g}"
+
 
 def regenerate():
     for command, config, outname in JOBS:
         out = HERE / "expected" / outname
+        old = {p.name: p.read_bytes() for p in out.iterdir()} if out.exists() else {}
         if out.exists():
             shutil.rmtree(out)
         out.mkdir(parents=True)
@@ -37,7 +65,9 @@ def regenerate():
         ])
         if code != 0:
             raise SystemExit(f"{command} exited with {code}")
-        print(command, "->", sorted(p.name for p in out.iterdir()))
+        new = {p.name: p.read_bytes() for p in out.iterdir()}
+        for name in sorted(old.keys() | new.keys()):
+            print(f"{command}: {outname}/{name}: {compare(old.get(name), new.get(name))}")
 
 
 if __name__ == "__main__":

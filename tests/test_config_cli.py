@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import os
@@ -226,3 +227,15 @@ class TestOutputContent:
             capture_output=True, env=env,
         )
         assert proc.returncode == 0
+
+
+def test_golden_generator_reports_numeric_change():
+    spec = importlib.util.spec_from_file_location("golden_generate", GOLDEN / "generate.py")
+    generate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(generate)
+    old = b"# seed=11\nt,n\n0.5,1.25e-3\n1.0,2.0\n"
+    assert generate.compare(old, old) == "unchanged"
+    moved = generate.compare(old, old.replace(b"1.25e-3", b"1.2500000001e-3"))
+    assert moved == "changed: max relative numeric change 8e-11"
+    assert generate.compare(old, old + b"x\n") == "changed: text differs beyond its numbers"
+    assert generate.compare(None, old) == "new"

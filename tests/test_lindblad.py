@@ -7,8 +7,10 @@ from fockscan.drive import mean_displacement
 from fockscan.errors import FidelityUnreachable, InvalidArgument, StabilityGuard, TruncationLeak
 from fockscan.fock import DensityMatrix, HilbertSpace, number_state
 from fockscan.gates import apply_plan_rho, build_ed, linear_plan, make_plan, single_photon_matrix
+from fockscan import lindblad
 from fockscan.lindblad import (
     NoiseModel,
+    _mean_pair_rates,
     calibrate_bs_multiplier,
     dlme_step,
     effective_propagate_cycle,
@@ -330,6 +332,39 @@ class TestBeamsplitterInfidelity:
     def test_unreachable_fidelity(self):
         with pytest.raises(FidelityUnreachable):
             calibrate_bs_multiplier(0.9999999, G_BS, GAMMA_UP, 1e4, 1e3)
+
+    @pytest.fixture
+    def swap_calls(self, monkeypatch):
+        """Count swap_fidelity evaluations, starting from an empty calibration cache."""
+        calls = []
+        real = lindblad.swap_fidelity
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(lindblad, "swap_fidelity", counting)
+        calibrate_bs_multiplier.cache_clear()
+        yield calls
+        calibrate_bs_multiplier.cache_clear()
+
+    def test_repeated_calibration_is_cached(self, swap_calls):
+        first = calibrate_bs_multiplier(0.99, G_BS, GAMMA_UP, GAMMA_DOWN, GAMMA_PHI)
+        assert swap_calls
+        swap_calls.clear()
+        assert calibrate_bs_multiplier(0.99, G_BS, GAMMA_UP, GAMMA_DOWN, GAMMA_PHI) == first
+        assert swap_calls == []
+
+    def test_unreachable_fidelity_is_not_cached(self, swap_calls):
+        for _ in range(2):
+            swap_calls.clear()
+            with pytest.raises(FidelityUnreachable):
+                calibrate_bs_multiplier(0.9999999, G_BS, GAMMA_UP, 1e4, 1e3)
+            assert swap_calls
+
+    def test_mean_pair_rates_identical_for_any_uniform_count(self):
+        means = {_mean_pair_rates(reference_noise(n)) for n in (1, 2, 4, 8)}
+        assert means == {(GAMMA_UP, GAMMA_DOWN, GAMMA_PHI)}
 
     def test_distributed_fock_state_fidelity_below_single_photon(self):
         # higher Fock states suffer more from the elevated window rates

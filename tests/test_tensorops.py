@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from fockscan.errors import InvalidArgument
 from fockscan.fock import HilbertSpace
 from fockscan.tensorops import apply_left, apply_right_dag, apply_to_vector, sandwich
 
@@ -18,27 +19,44 @@ def _embed(op, modes, space):
     return t.reshape(space.dim, space.dim)
 
 
-@pytest.mark.parametrize("n_modes,cutoff,modes", [
+def _random_op(rng, k, cutoff):
+    shape = (cutoff ** k, cutoff ** k)
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+# Ascending runs of adjacent modes take the matmul route (one-mode spaces,
+# first / middle / last mode, contiguous pairs); the other tuples take the
+# tensordot route.
+CASES = [
     (2, 3, (0,)), (2, 3, (1,)), (3, 3, (1,)),
     (3, 3, (0, 2)), (3, 3, (2, 0)), (4, 2, (1, 3)),
-])
+    (1, 4, (0,)), (1, 9, (0,)), (3, 3, (0,)), (3, 3, (2,)),
+    (3, 3, (0, 1)), (3, 3, (1, 2)), (2, 3, (0, 1)), (4, 2, (1, 2)), (4, 2, (2, 3)),
+    (2, 3, (1, 0)), (3, 3, (1, 0)), (4, 2, (0, 2)),
+]
+
+
+@pytest.mark.parametrize("n_modes,cutoff,modes", CASES)
 def test_vector_application_matches_dense(n_modes, cutoff, modes):
     space = HilbertSpace(n_modes, cutoff)
     rng = np.random.default_rng(hash((n_modes, cutoff, modes)) % 2 ** 32)
-    k = len(modes)
-    op = rng.normal(size=(cutoff ** k, cutoff ** k)) + 1j * rng.normal(size=(cutoff ** k,) * 2)
+    op = _random_op(rng, len(modes), cutoff)
     psi = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
     dense = _embed(op, modes, space)
     assert np.allclose(apply_to_vector(op, psi, modes, space), dense @ psi, atol=1e-12)
 
 
-@pytest.mark.parametrize("modes", [(0,), (1,), (0, 1), (1, 0)])
-def test_rho_applications_match_dense(modes):
-    space = HilbertSpace(2, 3)
+# The first four are the original two-mode cases; their ids are kept.
+RHO_CASES = [(2, 3, (0,)), (2, 3, (1,)), (2, 3, (0, 1)), (2, 3, (1, 0))] + CASES
+
+
+@pytest.mark.parametrize("n_modes,cutoff,modes", RHO_CASES,
+                         ids=[f"modes{i}" for i in range(len(RHO_CASES))])
+def test_rho_applications_match_dense(n_modes, cutoff, modes):
+    space = HilbertSpace(n_modes, cutoff)
     rng = np.random.default_rng(5)
-    k = len(modes)
-    op = rng.normal(size=(3 ** k, 3 ** k)) + 1j * rng.normal(size=(3 ** k,) * 2)
-    rho = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
+    op = _random_op(rng, len(modes), cutoff)
+    rho = rng.normal(size=(space.dim,) * 2) + 1j * rng.normal(size=(space.dim,) * 2)
     dense = _embed(op, modes, space)
     assert np.allclose(apply_left(op, rho, modes, space), dense @ rho, atol=1e-12)
     assert np.allclose(apply_right_dag(op, rho, modes, space), rho @ dense.conj().T, atol=1e-12)
@@ -47,5 +65,11 @@ def test_rho_applications_match_dense(modes):
 
 def test_dimension_mismatch_rejected():
     space = HilbertSpace(2, 3)
-    with pytest.raises(Exception):
-        apply_to_vector(np.eye(4), np.zeros(9), (0,), space)
+    op = np.eye(4)
+    for modes in [(0,), (0, 1), (1, 0)]:  # matmul and tensordot routes
+        with pytest.raises(InvalidArgument):
+            apply_to_vector(op, np.zeros(9), modes, space)
+        with pytest.raises(InvalidArgument):
+            apply_left(op, np.zeros((9, 9)), modes, space)
+        with pytest.raises(InvalidArgument):
+            apply_right_dag(op, np.zeros((9, 9)), modes, space)
