@@ -10,6 +10,13 @@ with collapse channels sqrt(gamma_up) a^dag, sqrt(gamma_down) a and
 sqrt(gamma_phi) a^dag a per cavity.  Signal runs switch heating off;
 background runs switch the drive off; total counts are assembled downstream.
 
+The ladder channels have one nonzero entry per row, so each A rho A^dag is
+an index gather of rho scaled by the jump's row weights: O(dim^2) flops and
+O(dim) stored data per jump (see _ChannelSet), with no dense jump matrix.
+The terms are accumulated in the order the dense contractions used, which
+keeps every update bit-identical to them.  Dephasing and the anticommutator
+are diagonal in the Fock basis and act as elementwise weights.
+
 Two backends share this machinery:
 
 * the full tensor-product model (practical for N <= 3 at cutoff m+4), and
@@ -42,7 +49,7 @@ from .fock import (
 )
 from .gates import EDPlan, apply_plan, pair_unitary
 from .linalg import expm
-from .tensorops import apply_left, apply_right_dag, sandwich
+from .tensorops import apply_left, apply_right_dag
 
 DEFAULT_LEAK_TOL = 1e-6
 STABILITY_LIMIT = 0.05
@@ -128,12 +135,13 @@ def transformed_rates(n_cavities: int, noise: NoiseModel, m: int) -> Transformed
         raise InvalidArgument("noise model length must equal n_cavities")
     if m < 0:
         raise InvalidArgument("fock_m must be >= 0")
+    up, down, phi = _mean_pair_rates(noise)
     return TransformedRates(
         n_cavities=n_cavities,
         fock_m=m,
-        bar_gamma_up_1=sum(noise.gamma_up) / n_cavities,
-        bar_gamma_down=sum(noise.gamma_down) / n_cavities,
-        bar_gamma_phi=sum(noise.gamma_phi) / n_cavities,
+        bar_gamma_up_1=up,
+        bar_gamma_down=down,
+        bar_gamma_phi=phi,
     )
 
 
@@ -146,29 +154,47 @@ def default_dt(tau_dm: float, total_rate: float) -> float:
 
 
 class _ChannelSet:
-    """Precomputed collapse-channel data for one space + noise model."""
+    """Precomputed collapse-channel data for one space + noise model.
+
+    A ladder jump A = sqrt(gamma) a or sqrt(gamma) a^dag on one mode has at
+    most one nonzero entry per row of its full-space matrix, so it is stored
+    as a gather: row i of A reads column src[i] with weight amp[i], and
+
+        (A rho A^dag)[i, j] = (amp[i] * rho[src[i], src[j]]) * conj(amp[j]).
+
+    That costs O(dim^2) flops and O(dim) memory per jump instead of two
+    tensor contractions.  The contraction summed exact zeros around the same
+    single product, and dissipator() adds the terms in the same order
+    (anticommutator, jumps in build order, dephasing), so the update is
+    bit-identical to the contraction form.
+    """
 
     def __init__(self, space: HilbertSpace, noise: NoiseModel):
         if noise.n_cavities != space.n_modes:
             raise InvalidArgument("noise model length must equal the space's mode count")
         self.space = space
         c = space.cutoff
-        occ = occupations(space).astype(float)
+        occ_idx = occupations(space)
+        occ = occ_idx.astype(float)
         a = single_mode_ladder(c)
-        self.ladder_jumps: list[tuple[int, np.ndarray]] = []
+        # per jump: src, amp[:, None] and conj(amp)[None, :]
+        self.ladder_jumps: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         decay_diag = np.zeros(space.dim)
         deph_amp = []  # per-mode sqrt(gamma_phi) * occupation vectors
         for mode in range(space.n_modes):
             g_up = noise.gamma_up[mode]
             g_down = noise.gamma_down[mode]
             g_phi = noise.gamma_phi[mode]
+            stride = c ** (space.n_modes - 1 - mode)
             if g_up > 0:
-                self.ladder_jumps.append((mode, math.sqrt(g_up) * a.conj().T))
+                self.ladder_jumps.append(
+                    _gather_jump(math.sqrt(g_up) * a.conj().T, occ_idx[:, mode], stride))
                 # truncated a a^dag has diagonal k+1 below the boundary, 0 at the top
                 diag = np.where(occ[:, mode] < c - 1, g_up * (occ[:, mode] + 1.0), 0.0)
                 decay_diag += diag
             if g_down > 0:
-                self.ladder_jumps.append((mode, math.sqrt(g_down) * a))
+                self.ladder_jumps.append(
+                    _gather_jump(math.sqrt(g_down) * a, occ_idx[:, mode], stride))
                 decay_diag += g_down * occ[:, mode]
             if g_phi > 0:
                 deph_amp.append(math.sqrt(g_phi) * occ[:, mode])
@@ -183,11 +209,25 @@ class _ChannelSet:
 
     def dissipator(self, rho: np.ndarray) -> np.ndarray:
         acc = -self.anticomm * rho
-        for mode, op in self.ladder_jumps:
-            acc += sandwich(op, rho, (mode,), self.space)
+        for src, amp_col, amp_row_conj in self.ladder_jumps:
+            acc += (amp_col * rho.take(src, 0).take(src, 1)) * amp_row_conj
         if self.deph_outer is not None:
             acc += self.deph_outer * rho
         return acc
+
+
+def _gather_jump(op: np.ndarray, occ: np.ndarray, stride: int):
+    """Gather form (src, amp[:, None], conj(amp)[None, :]) of a one-mode jump.
+
+    op is the cutoff x cutoff jump with at most one nonzero per row, occ the
+    mode's column of the occupation table and stride the mode's step in the
+    flat index.  A zero row of op gets column 0 and weight 0, so its src
+    stays a valid index.
+    """
+    cols = np.argmax(op != 0, axis=1)
+    amp = op[occ, cols[occ]]
+    src = np.arange(occ.size) + (cols[occ] - occ) * stride
+    return src, amp[:, None], amp.conj()[None, :]
 
 
 @lru_cache(maxsize=32)
@@ -628,8 +668,8 @@ def lossy_ed_apply(
         return DensityMatrix(space, mat)
 
     if multiplier is None:
-        pair_rates = _mean_pair_rates(base_noise)
-        multiplier = calibrate_bs_multiplier(f_bs, g_bs, *pair_rates)
+        multiplier = calibrate_bs_multiplier(f_bs, g_bs, *_mean_pair_rates(base_noise),
+                                             elevate_heating=elevate_heating)
     seq = plan.sequence[::-1] if inverse else plan.sequence
     for spec in seq:
         noise = base_noise.elevated(multiplier, (spec.mode_a, spec.mode_b),

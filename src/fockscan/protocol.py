@@ -673,7 +673,7 @@ def spectator_calibration(
         primary_rate=primary_rate,
         spectator_rates=spect,
         mean_spectator_rate=float(np.mean(spect)) if spect else math.nan,
-        bar_gamma_up_expected=sum(noise.gamma_up) / n_cavities,
+        bar_gamma_up_expected=_mean_pair_rates(noise)[0],
     )
 
 

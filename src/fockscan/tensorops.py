@@ -86,8 +86,3 @@ def apply_right_dag(op: np.ndarray, rho: np.ndarray, modes, space: HilbertSpace)
     """rho @ A^dag with A acting on the listed modes."""
     n = space.n_modes
     return _apply(op.conj(), rho, modes, space, 2 * n, n).reshape(space.dim, space.dim)
-
-
-def sandwich(op: np.ndarray, rho: np.ndarray, modes, space: HilbertSpace) -> np.ndarray:
-    """A @ rho @ A^dag with A acting on the listed modes."""
-    return apply_right_dag(op, apply_left(op, rho, modes, space), modes, space)

@@ -8,11 +8,19 @@ For every file it writes, it prints whether the bytes changed and the
 largest relative change of any number against the file it replaced; that
 figure belongs in the change log of a golden-moving change.  Review the
 diff before committing.
+
+    python tests/golden/generate.py --check
+
+regenerates into a temporary directory instead, prints the same verdicts
+against expected/, leaves expected/ untouched and exits 1 if any file
+changed.
 """
+import argparse
 import math
 import re
 import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 from fockscan.cli import main
@@ -52,23 +60,37 @@ def compare(old: bytes | None, new: bytes | None) -> str:
     return f"changed: max relative numeric change {worst:.3g}"
 
 
-def regenerate():
-    for command, config, outname in JOBS:
-        out = HERE / "expected" / outname
-        old = {p.name: p.read_bytes() for p in out.iterdir()} if out.exists() else {}
-        if out.exists():
-            shutil.rmtree(out)
-        out.mkdir(parents=True)
-        code = main([
-            command, "--config", str(HERE / "configs" / config),
-            "--out", str(out), "--jobs", "1",
-        ])
-        if code != 0:
-            raise SystemExit(f"{command} exited with {code}")
-        new = {p.name: p.read_bytes() for p in out.iterdir()}
-        for name in sorted(old.keys() | new.keys()):
-            print(f"{command}: {outname}/{name}: {compare(old.get(name), new.get(name))}")
+def regenerate(check: bool = False) -> int:
+    """Rewrite expected/ (with check, a temporary copy) and print per-file verdicts.
+
+    Returns 1 when check is set and any file differs from expected/, else 0.
+    """
+    changed = False
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp) if check else HERE / "expected"
+        for command, config, outname in JOBS:
+            ref = HERE / "expected" / outname
+            old = {p.name: p.read_bytes() for p in ref.iterdir()} if ref.exists() else {}
+            out = root / outname
+            if out.exists():
+                shutil.rmtree(out)
+            out.mkdir(parents=True)
+            code = main([
+                command, "--config", str(HERE / "configs" / config),
+                "--out", str(out), "--jobs", "1",
+            ])
+            if code != 0:
+                raise SystemExit(f"{command} exited with {code}")
+            new = {p.name: p.read_bytes() for p in out.iterdir()}
+            for name in sorted(old.keys() | new.keys()):
+                verdict = compare(old.get(name), new.get(name))
+                changed = changed or verdict != "unchanged"
+                print(f"{command}: {outname}/{name}: {verdict}")
+    return 1 if check and changed else 0
 
 
 if __name__ == "__main__":
-    sys.exit(regenerate())
+    parser = argparse.ArgumentParser(description="Regenerate the golden CLI outputs.")
+    parser.add_argument("--check", action="store_true",
+                        help="compare against expected/ without rewriting it; exit 1 on any change")
+    sys.exit(regenerate(parser.parse_args().check))

@@ -229,13 +229,55 @@ class TestOutputContent:
         assert proc.returncode == 0
 
 
-def test_golden_generator_reports_numeric_change():
+def _golden_generator():
     spec = importlib.util.spec_from_file_location("golden_generate", GOLDEN / "generate.py")
     generate = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(generate)
+    return generate
+
+
+def test_golden_generator_reports_numeric_change():
+    generate = _golden_generator()
     old = b"# seed=11\nt,n\n0.5,1.25e-3\n1.0,2.0\n"
     assert generate.compare(old, old) == "unchanged"
     moved = generate.compare(old, old.replace(b"1.25e-3", b"1.2500000001e-3"))
     assert moved == "changed: max relative numeric change 8e-11"
     assert generate.compare(old, old + b"x\n") == "changed: text differs beyond its numbers"
     assert generate.compare(None, old) == "new"
+
+
+def _expected_bytes():
+    return {p: p.read_bytes() for p in (GOLDEN / "expected").rglob("*") if p.is_file()}
+
+
+@pytest.fixture
+def gates_only_generator(monkeypatch):
+    """The golden generator restricted to its cheap validate-gates job."""
+    generate = _golden_generator()
+    monkeypatch.setattr(generate, "JOBS", [("validate-gates", "gates.yaml", "gates")])
+    return generate
+
+
+def test_golden_check_passes_and_leaves_expected_alone(gates_only_generator, capsys):
+    before = _expected_bytes()
+    assert gates_only_generator.regenerate(check=True) == 0
+    verdict = capsys.readouterr().out.splitlines()[-1]
+    assert verdict == "validate-gates: gates/validate_gates.json: unchanged"
+    assert _expected_bytes() == before
+
+
+def test_golden_check_fails_on_changed_output(gates_only_generator, monkeypatch, capsys):
+    real_main = gates_only_generator.main
+
+    def drifting_main(args):
+        code = real_main(args)
+        out = Path(args[args.index("--out") + 1])
+        for path in out.iterdir():
+            path.write_bytes(path.read_bytes() + b"\n")
+        return code
+
+    monkeypatch.setattr(gates_only_generator, "main", drifting_main)
+    before = _expected_bytes()
+    assert gates_only_generator.regenerate(check=True) == 1
+    assert "validate_gates.json: changed" in capsys.readouterr().out
+    assert _expected_bytes() == before

@@ -2,14 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fockscan.drive import mean_displacement
 from fockscan.errors import FidelityUnreachable, InvalidArgument, StabilityGuard, TruncationLeak
-from fockscan.fock import DensityMatrix, HilbertSpace, number_state
+from fockscan.fock import DensityMatrix, HilbertSpace, number_state, single_mode_ladder
 from fockscan.gates import apply_plan_rho, build_ed, linear_plan, make_plan, single_photon_matrix
 from fockscan import lindblad
 from fockscan.lindblad import (
     NoiseModel,
+    _ChannelSet,
     _mean_pair_rates,
     calibrate_bs_multiplier,
     dlme_step,
@@ -19,6 +22,7 @@ from fockscan.lindblad import (
     swap_fidelity,
     transformed_rates,
 )
+from fockscan.tensorops import apply_left, apply_right_dag
 
 TAU_DM = 1e6 / (2 * math.pi * 7e9)
 G_DRIVE = 73.6
@@ -71,6 +75,13 @@ class TestTransformedRates:
         assert rates.gamma_m == pytest.approx(2 * 2.0)
         assert rates.gamma_m_phi == pytest.approx(2 * 0.5 * 0.2)
 
+    def test_uniform_rates_identical_for_any_count(self):
+        fields = {
+            (r.bar_gamma_up_1, r.bar_gamma_down, r.bar_gamma_phi)
+            for r in (transformed_rates(n, reference_noise(n), 1) for n in (1, 2, 4, 8))
+        }
+        assert fields == {(GAMMA_UP, GAMMA_DOWN, GAMMA_PHI)}
+
 
 class TestDlmeStep:
     def test_pure_decay_first_order(self):
@@ -120,6 +131,67 @@ class TestDlmeStep:
         for _ in range(3):
             rho = dlme_step(rho, noise, 0.0, dt)
         assert np.allclose(res.snapshots[-1].matrix, rho.matrix, atol=1e-13)
+
+
+def _dense_lindblad(space, noise, rho):
+    """Oracle: sum_A A rho A^dag - {A^dag A, rho}/2 with kron-embedded channels."""
+    c, n = space.cutoff, space.n_modes
+    a = single_mode_ladder(c)
+
+    def embed(op, mode):
+        return np.kron(np.kron(np.eye(c ** mode), op), np.eye(c ** (n - 1 - mode)))
+
+    out = np.zeros_like(rho)
+    for mode in range(n):
+        for rate, op in ((noise.gamma_up[mode], a.conj().T), (noise.gamma_down[mode], a),
+                         (noise.gamma_phi[mode], a.conj().T @ a)):
+            jump = math.sqrt(rate) * embed(op, mode)
+            jd_j = jump.conj().T @ jump
+            out += jump @ rho @ jump.conj().T - 0.5 * (jd_j @ rho + rho @ jd_j)
+    return out
+
+
+def _contraction_dissipator(chans, noise, rho):
+    """The dissipator as two tensor contractions per ladder jump, in build order."""
+    space = chans.space
+    a = single_mode_ladder(space.cutoff)
+    acc = -chans.anticomm * rho
+    for mode in range(space.n_modes):
+        for rate, op in ((noise.gamma_up[mode], a.conj().T), (noise.gamma_down[mode], a)):
+            if rate > 0:
+                jump = math.sqrt(rate) * op
+                acc += apply_right_dag(jump, apply_left(jump, rho, (mode,), space),
+                                       (mode,), space)
+    if chans.deph_outer is not None:
+        acc += chans.deph_outer * rho
+    return acc
+
+
+RATES = st.one_of(st.just(0.0), st.floats(1e-3, 1e3))
+
+
+@st.composite
+def dissipator_cases(draw):
+    n = draw(st.integers(1, 3))
+    cutoff = draw(st.integers(2, 5))
+    noise = NoiseModel(*(draw(st.lists(RATES, min_size=n, max_size=n)) for _ in range(3)))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    return HilbertSpace(n, cutoff), noise, seed
+
+
+class TestDissipator:
+    @settings(max_examples=60, deadline=None)
+    @given(dissipator_cases())
+    def test_gather_matches_dense_oracle_and_contractions(self, case):
+        space, noise, seed = case
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(space.dim,) * 2) + 1j * rng.normal(size=(space.dim,) * 2)
+        rho = x + x.conj().T
+        chans = _ChannelSet(space, noise)
+        got = chans.dissipator(rho)
+        want = _dense_lindblad(space, noise, rho)
+        assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+        assert np.array_equal(got, _contraction_dissipator(chans, noise, rho))
 
 
 class TestPropagateCycle:
@@ -365,6 +437,19 @@ class TestBeamsplitterInfidelity:
     def test_mean_pair_rates_identical_for_any_uniform_count(self):
         means = {_mean_pair_rates(reference_noise(n)) for n in (1, 2, 4, 8)}
         assert means == {(GAMMA_UP, GAMMA_DOWN, GAMMA_PHI)}
+
+    def test_lossy_gate_calibrates_with_its_heating_flag(self):
+        sp = HilbertSpace(2, 3)
+        rho = number_state(sp, [1, 0]).to_density_matrix()
+        noise = reference_noise(2)
+        plan = linear_plan(2)
+        own = calibrate_bs_multiplier(0.99, G_BS, *_mean_pair_rates(noise),
+                                      elevate_heating=False)
+        assert own != calibrate_bs_multiplier(0.99, G_BS, *_mean_pair_rates(noise))
+        auto = lossy_ed_apply(rho, plan, 0.99, G_BS, noise, elevate_heating=False)
+        given_mult = lossy_ed_apply(rho, plan, 0.99, G_BS, noise, multiplier=own,
+                                    elevate_heating=False)
+        assert auto.matrix.tobytes() == given_mult.matrix.tobytes()
 
     def test_distributed_fock_state_fidelity_below_single_photon(self):
         # higher Fock states suffer more from the elevated window rates

@@ -4,7 +4,7 @@ import pytest
 
 from fockscan.errors import InvalidArgument
 from fockscan.fock import HilbertSpace
-from fockscan.tensorops import apply_left, apply_right_dag, apply_to_vector, sandwich
+from fockscan.tensorops import apply_left, apply_right_dag, apply_to_vector
 
 
 def _embed(op, modes, space):
@@ -60,7 +60,8 @@ def test_rho_applications_match_dense(n_modes, cutoff, modes):
     dense = _embed(op, modes, space)
     assert np.allclose(apply_left(op, rho, modes, space), dense @ rho, atol=1e-12)
     assert np.allclose(apply_right_dag(op, rho, modes, space), rho @ dense.conj().T, atol=1e-12)
-    assert np.allclose(sandwich(op, rho, modes, space), dense @ rho @ dense.conj().T, atol=1e-12)
+    both = apply_right_dag(op, apply_left(op, rho, modes, space), modes, space)
+    assert np.allclose(both, dense @ rho @ dense.conj().T, atol=1e-12)
 
 
 def test_dimension_mismatch_rejected():
