@@ -17,7 +17,9 @@ config layer accept Hz fields and convert once, at the boundary.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -87,9 +89,26 @@ class CavityGeometry:
 
 def coupling_g(dm: DMParams, cav: CavityGeometry, constants: PhysicalConstants = CONSTANTS) -> float:
     """DM-cavity coupling g = epsilon sqrt(2 G rho V omega / hbar), in rad/s."""
-    return dm.epsilon * math.sqrt(
-        2.0 * cav.form_factor_g * dm.rho_dm * cav.volume * cav.omega / constants.hbar
-    )
+    return _coupling(dm.epsilon, cav.form_factor_g, dm.rho_dm, cav.volume, cav.omega, constants)
+
+
+def _coupling(epsilon, form_factor_g, rho_dm, volume, omega, constants):
+    """`coupling_g` from plain numbers; elementwise over arrays of volume and omega."""
+    sqrt = np.sqrt if isinstance(omega, np.ndarray) else math.sqrt
+    return epsilon * sqrt(2.0 * form_factor_g * rho_dm * volume * omega / constants.hbar)
+
+
+def _pow(x, p):
+    """x ** p, elementwise on an array, always through Python's float power.
+
+    numpy's vectorised power is not libm's pow on every CPU (SIMD loops
+    differ from it in the last bit on a few percent of inputs), so an array
+    goes through the same scalar operation a float does and its results do
+    not depend on the machine.
+    """
+    if isinstance(x, np.ndarray):
+        return np.fromiter(map(operator.pow, x.tolist(), repeat(p)), float, count=x.size)
+    return x ** p
 
 
 def form_factor_tm010() -> float:
@@ -97,11 +116,14 @@ def form_factor_tm010() -> float:
     return (1.0 / 3.0) * (2.0 / _BESSEL_J0_ROOT) ** 2
 
 
-def cavity_volume_tm010(omega: float, constants: PhysicalConstants = CONSTANTS) -> float:
-    """Volume of the height = 4a TM010 cylinder resonant at omega: 4 pi (j01 c)^3 / omega^3."""
-    if omega <= 0:
+def cavity_volume_tm010(omega, constants: PhysicalConstants = CONSTANTS):
+    """Volume of the height = 4a TM010 cylinder resonant at omega: 4 pi (j01 c)^3 / omega^3.
+
+    Elementwise over an array of omega.
+    """
+    if np.any(np.less_equal(omega, 0)):
         raise InvalidArgument("omega must be positive")
-    return 4.0 * math.pi * (_BESSEL_J0_ROOT * constants.c) ** 3 / omega ** 3
+    return 4.0 * math.pi * (_BESSEL_J0_ROOT * constants.c) ** 3 / _pow(omega, 3)
 
 
 def mean_displacement(g: float, tau_dm: float, tau_int) -> np.ndarray | float:
@@ -223,18 +245,28 @@ def _renewal_pieces(rng, tau_dm, t_max):
 
 
 def _piecewise_population(g, delta, t_grid, starts, phases):
-    """|alpha(t)|^2 on the grid, each phase piece integrated in closed form."""
-    piece_lo = starts[:-1]
-    piece_hi = starts[1:]
-    phase_fac = np.exp(1j * phases)
-    out = np.empty(t_grid.size)
-    for j, t in enumerate(t_grid):
-        hi = np.minimum(piece_hi, t)
-        lo = np.minimum(piece_lo, t)
-        if delta == 0.0:
-            segs = (hi - lo).astype(complex)
-        else:
-            segs = (np.exp(1j * delta * hi) - np.exp(1j * delta * lo)) / (1j * delta)
-        amp = -1j * g * np.sum(phase_fac * segs)
-        out[j] = abs(amp) ** 2
-    return out
+    """|alpha(t)|^2 on the grid, each phase piece integrated in closed form.
+
+    All grid points are clipped against all pieces at once, as a (points,
+    pieces) array, and every amplitude is bit for bit the one a loop over the
+    grid gives:
+
+    - the phase factors are repeated to the segments' shape, so the complex
+      product runs numpy's contiguous loop, as each 1-D product of the loop
+      did (with one operand broadcast, numpy may pick a loop whose complex
+      product rounds differently, e.g. without FMA);
+    - each row sums in the same pairwise order as a 1-D sum of that row;
+    - the last step, abs(amp) ** 2, stays a scalar operation per point:
+      numpy's vectorised complex abs and power differ from the scalar ones
+      in the last bit on about a third of the points, on some CPUs.
+    """
+    t = t_grid[:, None]
+    hi = np.minimum(starts[1:], t)
+    lo = np.minimum(starts[:-1], t)
+    if delta == 0.0:
+        segs = (hi - lo).astype(complex)
+    else:
+        segs = (np.exp(1j * delta * hi) - np.exp(1j * delta * lo)) / (1j * delta)
+    phase_fac = np.exp(1j * phases)[None, :].repeat(t_grid.size, axis=0)
+    sums = (phase_fac * segs).sum(axis=1)
+    return np.array([abs(-1j * g * s) ** 2 for s in sums])

@@ -15,18 +15,25 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .drive import (
     CONSTANTS,
     CavityGeometry,
     DMParams,
     PhysicalConstants,
+    _coupling,
+    _pow,
     cavity_volume_tm010,
-    coupling_g,
     form_factor_tm010,
 )
 from .errors import BudgetTooSmall, InvalidArgument
 
 _AUDIT_RTOL = 1e-10
+# reach_band evaluates its tuning steps in chunks that double from the first
+# size to the cap, after a first step of its own.
+_FIRST_CHUNK = 1024
+_MAX_CHUNK = 65536
 
 
 @dataclass(frozen=True)
@@ -50,13 +57,23 @@ class SensitivityParams:
             raise InvalidArgument("eta must lie in (0, 1]")
 
 
-def thermal_occupation(omega: float, temp: float, constants: PhysicalConstants = CONSTANTS) -> float:
-    """Bose-Einstein occupation (exp(hbar w / k T) - 1)^-1, underflow-safe."""
+def thermal_occupation(omega, temp: float, constants: PhysicalConstants = CONSTANTS):
+    """Bose-Einstein occupation (exp(hbar w / k T) - 1)^-1, underflow-safe.
+
+    Elementwise over an array of omega, through the same scalar exp and
+    expm1 (numpy's vectorised ones are not libm's on every CPU).
+    """
     if temp <= 0:
         raise InvalidArgument("temperature must be positive")
-    if omega <= 0:
+    if np.any(np.less_equal(omega, 0)):
         raise InvalidArgument("omega must be positive")
     x = constants.hbar * omega / (constants.k_b * temp)
+    if isinstance(x, np.ndarray):
+        return np.fromiter(map(_bose, x.tolist()), float, count=x.size)
+    return _bose(x)
+
+
+def _bose(x: float) -> float:
     if x > 40.0:
         # 1/(e^x - 1) = e^-x (1 + e^-x + ...); the correction is < e^-40
         return math.exp(-x)
@@ -85,31 +102,10 @@ def scan_rate(
     """
     omega = geometry.omega
     n_th = thermal_occupation(omega, params.temp_cavity, constants)
-    dm = DMParams(
-        epsilon=params.target_epsilon, rho_dm=params.rho_dm, omega_dm=omega, q_dm=params.q_dm
+    DMParams(epsilon=params.target_epsilon, rho_dm=params.rho_dm, omega_dm=omega, q_dm=params.q_dm)
+    tau_tot, rate_si, g = _exposure(
+        params, omega, geometry.volume, geometry.form_factor_g, n_th, constants
     )
-    g = coupling_g(dm, geometry, constants)
-    tau_dm = dm.tau_dm
-    tau_tot = (
-        params.zeta_snr ** 2 * omega * n_th
-        / (4.0 * params.eta ** 2 * g ** 4 * tau_dm ** 2 * params.q_cav
-           * params.n_cavities ** 2 * (params.fock_m + 1))
-    )
-    rate_si = (omega / params.q_dm) / tau_tot
-
-    # independent route: natural units (hbar = c = 1, rad/s as the energy unit)
-    rho_nat = params.rho_dm * constants.c ** 3 / constants.hbar   # (rad/s)^4
-    vol_nat = geometry.volume / constants.c ** 3                  # (s/rad)^3
-    rate_nat = (
-        16.0 * params.eta ** 2 * params.target_epsilon ** 4 * geometry.form_factor_g ** 2
-        * rho_nat ** 2 * vol_nat ** 2 * params.q_dm * params.q_cav
-        * params.n_cavities ** 2 * (params.fock_m + 1)
-        / (params.zeta_snr ** 2 * n_th)
-    )
-    if abs(rate_nat - rate_si) > _AUDIT_RTOL * abs(rate_si):
-        raise ArithmeticError(
-            f"unit audit failed: SI route {rate_si!r} vs natural route {rate_nat!r}"
-        )
     return ScanRateResult(
         rate=rate_si,
         rate_hz_per_s=rate_si / (2.0 * math.pi),
@@ -117,6 +113,40 @@ def scan_rate(
         n_th=n_th,
         coupling=g,
     )
+
+
+def _exposure(params, omega, volume, form_factor_g, n_th, constants):
+    """(tau_tot, SI scan rate, coupling g) of one tuning step, after the unit audit.
+
+    The one implementation of `scan_rate`'s formulas.  Given arrays (one
+    entry per step) it applies the same float operations in the same order,
+    elementwise, with every power through `_pow`; a step-invariant left
+    prefix of a product is then simply evaluated once.  Raises
+    ArithmeticError if the SI and natural-unit routes disagree on any step.
+    """
+    g = _coupling(params.target_epsilon, form_factor_g, params.rho_dm, volume, omega, constants)
+    tau_dm = params.q_dm / omega
+    tau_tot = (
+        params.zeta_snr ** 2 * omega * n_th
+        / (4.0 * params.eta ** 2 * _pow(g, 4) * _pow(tau_dm, 2) * params.q_cav
+           * params.n_cavities ** 2 * (params.fock_m + 1))
+    )
+    rate_si = (omega / params.q_dm) / tau_tot
+
+    # independent route: natural units (hbar = c = 1, rad/s as the energy unit)
+    rho_nat = params.rho_dm * constants.c ** 3 / constants.hbar   # (rad/s)^4
+    vol_nat = volume / constants.c ** 3                           # (s/rad)^3
+    rate_nat = (
+        16.0 * params.eta ** 2 * params.target_epsilon ** 4 * form_factor_g ** 2
+        * rho_nat ** 2 * _pow(vol_nat, 2) * params.q_dm * params.q_cav
+        * params.n_cavities ** 2 * (params.fock_m + 1)
+        / (params.zeta_snr ** 2 * n_th)
+    )
+    if np.any(abs(rate_nat - rate_si) > _AUDIT_RTOL * abs(rate_si)):
+        raise ArithmeticError(
+            f"unit audit failed: SI route {rate_si!r} vs natural route {rate_nat!r}"
+        )
+    return tau_tot, rate_si, g
 
 
 def exclusion_epsilon(
@@ -157,7 +187,7 @@ def exclusion_epsilon(
     return eps_si
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReachBand:
     """Frequency interval covered before the time budget runs out."""
 
@@ -165,7 +195,7 @@ class ReachBand:
     omega_end: float
     n_steps: int
     total_time: float
-    steps: tuple  # (omega, tau_tot, cumulative_time) triples
+    steps: np.ndarray  # (n_steps, 3), read-only: omega, tau_tot, cumulative time per step
 
     @property
     def freq_start_hz(self) -> float:
@@ -188,7 +218,27 @@ def reach_band(
 
     The step size is evaluated at the running frequency (a geometric-like
     progression, d omega = omega / Q_dm), and each step costs the exposure
-    that reaches zeta_snr at the target mixing.
+    that reaches zeta_snr at the target mixing.  The band ends before the
+    first step whose cost would take the running time past the budget.
+
+    Steps are evaluated in chunks (1, then 1024 doubling to 65536), and the
+    result is bit-identical to a loop of `scan_rate` calls, one per step:
+
+    - the frequencies come from a sequential `np.multiply.accumulate` and
+      the running time from a sequential `np.add.accumulate`, the same
+      float products and sums as the loop's `omega *= r` and `spent += tau`;
+    - `*`, `/` and sqrt are correctly rounded, so numpy's array operations
+      give the loop's floats, while every power, exp and expm1 goes through
+      Python's scalar operation per step (numpy's SIMD versions differ
+      from libm in the last bit on some CPUs, which would make the output
+      depend on the machine);
+    - the first step runs through `scan_rate` itself, which checks the
+      step-invariant parameters as the loop did;
+    - a chunk in which numpy raises any floating-point flag (division by
+      zero, overflow, invalid), a step fails a check, or the unit audit
+      fails is replayed step by step through `scan_rate`.  The replay
+      raises exactly where the loop raised, and raises nothing for steps
+      past the end of the band.
     """
     if time_budget <= 0:
         raise BudgetTooSmall("time budget must be positive")
@@ -199,28 +249,69 @@ def reach_band(
         zeta_snr=params.zeta_snr, eta=params.eta,
     )
     g_form = form_factor_tm010()
-    omega = omega_start
-    spent = 0.0
-    steps = []
-    tau_tot = math.inf
-    for _ in range(max_steps):
-        geometry = CavityGeometry(
-            omega=omega, volume=cavity_volume_tm010(omega, constants), form_factor_g=g_form
-        )
-        tau_tot = scan_rate(work, geometry, constants).tau_tot_step
-        if spent + tau_tot > time_budget:
+    blocks = []
+    n_steps, spent, tau_tot = 0, 0.0, math.inf
+    omegas = np.array([omega_start] if max_steps > 0 else [])
+    while omegas.size:
+        taus = _chunk_exposures(work, omegas, g_form, constants) if n_steps else None
+        if taus is None:
+            taus = _replay(work, omegas, spent, time_budget, g_form, constants)
+        cum = np.add.accumulate(np.r_[spent, taus])[1:]
+        over = np.flatnonzero(cum > time_budget)
+        stop = int(over[0]) if over.size else taus.size
+        blocks.append(np.column_stack((omegas[:stop], taus[:stop], cum[:stop])))
+        n_steps += stop
+        if stop < taus.size:
+            tau_tot = float(taus[stop])
             break
-        spent += tau_tot
-        steps.append((omega, tau_tot, spent))
-        omega = omega * (1.0 + 1.0 / params.q_dm)
-    if not steps:
+        spent = cum[-1]
+        size = min(max(_FIRST_CHUNK, 2 * omegas.size), _MAX_CHUNK, max_steps - n_steps)
+        ratio = 1.0 + 1.0 / params.q_dm
+        with np.errstate(over="ignore"):
+            omegas = np.multiply.accumulate(np.r_[omegas[-1], np.full(size, ratio)])[1:]
+    if not n_steps:
         raise BudgetTooSmall(
             f"budget {time_budget:g} s cannot afford one step (first step needs {tau_tot:g} s)"
         )
+    steps = np.concatenate(blocks)
+    steps.flags.writeable = False
     return ReachBand(
         omega_start=omega_start,
-        omega_end=steps[-1][0],
-        n_steps=len(steps),
-        total_time=spent,
-        steps=tuple(steps),
+        omega_end=float(steps[-1, 0]),
+        n_steps=n_steps,
+        total_time=float(steps[-1, 2]),
+        steps=steps,
     )
+
+
+def _chunk_exposures(params, omegas, g_form, constants):
+    """tau_tot of every step in `omegas`, or None if the loop could raise on one of them.
+
+    Python float arithmetic raises only where numpy flags division by zero,
+    overflow or an invalid operation, and the powers and exponentials here
+    are Python's own.  So a chunk that raises nothing here, and passes the
+    per-step checks and the audit, is one the loop completes.
+    """
+    try:
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            volumes = cavity_volume_tm010(omegas, constants)
+            if not np.all(volumes > 0):
+                return None
+            n_th = thermal_occupation(omegas, params.temp_cavity, constants)
+            return _exposure(params, omegas, volumes, g_form, n_th, constants)[0]
+    except (ArithmeticError, ValueError):
+        return None
+
+
+def _replay(params, omegas, spent, time_budget, g_form, constants):
+    """The per-step loop over one chunk: tau_tot up to and including the step that ends the band."""
+    taus = []
+    for omega in omegas.tolist():
+        geometry = CavityGeometry(
+            omega=omega, volume=cavity_volume_tm010(omega, constants), form_factor_g=g_form
+        )
+        taus.append(scan_rate(params, geometry, constants).tau_tot_step)
+        if spent + taus[-1] > time_budget:
+            break
+        spent += taus[-1]
+    return np.array(taus)

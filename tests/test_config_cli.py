@@ -6,12 +6,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 import yaml
 
 from fockscan.cli import main
 from fockscan.config import (
+    SCHEMA,
     build_protocol_config,
     config_hash,
     load_config,
@@ -66,6 +68,21 @@ class TestConfigLoading:
         assert cfg.q_cavity == pytest.approx(2 * math.pi * 7e9 * 2.27e-3)
         assert cfg.coupling() == 73.6
         assert cfg.seed == 11
+
+    def test_schema_is_valid(self):
+        # load_config validates with a validator built once, without re-checking the schema
+        jsonschema.validators.validator_for(SCHEMA).check_schema(SCHEMA)
+
+    def test_error_message_matches_jsonschema(self, tmp_path):
+        doc = {"sensitivity": {"q_cavity": -1.0, "fock_m": "five"}, "seed": -3}
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        with pytest.raises(jsonschema.ValidationError) as expected:
+            jsonschema.validate(doc, SCHEMA)
+        with pytest.raises(ConfigError) as got:
+            load_config(path)
+        exc = expected.value
+        assert str(got.value) == f"config validation failed: {exc.message} (at {list(exc.path)})"
 
     def test_hash_is_order_independent(self):
         a = {"x": 1, "y": {"b": 2, "a": 3}}

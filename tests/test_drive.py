@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 import scipy.constants as const
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fockscan.drive import (
     CavityGeometry,
+    _piecewise_population,
     DMParams,
     cavity_volume_tm010,
     coupling_g,
@@ -199,3 +202,39 @@ class TestMonteCarlo:
             mc_population(1.0, TAU, 0.0, self.grid, 0, seed=1)
         with pytest.raises(InvalidArgument):
             mc_population(1.0, TAU, 0.0, np.array([2.0, 1.0]), 10, seed=1)
+
+
+def loop_population(g, delta, t_grid, starts, phases):
+    """`_piecewise_population` as a loop over the grid points, one 1-D sum per point."""
+    phase_fac = np.exp(1j * phases)
+    out = np.empty(t_grid.size)
+    for j, t in enumerate(t_grid):
+        hi = np.minimum(starts[1:], t)
+        lo = np.minimum(starts[:-1], t)
+        if delta == 0.0:
+            segs = (hi - lo).astype(complex)
+        else:
+            segs = (np.exp(1j * delta * hi) - np.exp(1j * delta * lo)) / (1j * delta)
+        amp = -1j * g * np.sum(phase_fac * segs)
+        out[j] = abs(amp) ** 2
+    return out
+
+
+class TestPiecewisePopulation:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        g=st.floats(1e-3, 1e3),
+        delta=st.one_of(st.just(0.0), st.floats(-50.0, 50.0).filter(lambda d: d != 0.0)),
+        n_pieces=st.integers(1, 300),
+        n_points=st.integers(1, 60),
+        reach=st.floats(0.5, 2.0),
+        seed=st.integers(0, 2 ** 32 - 1),
+    )
+    def test_matches_per_point_loop(self, g, delta, n_pieces, n_points, reach, seed):
+        # reach > 1 puts grid points past the start of the last renewal
+        rng = np.random.default_rng(seed)
+        starts = np.concatenate([[0.0], np.cumsum(rng.exponential(1.0, n_pieces))])
+        phases = rng.uniform(0.0, 2.0 * math.pi, n_pieces)
+        t_grid = np.unique(rng.uniform(0.0, reach * starts[-1], n_points))
+        got = _piecewise_population(g, delta, t_grid, starts, phases)
+        assert np.array_equal(got, loop_population(g, delta, t_grid, starts, phases))

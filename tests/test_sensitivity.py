@@ -1,9 +1,13 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 import scipy.constants as const
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fockscan import sensitivity
 from fockscan.drive import CavityGeometry, cavity_volume_tm010, form_factor_tm010, rho_dm_si
 from fockscan.errors import BudgetTooSmall, InvalidArgument
 from fockscan.sensitivity import (
@@ -186,3 +190,108 @@ class TestReachBand:
         w21 = bands[(2, 1)].freq_end_hz - bands[(2, 1)].freq_start_hz
         w45 = bands[(4, 5)].freq_end_hz - bands[(4, 5)].freq_start_hz
         assert w10 < w21 < w45
+
+
+def loop_reach(target_epsilon, time_budget, params, omega_start, max_steps=2_000_000):
+    """The per-step loop `reach_band` replaced: one `scan_rate` call per tuning step."""
+    if time_budget <= 0:
+        raise BudgetTooSmall("time budget must be positive")
+    work = dataclasses.replace(params, target_epsilon=target_epsilon)
+    g_form = form_factor_tm010()
+    omega, spent, steps, tau_tot = omega_start, 0.0, [], math.inf
+    for _ in range(max_steps):
+        geometry = CavityGeometry(omega=omega, volume=cavity_volume_tm010(omega),
+                                  form_factor_g=g_form)
+        tau_tot = scan_rate(work, geometry).tau_tot_step
+        if spent + tau_tot > time_budget:
+            break
+        spent += tau_tot
+        steps.append((omega, tau_tot, spent))
+        omega = omega * (1.0 + 1.0 / params.q_dm)
+    if not steps:
+        raise BudgetTooSmall(
+            f"budget {time_budget:g} s cannot afford one step (first step needs {tau_tot:g} s)"
+        )
+    return np.array(steps), spent, steps[-1][0]
+
+
+def outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except (ArithmeticError, ValueError, BudgetTooSmall) as exc:
+        return exc
+
+
+def assert_same_band(args, kwargs=None):
+    kwargs = kwargs or {}
+    expected = outcome(loop_reach, *args, **kwargs)
+    got = outcome(reach_band, *args, **kwargs)
+    if isinstance(expected, Exception):
+        assert type(got) is type(expected) and str(got) == str(expected)
+        return expected
+    steps, total, omega_end = expected
+    assert not isinstance(got, Exception), got
+    assert np.array_equal(got.steps, steps)
+    assert got.n_steps == len(steps)
+    assert got.total_time == total and got.omega_end == omega_end
+    return got
+
+
+class TestReachBandChunked:
+    """`reach_band` evaluates steps in chunks; it must equal the per-step loop bit for bit."""
+
+    def test_steps_array(self):
+        band = reach_band(1e-16, 30.0, make_params(), OMEGA7)
+        assert band.steps.shape == (band.n_steps, 3) and band.steps.dtype == np.float64
+        assert not band.steps.flags.writeable
+        assert band.steps[0, 0] == OMEGA7 and band.steps[-1, 0] == band.omega_end
+        assert band.steps[-1, 2] == band.total_time
+
+    def test_long_band_matches_loop(self):
+        # about 3 700 steps of 7.5 s: the first step, chunks of 1024 and 2048, part of one of 4096
+        band = assert_same_band((1e-16, 28000.0, make_params(n_cavities=1, fock_m=0),
+                                 2 * math.pi * 5e9))
+        assert band.n_steps > 1 + 1024 + 2048
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        temp=st.floats(-4.5, 0.0).map(lambda e: 10.0 ** e),
+        q_dm=st.floats(0.0, 7.0).map(lambda e: 10.0 ** e),
+        freq=st.floats(9.0, 10.5).map(lambda e: 10.0 ** e),
+        factor=st.floats(-3.0, 3.7).map(lambda e: 10.0 ** e),
+        n_m=st.sampled_from([(1, 0), (2, 1), (4, 5)]),
+        max_steps=st.sampled_from([37, 1000, None]),
+    )
+    def test_matches_per_step_loop(self, temp, q_dm, freq, factor, n_m, max_steps):
+        # temperatures from 30 uK to 1 K reach both branches of thermal_occupation and the
+        # underflow of n_th to 0 (hbar w / k T > 745), at the first step or inside the band;
+        # factor < 1 makes the budget too small for the first step
+        params = make_params(temp_cavity=temp, q_dm=q_dm, n_cavities=n_m[0], fock_m=n_m[1])
+        omega = 2 * math.pi * freq
+        first = outcome(scan_rate, params, geometry_at(omega))
+        budget = factor * first.tau_tot_step if not isinstance(first, Exception) else 1.0
+        kwargs = {} if max_steps is None else {"max_steps": max_steps}
+        assert_same_band((1e-16, budget, params, omega), kwargs)
+
+    def test_failure_past_the_band_end_raises_nothing(self):
+        # hbar w / k T rises from 700 by 0.1% a step, so n_th underflows to 0 about
+        # 62 steps in, inside the first chunk, and the loop divides by zero there
+        omega = 2 * math.pi * 5e9
+        temp = const.hbar * omega / (const.k * 700.0)
+        params = make_params(temp_cavity=temp, q_dm=1e3)
+        tau0 = scan_rate(params, geometry_at(omega)).tau_tot_step
+        with pytest.raises(ZeroDivisionError):
+            reach_band(1e-16, 1e6 * tau0, params, omega)
+        assert isinstance(outcome(loop_reach, 1e-16, 1e6 * tau0, params, omega),
+                          ZeroDivisionError)
+        band = assert_same_band((1e-16, 1.2 * tau0, params, omega))
+        assert 1 <= band.n_steps < 62
+
+    def test_audit_runs(self, monkeypatch):
+        monkeypatch.setattr(sensitivity, "_AUDIT_RTOL", -1.0)
+        with pytest.raises(ArithmeticError, match="unit audit failed"):
+            reach_band(1e-16, 30.0, make_params(), OMEGA7)
+        # the chunked steps are audited too: a chunk that fails it is replayed
+        omegas = OMEGA7 * np.cumprod(np.full(16, 1.0 + 1e-6))
+        assert sensitivity._chunk_exposures(make_params(), omegas, form_factor_tm010(),
+                                            sensitivity.CONSTANTS) is None
