@@ -259,11 +259,14 @@ def _piecewise_population(g, delta, t_grid, starts, phases):
     - the last step, abs(amp) ** 2, stays a scalar operation per point:
       numpy's vectorised complex abs and power differ from the scalar ones
       in the last bit on about a third of the points, on some CPUs.
+
+    A subnormal detuning counts as zero: e^{i delta t} is 1 + i delta t to
+    double precision, and dividing by delta would overflow to inf * 0 = nan.
     """
     t = t_grid[:, None]
     hi = np.minimum(starts[1:], t)
     lo = np.minimum(starts[:-1], t)
-    if delta == 0.0:
+    if abs(delta) < np.finfo(float).tiny:
         segs = (hi - lo).astype(complex)
     else:
         segs = (np.exp(1j * delta * hi) - np.exp(1j * delta * lo)) / (1j * delta)

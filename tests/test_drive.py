@@ -211,7 +211,7 @@ def loop_population(g, delta, t_grid, starts, phases):
     for j, t in enumerate(t_grid):
         hi = np.minimum(starts[1:], t)
         lo = np.minimum(starts[:-1], t)
-        if delta == 0.0:
+        if abs(delta) < np.finfo(float).tiny:
             segs = (hi - lo).astype(complex)
         else:
             segs = (np.exp(1j * delta * hi) - np.exp(1j * delta * lo)) / (1j * delta)
@@ -238,3 +238,13 @@ class TestPiecewisePopulation:
         t_grid = np.unique(rng.uniform(0.0, reach * starts[-1], n_points))
         got = _piecewise_population(g, delta, t_grid, starts, phases)
         assert np.array_equal(got, loop_population(g, delta, t_grid, starts, phases))
+
+    @pytest.mark.parametrize("delta", [5e-324, -2.225073858507203e-309])
+    def test_subnormal_detuning_is_resonant(self, delta):
+        rng = np.random.default_rng(3)
+        starts = np.concatenate([[0.0], np.cumsum(rng.exponential(1.0, 20))])
+        phases = rng.uniform(0.0, 2.0 * math.pi, 20)
+        t_grid = np.linspace(0.0, 1.5 * starts[-1], 40)
+        got = _piecewise_population(1.0, delta, t_grid, starts, phases)
+        assert np.all(np.isfinite(got))
+        assert np.array_equal(got, _piecewise_population(1.0, 0.0, t_grid, starts, phases))
