@@ -251,11 +251,6 @@ def displacement(space: HilbertSpace, mode: int, alpha: complex) -> DenseOperato
     return DenseOperator(space, expm(gen))
 
 
-def single_mode_displacement(cutoff: int, alpha: complex) -> np.ndarray:
-    a = single_mode_ladder(cutoff)
-    return expm(alpha * a.conj().T - np.conj(alpha) * a)
-
-
 def leakage(state, space: HilbertSpace | None = None) -> float:
     """Summed population sitting at the top Fock level of each mode.
 

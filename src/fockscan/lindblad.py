@@ -17,6 +17,23 @@ The terms are accumulated in the order the dense contractions used, which
 keeps every update bit-identical to them.  Dephasing and the anticommutator
 are diagonal in the Fock basis and act as elementwise weights.
 
+A run with no channel at all (the signal run of a lossless reference) only
+composes displacements along the one real generator i(a - a^dag), so its
+steps compose exactly: at record step k the state is D(alpha_k)^{(x)N} rho_0
+D(alpha_k)^{dag (x)N} with alpha_k = drive_amp (<|alpha|>(t_k) - <|alpha|>(t_0)).
+_propagate evaluates that closed form at the record steps only and reports
+the nominal step count; the stepping loop is not entered.
+
+Readouts are taken in the Heisenberg picture.  A lossy inverse gate is a
+fixed, drive-free linear map G, so instead of pushing every recorded state
+through it, the readout projector O is pulled back once through its adjoint
+G^dag and each record reads Re Tr(G^dag(O) rho).  The adjoint of a ladder
+jump, A^dag O A, is again a one-nonzero-per-row gather (that of A^dag); the
+anticommutator and dephasing weights are symmetric and serve both
+directions.  A window's adjoint substep is the adjoint dissipator update
+followed by O -> U_sub^dag O U_sub.  Symmetrisation is transparent for a
+Hermitian O, since Tr(O (X + X^dag)/2) = Re Tr(O X).
+
 Two backends share this machinery:
 
 * the full tensor-product model (practical for N <= 3 at cutoff m+4), and
@@ -34,7 +51,7 @@ probability.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -167,6 +184,11 @@ class _ChannelSet:
     single product, and dissipator() adds the terms in the same order
     (anticommutator, jumps in build order, dephasing), so the update is
     bit-identical to the contraction form.
+
+    The adjoint term A^dag O A is the gather of A^dag, built beside each
+    forward jump; dissipator(O, adjoint=True) applies the adjoint
+    dissipator with the same (symmetric) anticommutator and dephasing
+    weights.
     """
 
     def __init__(self, space: HilbertSpace, noise: NoiseModel):
@@ -179,6 +201,7 @@ class _ChannelSet:
         a = single_mode_ladder(c)
         # per jump: src, amp[:, None] and conj(amp)[None, :]
         self.ladder_jumps: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self.adjoint_jumps: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         decay_diag = np.zeros(space.dim)
         deph_amp = []  # per-mode sqrt(gamma_phi) * occupation vectors
         for mode in range(space.n_modes):
@@ -187,14 +210,12 @@ class _ChannelSet:
             g_phi = noise.gamma_phi[mode]
             stride = c ** (space.n_modes - 1 - mode)
             if g_up > 0:
-                self.ladder_jumps.append(
-                    _gather_jump(math.sqrt(g_up) * a.conj().T, occ_idx[:, mode], stride))
+                self._add_jump(math.sqrt(g_up) * a.conj().T, occ_idx[:, mode], stride)
                 # truncated a a^dag has diagonal k+1 below the boundary, 0 at the top
                 diag = np.where(occ[:, mode] < c - 1, g_up * (occ[:, mode] + 1.0), 0.0)
                 decay_diag += diag
             if g_down > 0:
-                self.ladder_jumps.append(
-                    _gather_jump(math.sqrt(g_down) * a, occ_idx[:, mode], stride))
+                self._add_jump(math.sqrt(g_down) * a, occ_idx[:, mode], stride)
                 decay_diag += g_down * occ[:, mode]
             if g_phi > 0:
                 deph_amp.append(math.sqrt(g_phi) * occ[:, mode])
@@ -207,9 +228,18 @@ class _ChannelSet:
             self.deph_outer = None
         self.total_rate = float(decay_diag.max()) if space.dim else 0.0
 
-    def dissipator(self, rho: np.ndarray) -> np.ndarray:
+    def _add_jump(self, op: np.ndarray, occ: np.ndarray, stride: int) -> None:
+        self.ladder_jumps.append(_gather_jump(op, occ, stride))
+        self.adjoint_jumps.append(_gather_jump(op.conj().T, occ, stride))
+
+    @property
+    def has_channels(self) -> bool:
+        """False when every rate is zero: no jump, no dephasing, a zero anticommutator."""
+        return bool(self.ladder_jumps) or self.deph_outer is not None
+
+    def dissipator(self, rho: np.ndarray, adjoint: bool = False) -> np.ndarray:
         acc = -self.anticomm * rho
-        for src, amp_col, amp_row_conj in self.ladder_jumps:
+        for src, amp_col, amp_row_conj in (self.adjoint_jumps if adjoint else self.ladder_jumps):
             acc += (amp_col * rho.take(src, 0).take(src, 1)) * amp_row_conj
         if self.deph_outer is not None:
             acc += self.deph_outer * rho
@@ -285,14 +315,22 @@ class PropagationResult:
     dt: float
     n_steps: int
     backend: str
-    snapshots: list = field(default_factory=list)
-    snapshot_times: np.ndarray | None = None
+    final_state: DensityMatrix
 
 
 def _leakage_probs(diag: np.ndarray, space: HilbertSpace) -> float:
     occ = occupations(space)
     top = occ == (space.cutoff - 1)
     return float(sum(diag[top[:, m]].sum() for m in range(space.n_modes)))
+
+
+def _displace_all(rho: np.ndarray, alpha: float, space: HilbertSpace) -> np.ndarray:
+    """D(alpha)^{(x)N} rho D(alpha)^{dag (x)N}, one mode at a time."""
+    d1 = _single_displacement(space.cutoff, alpha)
+    for mode in range(space.n_modes):
+        rho = apply_left(d1, rho, (mode,), space)
+        rho = apply_right_dag(d1, rho, (mode,), space)
+    return rho
 
 
 def _propagate(
@@ -304,26 +342,41 @@ def _propagate(
     tau_dm: float,
     tau_int: float,
     dt: float,
-    target: np.ndarray | None,
+    readout: np.ndarray | None,
     record_every: int,
     leak_tol: float,
-    snapshot_steps: set[int] | None = None,
     record_steps: set[int] | None = None,
     t_offset: float = 0.0,
 ):
-    """Shared stepping loop; drive_amp scales the per-step displacement."""
+    """Shared stepping loop; drive_amp scales the per-step displacement.
+
+    readout is read at every record: a state vector t as <t|rho|t>, or a
+    Hermitian observable O (a matrix) as Re Tr(O rho).  A run without any
+    channel is evaluated in closed form at the record steps (see the module
+    docstring); n_steps is the nominal step count either way.
+    """
     if dt * chans.total_rate >= STABILITY_LIMIT:
         raise StabilityGuard(
             f"dt*max_rate = {dt * chans.total_rate:.3g} exceeds {STABILITY_LIMIT}"
         )
     n_steps = max(1, int(round(tau_int / dt))) if tau_int > 0 else 0
-    times, pops, traces, leaks, snaps = [], [], [], [], []
+    times, pops, traces, leaks = [], [], [], []
+
+    def is_record(step):
+        if step == n_steps:
+            return True
+        if record_steps is not None:
+            return step in record_steps
+        return step % record_every == 0
 
     def record(step):
         t = step * dt
         times.append(t)
-        if target is not None:
-            pops.append(float(np.real(np.vdot(target, rho @ target))))
+        if readout is not None:
+            if readout.ndim == 1:
+                pops.append(float(np.real(np.vdot(readout, rho @ readout))))
+            else:
+                pops.append(float(np.real(np.vdot(readout, rho))))
         diag = np.diag(rho).real
         traces.append(abs(diag.sum() - 1.0))
         leak = _leakage_probs(diag, space)
@@ -337,26 +390,41 @@ def _propagate(
 
     record(0)
     amp_prev = mean_displacement(g, tau_dm, t_offset) if g else 0.0
+    if not chans.has_channels:
+        rho0, amp0 = rho, amp_prev
+        for step in filter(is_record, range(1, n_steps + 1)):
+            rho = rho0
+            if g:
+                alpha = drive_amp * (mean_displacement(g, tau_dm, t_offset + step * dt) - amp0)
+                if alpha != 0.0:
+                    rho = _displace_all(rho0, alpha, space)
+                    rho = 0.5 * (rho + rho.conj().T)
+            record(step)
+        return rho, times, pops, traces, leaks, n_steps
+
     for step in range(1, n_steps + 1):
         if g:
             amp_next = mean_displacement(g, tau_dm, t_offset + step * dt)
             d_alpha = drive_amp * (amp_next - amp_prev)
             amp_prev = amp_next
             if d_alpha != 0.0:
-                d1 = _single_displacement(space.cutoff, d_alpha)
-                for mode in range(space.n_modes):
-                    rho = apply_left(d1, rho, (mode,), space)
-                    rho = apply_right_dag(d1, rho, (mode,), space)
+                rho = _displace_all(rho, d_alpha, space)
         rho = rho + dt * chans.dissipator(rho)
         rho = 0.5 * (rho + rho.conj().T)
-        if record_steps is not None:
-            if step in record_steps or step == n_steps:
-                record(step)
-        elif step % record_every == 0 or step == n_steps:
+        if is_record(step):
             record(step)
-        if snapshot_steps is not None and step in snapshot_steps:
-            snaps.append((step, rho.copy()))
-    return rho, times, pops, traces, leaks, snaps, n_steps
+    return rho, times, pops, traces, leaks, n_steps
+
+
+def _record_steps(dt: float, tau_int: float, record_every: int | None, record_times):
+    """(record_every, record step set) for _propagate from the public arguments."""
+    if record_every is None:
+        est_steps = max(1, int(round(tau_int / dt)))
+        record_every = max(1, est_steps // 800)
+    record_steps = None
+    if record_times is not None:
+        record_steps = {int(round(t / dt)) for t in np.asarray(record_times, dtype=float)}
+    return record_every, record_steps
 
 
 def propagate_cycle(
@@ -372,16 +440,18 @@ def propagate_cycle(
     rho0: DensityMatrix | None = None,
     record_every: int | None = None,
     leak_tol: float = DEFAULT_LEAK_TOL,
-    snapshot_times=None,
     record_times=None,
+    readout: np.ndarray | None = None,
 ) -> PropagationResult:
     """Integration-window propagation of the full tensor-product model.
 
     Starts from the distributed state U_ED |m,0,...,0> (or a supplied rho0,
     e.g. one degraded by a lossy distribution gate) and tracks the target
     projector expectation after the inverse gate, i.e. the overlap with
-    U_ED |m+1,0,...,0>.  Signal runs drive with heating disabled; background
-    runs heat with the drive off.
+    U_ED |m+1,0,...,0>.  A supplied readout (a Hermitian observable, e.g.
+    the target projector pulled back through a lossy inverse gate) is read
+    instead.  Signal runs drive with heating disabled; background runs heat
+    with the drive off.
     """
     if populate not in ("signal", "background"):
         raise InvalidArgument("populate must be 'signal' or 'background'")
@@ -403,22 +473,13 @@ def propagate_cycle(
         psi0 = apply_plan(psi0, ed, space)
         target = apply_plan(target, ed, space)
     rho = rho0.matrix.copy() if rho0 is not None else np.outer(psi0, psi0.conj())
+    record_every, record_steps = _record_steps(dt, tau_int, record_every, record_times)
 
-    if record_every is None:
-        est_steps = max(1, int(round(tau_int / dt)))
-        record_every = max(1, est_steps // 800)
-    snapshot_steps = None
-    if snapshot_times is not None:
-        snapshot_steps = {int(round(t / dt)) for t in np.asarray(snapshot_times, dtype=float)}
-    record_steps = None
-    if record_times is not None:
-        record_steps = {int(round(t / dt)) for t in np.asarray(record_times, dtype=float)}
-
-    rho, times, pops, traces, leaks, snaps, n_steps = _propagate(
-        space, rho, chans, 1.0, run_g, tau_dm, tau_int, dt, target,
-        record_every, leak_tol, snapshot_steps, record_steps,
+    rho, times, pops, traces, leaks, n_steps = _propagate(
+        space, rho, chans, 1.0, run_g, tau_dm, tau_int, dt,
+        target if readout is None else readout, record_every, leak_tol, record_steps,
     )
-    result = PropagationResult(
+    return PropagationResult(
         times=np.asarray(times),
         population=np.asarray(pops),
         trace_defect=np.asarray(traces),
@@ -426,11 +487,8 @@ def propagate_cycle(
         dt=dt,
         n_steps=n_steps,
         backend="full",
+        final_state=DensityMatrix(space, rho),
     )
-    if snaps:
-        result.snapshots = [DensityMatrix(space, s) for _, s in snaps]
-        result.snapshot_times = np.asarray([step * dt for step, _ in snaps])
-    return result
 
 
 def effective_noise_model(rates: TransformedRates, residual_dephasing: bool = True) -> NoiseModel:
@@ -461,17 +519,18 @@ def effective_propagate_cycle(
     cutoff: int | None = None,
     record_every: int | None = None,
     leak_tol: float = DEFAULT_LEAK_TOL,
-    snapshot_times=None,
     record_times=None,
     rho0: np.ndarray | None = None,
     residual_dephasing: bool = True,
+    readout: np.ndarray | None = None,
 ) -> PropagationResult:
     """Reduced single-mode backend: primary cavity with transformed channels.
 
     The collective drive concentrates on the primary mode as sqrt(N) x
     delta_alpha; the DM-induced downward transitions are inherent in the
     displacement steps.  Valid for any N; cross-validated against the full
-    backend at N = 2.
+    backend at N = 2.  A supplied readout observable replaces the |m+1>
+    projector, as in propagate_cycle.
     """
     if populate not in ("signal", "background"):
         raise InvalidArgument("populate must be 'signal' or 'background'")
@@ -487,21 +546,13 @@ def effective_propagate_cycle(
     psi0 = number_state(space, [m]).vector
     target = number_state(space, [m + 1]).vector
     rho = rho0.copy() if rho0 is not None else np.outer(psi0, psi0.conj())
-    if record_every is None:
-        est_steps = max(1, int(round(tau_int / dt)))
-        record_every = max(1, est_steps // 800)
-    snapshot_steps = None
-    if snapshot_times is not None:
-        snapshot_steps = {int(round(t / dt)) for t in np.asarray(snapshot_times, dtype=float)}
-    record_steps = None
-    if record_times is not None:
-        record_steps = {int(round(t / dt)) for t in np.asarray(record_times, dtype=float)}
+    record_every, record_steps = _record_steps(dt, tau_int, record_every, record_times)
 
-    rho, times, pops, traces, leaks, snaps, n_steps = _propagate(
+    rho, times, pops, traces, leaks, n_steps = _propagate(
         space, rho, chans, math.sqrt(n_cavities), run_g, tau_dm, tau_int, dt,
-        target, record_every, leak_tol, snapshot_steps, record_steps,
+        target if readout is None else readout, record_every, leak_tol, record_steps,
     )
-    result = PropagationResult(
+    return PropagationResult(
         times=np.asarray(times),
         population=np.asarray(pops),
         trace_defect=np.asarray(traces),
@@ -509,11 +560,8 @@ def effective_propagate_cycle(
         dt=dt,
         n_steps=n_steps,
         backend="effective",
+        final_state=DensityMatrix(space, rho),
     )
-    if snaps:
-        result.snapshots = [DensityMatrix(space, s) for _, s in snaps]
-        result.snapshot_times = np.asarray([step * dt for step, _ in snaps])
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -526,8 +574,13 @@ def _evolve_window(
     hamiltonian_pair,
     duration: float,
     n_sub: int,
+    adjoint: bool = False,
 ) -> np.ndarray:
-    """Evolve one beamsplitter window: exact unitary substeps + dissipator."""
+    """Evolve one beamsplitter window: exact unitary substeps + dissipator.
+
+    With adjoint, rho is an observable and each substep runs the adjoint
+    map: the adjoint dissipator update, then O -> U_sub^dag O U_sub.
+    """
     from .gates import BeamsplitterSpec
 
     space = chans.space
@@ -538,17 +591,20 @@ def _evolve_window(
             BeamsplitterSpec(spec.mode_a, spec.mode_b, spec.theta / n_sub, spec.phi),
             space.cutoff,
         )
-        if inverse:
+        if inverse != adjoint:
             sub = sub.conj().T
         modes = (spec.mode_a, spec.mode_b)
     else:
         sub, modes = None, None
     for _ in range(n_sub):
-        if sub is not None:
+        if sub is not None and not adjoint:
             rho = apply_left(sub, rho, modes, space)
             rho = apply_right_dag(sub, rho, modes, space)
-        rho = rho + dt * chans.dissipator(rho)
+        rho = rho + dt * chans.dissipator(rho, adjoint)
         rho = 0.5 * (rho + rho.conj().T)
+        if sub is not None and adjoint:
+            rho = apply_left(sub, rho, modes, space)
+            rho = apply_right_dag(sub, rho, modes, space)
     return rho
 
 
@@ -645,6 +701,7 @@ def lossy_ed_apply(
     inverse: bool = False,
     multiplier: float | None = None,
     elevate_heating: bool = True,
+    adjoint: bool = False,
 ) -> DensityMatrix:
     """Apply the distribution gate as a lossy channel.
 
@@ -652,16 +709,21 @@ def lossy_ed_apply(
     coupled cavities carry rates elevated by the calibrated multiplier; the
     other cavities keep their base rates.  f_bs = 1 reduces to the ideal
     unitary conjugation.
+
+    With adjoint, rho holds a Hermitian observable O and the result is the
+    Heisenberg-picture image G^dag(O) of the same gate G (windows in reverse
+    order, each through its adjoint substeps), so that Re Tr(G^dag(O) r) =
+    Re Tr(O G(r)) for every state r.
     """
     space = rho.space
     if plan.n_cavities != space.n_modes:
         raise InvalidArgument("plan and state disagree on the cavity count")
     mat = rho.matrix.copy()
+    seq = plan.sequence[::-1] if inverse != adjoint else plan.sequence
     if f_bs >= 1.0:
-        seq = plan.sequence[::-1] if inverse else plan.sequence
         for spec in seq:
             u = pair_unitary(spec, space.cutoff)
-            if inverse:
+            if inverse != adjoint:
                 u = u.conj().T
             mat = apply_left(u, mat, (spec.mode_a, spec.mode_b), space)
             mat = apply_right_dag(u, mat, (spec.mode_a, spec.mode_b), space)
@@ -670,14 +732,13 @@ def lossy_ed_apply(
     if multiplier is None:
         multiplier = calibrate_bs_multiplier(f_bs, g_bs, *_mean_pair_rates(base_noise),
                                              elevate_heating=elevate_heating)
-    seq = plan.sequence[::-1] if inverse else plan.sequence
     for spec in seq:
         noise = base_noise.elevated(multiplier, (spec.mode_a, spec.mode_b),
                                     elevate_heating=elevate_heating)
         duration = spec.theta / g_bs
         chans = _ChannelSet(space, noise)
         n_sub = _window_substeps(duration, chans.total_rate)
-        mat = _evolve_window(mat, chans, (spec, inverse), duration, n_sub)
+        mat = _evolve_window(mat, chans, (spec, inverse), duration, n_sub, adjoint)
     return DensityMatrix(space, mat)
 
 
@@ -699,12 +760,14 @@ def effective_lossy_window(
     heating_on: bool,
     elevate_heating: bool = True,
     residual_dephasing: bool = True,
+    adjoint: bool = False,
 ) -> np.ndarray:
     """Reduced-model beamsplitter window: elevated transformed rates, no drive.
 
     In the binary tree every occupied cavity sits inside an elevated pair
     during each layer, so the averaged rates seen by the effective mode are
-    simply the base rates times the calibrated multiplier.
+    simply the base rates times the calibrated multiplier.  With adjoint,
+    rho is an observable and the window's adjoint map is applied.
     """
     space = HilbertSpace(1, rho.shape[0])
     noise = effective_noise_model(rates, residual_dephasing)
@@ -716,4 +779,4 @@ def effective_lossy_window(
     )
     chans = _ChannelSet(space, noise)
     n_sub = _window_substeps(duration, chans.total_rate)
-    return _evolve_window(rho, chans, None, duration, n_sub)
+    return _evolve_window(rho, chans, None, duration, n_sub, adjoint)

@@ -216,79 +216,71 @@ def _interp_peak(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     return float(xv), float(a * xv ** 2 + b * xv + c)
 
 
+def _add_run_diagnostics(diag: dict, populate: str, res) -> None:
+    """Copy one run's guard series and their maxima into the diagnostics."""
+    diag[f"trace_defect_{populate}"] = float(res.trace_defect.max())
+    diag[f"leakage_{populate}"] = float(res.leakage.max())
+    diag[f"series_{populate}"] = {
+        "times": res.times, "trace": res.trace_defect, "leakage": res.leakage,
+    }
+    diag["dt"] = res.dt
+
+
 def _populations_full(config: ProtocolConfig, tau_grid: np.ndarray):
-    """Signal and background populations at the grid times, full backend."""
+    """Signal and background populations at the grid times, full backend.
+
+    With a lossy gate the shared forward gate prepares the state, and the
+    target projector is pulled back once through the adjoint of the lossy
+    inverse gate, so each record reads the post-inverse population directly.
+    """
     space = HilbertSpace(config.n_cavities, config.cutoff_eff)
     plan = config.plan()
     noise = config.noise_model()
     g = config.coupling()
     tau_max = float(tau_grid[-1])
     diag: dict = {"backend": "full"}
-
-    if config.bs_fidelity >= 1.0 or not plan.sequence:
-        out = {}
-        for populate in ("signal", "background"):
-            res = propagate_cycle(
-                space, config.fock_m, noise, g, config.tau_dm, tau_max, populate,
-                ed=plan, dt=config.dt, record_times=tau_grid,
-            )
-            out[populate] = res
-            diag[f"trace_defect_{populate}"] = float(res.trace_defect.max())
-            diag[f"leakage_{populate}"] = float(res.leakage.max())
-            diag[f"series_{populate}"] = {
-                "times": res.times, "trace": res.trace_defect, "leakage": res.leakage,
-            }
-            diag["dt"] = res.dt
-        t_sig = out["signal"].times
-        return t_sig, out["signal"].population, out["background"].population, diag
-
-    # lossy distribution: shared forward gate + integration, one inverse per point
-    multiplier = calibrate_bs_multiplier(
-        config.bs_fidelity, config.g_bs, *_mean_pair_rates(noise),
-        elevate_heating=config.elevate_bs_heating,
-    )
-    diag["bs_multiplier"] = multiplier
-    occ0 = [0] * space.n_modes
-    occ0[0] = config.fock_m
-    psi0 = number_state(space, occ0).vector
-    occ1 = list(occ0)
-    occ1[0] = config.fock_m + 1
-    target0 = number_state(space, occ1).vector
-    results = {}
-    for populate in ("signal", "background"):
-        run_noise = noise.heating_off() if populate == "signal" else noise
-        rho_in = DensityMatrix(space, np.outer(psi0, psi0.conj()))
-        rho_in = lossy_ed_apply(
-            rho_in, plan, config.bs_fidelity, config.g_bs, run_noise,
-            multiplier=multiplier, elevate_heating=config.elevate_bs_heating,
+    lossy = config.bs_fidelity < 1.0 and bool(plan.sequence)
+    if lossy:
+        multiplier = calibrate_bs_multiplier(
+            config.bs_fidelity, config.g_bs, *_mean_pair_rates(noise),
+            elevate_heating=config.elevate_bs_heating,
         )
+        diag["bs_multiplier"] = multiplier
+        occ = [0] * space.n_modes
+        occ[0] = config.fock_m
+        psi0 = number_state(space, occ).vector
+        occ[0] = config.fock_m + 1
+        target0 = number_state(space, occ).vector
+
+    out = {}
+    for populate in ("signal", "background"):
+        rho0 = readout = None
+        if lossy:
+            run_noise = noise.heating_off() if populate == "signal" else noise
+            gate = dict(f_bs=config.bs_fidelity, g_bs=config.g_bs, base_noise=run_noise,
+                        multiplier=multiplier, elevate_heating=config.elevate_bs_heating)
+            rho0 = lossy_ed_apply(DensityMatrix(space, np.outer(psi0, psi0.conj())), plan,
+                                  **gate)
+            readout = lossy_ed_apply(
+                DensityMatrix(space, np.outer(target0, target0.conj())), plan,
+                inverse=True, adjoint=True, **gate,
+            ).matrix
         res = propagate_cycle(
             space, config.fock_m, noise, g, config.tau_dm, tau_max, populate,
-            ed=None, dt=config.dt, rho0=rho_in, snapshot_times=tau_grid,
-            record_times=tau_grid,
+            ed=None if lossy else plan, dt=config.dt, rho0=rho0, record_times=tau_grid,
+            readout=readout,
         )
-        pops = []
-        for snap in res.snapshots:
-            rho_out = lossy_ed_apply(
-                snap, plan, config.bs_fidelity, config.g_bs, run_noise,
-                inverse=True, multiplier=multiplier,
-                elevate_heating=config.elevate_bs_heating,
-            )
-            pops.append(float(np.real(np.vdot(target0, rho_out.matrix @ target0))))
-        results[populate] = (res.snapshot_times, np.asarray(pops))
-        diag[f"trace_defect_{populate}"] = float(res.trace_defect.max())
-        diag[f"leakage_{populate}"] = float(res.leakage.max())
-        diag[f"series_{populate}"] = {
-            "times": res.times, "trace": res.trace_defect, "leakage": res.leakage,
-        }
-        diag["dt"] = res.dt
-    t_sig, n_s = results["signal"]
-    _, n_b = results["background"]
-    return t_sig, n_s, n_b, diag
+        out[populate] = res
+        _add_run_diagnostics(diag, populate, res)
+    return out["signal"].times, out["signal"].population, out["background"].population, diag
 
 
 def _populations_effective(config: ProtocolConfig, tau_grid: np.ndarray):
-    """Signal and background populations at the grid times, reduced backend."""
+    """Signal and background populations at the grid times, reduced backend.
+
+    Lossy windows prepare the state, and the |m+1> projector is pulled back
+    once through the adjoint of the inverse windows (in forward order).
+    """
     rates = config.rates()
     g = config.coupling()
     tau_max = float(tau_grid[-1])
@@ -309,49 +301,30 @@ def _populations_effective(config: ProtocolConfig, tau_grid: np.ndarray):
     out = {}
     for populate in ("signal", "background"):
         heating_on = populate == "background"
-        rho0 = None
+        rho0 = readout = None
         if windows:
             space1 = HilbertSpace(1, config.cutoff_eff)
             psi = number_state(space1, [config.fock_m]).vector
+            target = number_state(space1, [config.fock_m + 1]).vector
             rho0 = np.outer(psi, psi.conj())
+            readout = np.outer(target, target.conj())
             for dur in windows:
-                rho0 = effective_lossy_window(
-                    rho0, rates, multiplier, dur, heating_on,
-                    elevate_heating=config.elevate_bs_heating,
-                    residual_dephasing=config.effective_residual_dephasing,
-                )
+                window = dict(rates=rates, multiplier=multiplier, duration=dur,
+                              heating_on=heating_on, elevate_heating=config.elevate_bs_heating,
+                              residual_dephasing=config.effective_residual_dephasing)
+                rho0 = effective_lossy_window(rho0, **window)
+                readout = effective_lossy_window(readout, adjoint=True, **window)
         res = effective_propagate_cycle(
             config.n_cavities, config.fock_m, rates, g, config.tau_dm, tau_max,
             populate, dt=config.dt, cutoff=config.cutoff_eff,
-            snapshot_times=tau_grid if windows else None,
             record_times=tau_grid,
             rho0=rho0,
             residual_dephasing=config.effective_residual_dephasing,
+            readout=readout,
         )
-        if windows:
-            pops = []
-            for snap in res.snapshots:
-                rho_out = snap.matrix
-                for dur in reversed(windows):
-                    rho_out = effective_lossy_window(
-                        rho_out, rates, multiplier, dur, heating_on,
-                        elevate_heating=config.elevate_bs_heating,
-                        residual_dephasing=config.effective_residual_dephasing,
-                    )
-                k = config.fock_m + 1
-                pops.append(float(rho_out[k, k].real))
-            out[populate] = (res.snapshot_times, np.asarray(pops))
-        else:
-            out[populate] = (res.times, res.population)
-        diag[f"trace_defect_{populate}"] = float(res.trace_defect.max())
-        diag[f"leakage_{populate}"] = float(res.leakage.max())
-        diag[f"series_{populate}"] = {
-            "times": res.times, "trace": res.trace_defect, "leakage": res.leakage,
-        }
-        diag["dt"] = res.dt
-    t_sig, n_s = out["signal"]
-    _, n_b = out["background"]
-    return t_sig, n_s, n_b, diag
+        out[populate] = res
+        _add_run_diagnostics(diag, populate, res)
+    return out["signal"].times, out["signal"].population, out["background"].population, diag
 
 
 def simulate_populations(config: ProtocolConfig, tau_grid) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
@@ -659,9 +632,9 @@ def spectator_calibration(
         dt = tau / 400.0
     res = propagate_cycle(
         space, m, noise, 0.0, tau, tau, "background", ed=plan, dt=dt,
-        snapshot_times=[tau], record_every=10 ** 9,
+        record_every=10 ** 9,
     )
-    rho = apply_plan_rho(res.snapshots[-1].matrix, plan, space, inverse=True)
+    rho = apply_plan_rho(res.final_state.matrix, plan, space, inverse=True)
     diag = np.diag(rho).real
     occ = occ_table(space)
     primary_mask = (occ[:, 0] == m + 1) & (occ[:, 1:] == 0).all(axis=1)

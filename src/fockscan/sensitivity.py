@@ -122,8 +122,20 @@ def _exposure(params, omega, volume, form_factor_g, n_th, constants):
     entry per step) it applies the same float operations in the same order,
     elementwise, with every power through `_pow`; a step-invariant left
     prefix of a product is then simply evaluated once.  Raises
-    ArithmeticError if the SI and natural-unit routes disagree on any step.
+    InvalidArgument if the thermal occupation underflows to 0 on any step
+    (hbar w / k T > 745: the cavity is too cold for the model, and the
+    exposure would be zero), and ArithmeticError if the SI and natural-unit
+    routes disagree on any step.
     """
+    cold = np.flatnonzero(np.equal(n_th, 0.0))
+    if cold.size:
+        w = float(np.ravel(omega)[cold[0]])
+        x = constants.hbar * w / (constants.k_b * params.temp_cavity)
+        raise InvalidArgument(
+            f"cavity temperature {params.temp_cavity:g} K is too cold at "
+            f"{w / (2.0 * math.pi):g} Hz: hbar w / k T = {x:.4g} underflows the "
+            "thermal occupation to 0, outside the model"
+        )
     g = _coupling(params.target_epsilon, form_factor_g, params.rho_dm, volume, omega, constants)
     tau_dm = params.q_dm / omega
     tau_tot = (

@@ -126,6 +126,22 @@ class TestExitCodes:
         bad.write_text(yaml.safe_dump(doc))
         assert run_cli(["snr-sweep", "--config", bad, "--out", tmp_path]) == 2
 
+    def test_cold_cavity_reach_exits_two(self, tmp_path):
+        # at 5 GHz and 0.1 mK, hbar w / k T ~ 2400 underflows n_th to 0
+        doc = yaml.safe_load((GOLDEN / "configs" / "reach.yaml").read_text())
+        doc["sensitivity"]["temps_mk"] = [0.1]
+        cold = tmp_path / "cold.yaml"
+        cold.write_text(yaml.safe_dump(doc))
+        proc = subprocess.run(
+            [sys.executable, "-m", "fockscan.cli", "reach",
+             "--config", str(cold), "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, env=dict(os.environ),
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("config error: cavity temperature 0.0001 K is too cold")
+        assert "5e+09 Hz" in proc.stderr and "hbar w / k T = 2400" in proc.stderr
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("command,config,outputs", [

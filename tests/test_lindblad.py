@@ -16,6 +16,7 @@ from fockscan.lindblad import (
     _mean_pair_rates,
     calibrate_bs_multiplier,
     dlme_step,
+    effective_lossy_window,
     effective_propagate_cycle,
     lossy_ed_apply,
     propagate_cycle,
@@ -123,14 +124,14 @@ class TestDlmeStep:
         plan = linear_plan(2)
         dt = TAU_DM / 200
         res = propagate_cycle(sp, 0, noise, G_DRIVE, TAU_DM, 3 * dt, "background",
-                              ed=plan, dt=dt, snapshot_times=[3 * dt])
+                              ed=plan, dt=dt)
         from fockscan.gates import apply_plan
 
         psi = apply_plan(number_state(sp, [0, 0]).vector, plan, sp)
         rho = DensityMatrix(sp, np.outer(psi, psi.conj()))
         for _ in range(3):
             rho = dlme_step(rho, noise, 0.0, dt)
-        assert np.allclose(res.snapshots[-1].matrix, rho.matrix, atol=1e-13)
+        assert np.allclose(res.final_state.matrix, rho.matrix, atol=1e-13)
 
 
 def _dense_lindblad(space, noise, rho):
@@ -248,6 +249,104 @@ class TestPropagateCycle:
         sp = HilbertSpace(1, 4)
         with pytest.raises(InvalidArgument):
             propagate_cycle(sp, 0, reference_noise(1), 0.0, TAU_DM, TAU_DM, "both")
+
+
+def stepping_loop(space, rho, drive_amp, g, tau_dm, n_steps, dt, record_steps, t_offset):
+    """The stepping loop with every rate zero: per-step displacements, then symmetrisation.
+
+    Returns {step: state} at step 0 and at every record step.
+    """
+    states = {0: rho}
+    amp_prev = mean_displacement(g, tau_dm, t_offset)
+    for step in range(1, n_steps + 1):
+        amp_next = mean_displacement(g, tau_dm, t_offset + step * dt)
+        d_alpha = drive_amp * (amp_next - amp_prev)
+        amp_prev = amp_next
+        if d_alpha != 0.0:
+            d1 = lindblad._single_displacement(space.cutoff, d_alpha)
+            for mode in range(space.n_modes):
+                rho = apply_left(d1, rho, (mode,), space)
+                rho = apply_right_dag(d1, rho, (mode,), space)
+        rho = 0.5 * (rho + rho.conj().T)
+        if step in record_steps:
+            states[step] = rho
+    return states
+
+
+@st.composite
+def drive_only_cases(draw):
+    n = draw(st.integers(1, 2))
+    cutoff = draw(st.integers(3, 6))
+    drive_amp = draw(st.sampled_from([1.0, math.sqrt(8.0)]))
+    n_steps = draw(st.integers(1, 600))
+    every = draw(st.one_of(st.none(), st.integers(1, 200)))
+    steps = None if every is not None else set(
+        draw(st.lists(st.integers(1, n_steps), min_size=0, max_size=40)))
+    g = draw(st.floats(1.0, 5e3))
+    t_offset = draw(st.sampled_from([0.0, 0.5 * TAU_DM, 3.0 * TAU_DM]))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    return HilbertSpace(n, cutoff), drive_amp, n_steps, every, steps, g, t_offset, seed
+
+
+class TestDriveOnlyClosedForm:
+    @settings(max_examples=40, deadline=None)
+    @given(drive_only_cases())
+    def test_matches_stepping_loop(self, case):
+        space, drive_amp, n_steps, every, steps, g, t_offset, seed = case
+        rng = np.random.default_rng(seed)
+        psi = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
+        psi /= np.linalg.norm(psi)
+        rho0 = np.outer(psi, psi.conj())
+        readout = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
+        chans = _ChannelSet(space, NoiseModel.uniform(space.n_modes, 0.0, 0.0, 0.0))
+        assert not chans.has_channels
+        dt = TAU_DM / 200
+        rho, times, pops, traces, leaks, n_done = lindblad._propagate(
+            space, rho0, chans, drive_amp, g, TAU_DM, n_steps * dt, dt, readout,
+            every, math.inf, steps, t_offset,
+        )
+        assert n_done == n_steps
+        wanted = ({s for s in range(1, n_steps + 1) if s % every == 0} if every is not None
+                  else set(steps)) | {n_steps}
+        oracle = stepping_loop(space, rho0, drive_amp, g, TAU_DM, n_steps, dt, wanted, t_offset)
+        assert list(times) == [s * dt for s in sorted(oracle)]
+        for k, step in enumerate(sorted(oracle)):
+            want = oracle[step]
+            pop = float(np.real(np.vdot(readout, want @ readout)))
+            assert abs(pops[k] - pop) <= 1e-10 * abs(pop)
+            diag = np.diag(want).real
+            assert abs(traces[k] - abs(diag.sum() - 1.0)) <= 1e-10
+            assert leaks[k] == pytest.approx(lindblad._leakage_probs(diag, space),
+                                             rel=1e-10, abs=1e-300)
+        final = oracle[n_steps]
+        assert np.abs(rho - final).max() <= 1e-10 * np.abs(final).max()
+
+    def test_leak_guard_trips_at_the_same_record(self):
+        sp = HilbertSpace(1, 3)
+        noise = NoiseModel.uniform(1, 0.0, 0.0, 0.0)
+        dt, n_steps = TAU_DM / 200, 2000
+        rho0 = number_state(sp, [0]).to_density_matrix().matrix
+        records = set(range(13, n_steps + 1, 13)) | {n_steps}
+        oracle = stepping_loop(sp, rho0, 1.0, 1e3, TAU_DM, n_steps, dt, records, 0.0)
+        first = min(s for s, r in oracle.items() if lindblad._leakage_probs(np.diag(r).real, sp)
+                    > lindblad.DEFAULT_LEAK_TOL)
+        assert first > 13
+        with pytest.raises(TruncationLeak, match=f"at t = {first * dt:.3g} s"):
+            propagate_cycle(sp, 0, noise, 1e3, TAU_DM, n_steps * dt, "signal",
+                            ed=linear_plan(1), dt=dt, record_every=13)
+
+    def test_reports_nominal_steps_and_skips_the_loop(self, monkeypatch):
+        sp = HilbertSpace(2, 4)
+        noise = NoiseModel.uniform(2, GAMMA_UP, 0.0, 0.0)
+        calls = []
+        real = lindblad._displace_all
+        monkeypatch.setattr(lindblad, "_displace_all",
+                            lambda *a: calls.append(a[1]) or real(*a))
+        grid = np.linspace(0.2, 40.0, 60) * TAU_DM
+        res = propagate_cycle(sp, 0, noise, G_DRIVE, TAU_DM, grid[-1], "signal",
+                              ed=make_plan("binary", 2), record_times=grid)
+        assert res.n_steps == 8000 and res.dt == TAU_DM / 200
+        assert len(calls) == len(res.times) - 1 == 60
 
 
 class TestContinuousLimit:
@@ -462,3 +561,66 @@ class TestBeamsplitterInfidelity:
         ideal = apply_plan_rho(rho.matrix, plan, sp)
         fidelity = float(np.trace(ideal @ lossy.matrix).real)
         assert fidelity < f_bs
+
+
+def random_hermitian(rng, dim):
+    x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    x = x + x.conj().T
+    return x / np.linalg.norm(x)
+
+
+@st.composite
+def pullback_cases(draw):
+    n = draw(st.sampled_from([1, 2, 4]))
+    cutoff = draw(st.integers(2, 3) if n == 4 else st.integers(2, 4))
+    scheme = draw(st.sampled_from(["linear", "binary"]))
+    f_bs = draw(st.one_of(st.just(1.0), st.floats(0.9, 0.999)))
+    elevate = draw(st.booleans())
+    inverse = draw(st.booleans())
+    occ = [draw(st.integers(0, cutoff - 1)) for _ in range(n)]
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    return HilbertSpace(n, cutoff), scheme, f_bs, elevate, inverse, occ, seed
+
+
+class TestHeisenbergReadout:
+    @settings(max_examples=30, deadline=None)
+    @given(pullback_cases())
+    def test_pulled_back_projector_matches_forward_gate(self, case):
+        space, scheme, f_bs, elevate, inverse, occ, seed = case
+        rng = np.random.default_rng(seed)
+        rho = random_hermitian(rng, space.dim)
+        target = number_state(space, occ).vector
+        plan = make_plan(scheme, space.n_modes)
+        gate = dict(f_bs=f_bs, g_bs=G_BS, base_noise=reference_noise(space.n_modes),
+                    inverse=inverse, elevate_heating=elevate)
+        forward = lossy_ed_apply(DensityMatrix(space, rho), plan, **gate).matrix
+        want = float(np.real(np.vdot(target, forward @ target)))
+        obs = lossy_ed_apply(DensityMatrix(space, np.outer(target, target.conj())), plan,
+                             adjoint=True, **gate).matrix
+        got = float(np.real(np.vdot(obs, rho)))
+        assert abs(got - want) <= 1e-12 * max(abs(want), 1.0)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(2, 6), st.floats(1.0, 500.0), st.booleans(), st.booleans(),
+           st.booleans(), st.integers(0, 2 ** 32 - 1))
+    def test_effective_window_adjoint(self, cutoff, multiplier, heating_on, elevate,
+                                      residual, seed):
+        rng = np.random.default_rng(seed)
+        rho = random_hermitian(rng, cutoff)
+        obs = random_hermitian(rng, cutoff)
+        window = dict(rates=transformed_rates(8, reference_noise(8), 1), multiplier=multiplier,
+                      duration=math.pi / 4 / G_BS, heating_on=heating_on,
+                      elevate_heating=elevate, residual_dephasing=residual)
+        want = float(np.real(np.vdot(obs, effective_lossy_window(rho, **window))))
+        got = float(np.real(np.vdot(effective_lossy_window(obs, adjoint=True, **window), rho)))
+        assert abs(got - want) <= 1e-12 * max(abs(want), 1.0)
+
+    def test_adjoint_jumps_are_the_adjoint_dissipator(self):
+        space = HilbertSpace(2, 4)
+        noise = reference_noise(2)
+        chans = _ChannelSet(space, noise)
+        rng = np.random.default_rng(7)
+        rho, obs = random_hermitian(rng, space.dim), random_hermitian(rng, space.dim)
+        lhs = np.vdot(obs, chans.dissipator(rho))
+        rhs = np.vdot(chans.dissipator(obs, adjoint=True), rho)
+        assert abs(lhs - rhs) <= 1e-12 * np.abs(_dense_lindblad(space, noise, rho)).max()

@@ -275,15 +275,16 @@ class TestReachBandChunked:
 
     def test_failure_past_the_band_end_raises_nothing(self):
         # hbar w / k T rises from 700 by 0.1% a step, so n_th underflows to 0 about
-        # 62 steps in, inside the first chunk, and the loop divides by zero there
+        # 62 steps in, inside the first chunk, and the loop rejects the cold step there
         omega = 2 * math.pi * 5e9
         temp = const.hbar * omega / (const.k * 700.0)
         params = make_params(temp_cavity=temp, q_dm=1e3)
         tau0 = scan_rate(params, geometry_at(omega)).tau_tot_step
-        with pytest.raises(ZeroDivisionError):
+        cold = r"cavity temperature .* K is too cold at .* Hz: hbar w / k T = 745\.\d"
+        with pytest.raises(InvalidArgument, match=cold):
             reach_band(1e-16, 1e6 * tau0, params, omega)
-        assert isinstance(outcome(loop_reach, 1e-16, 1e6 * tau0, params, omega),
-                          ZeroDivisionError)
+        # the loop raises the same class and message
+        assert isinstance(assert_same_band((1e-16, 1e6 * tau0, params, omega)), InvalidArgument)
         band = assert_same_band((1e-16, 1.2 * tau0, params, omega))
         assert 1 <= band.n_steps < 62
 
