@@ -24,6 +24,26 @@ D(alpha_k)^{dag (x)N} with alpha_k = drive_amp (<|alpha|>(t_k) - <|alpha|>(t_0))
 _propagate evaluates that closed form at the record steps only and reports
 the nominal step count; the stepping loop is not entered.
 
+A drive-free run with channels (every background run) steps only the
+total-photon-number sectors.  Each jump moves the row and the column index
+of rho by the same photon, and the anticommutator and dephasing weights are
+diagonal, so the dissipator commutes with exp(i phi N_tot): a state with no
+coherence between different N_tot never gains any.  Background runs start
+from U_ED |m,0,...,0>, which has N_tot = m because the splitters conserve
+photon number, so only the N_tot-diagonal blocks are nonzero (489 of 6561
+entries at N = 2, cutoff 9).  _propagate packs those entries into one
+vector (see _Sectors), steps it, and scatters it back into a dense matrix
+at each record and at the end, so recording, readout and final state are
+unchanged.  The packed update is bit-identical to the dense one: each
+packed entry goes through the same float operations in the same order
+(-anticomm x rho, each jump's (amp_i x gathered) x conj(amp_j) in build
+order, dephasing, rho + dt x acc, then (rho + rho^dag)/2 with the dagger
+read through the transpose permutation), and elementwise arithmetic does
+not depend on which entries sit beside it.  The entries outside the
+sectors are exact zeros in the dense loop and stay so.  A driven run, or
+an initial state with any nonzero entry outside the sectors, keeps the
+dense layout.
+
 Readouts are taken in the Heisenberg picture.  A lossy inverse gate is a
 fixed, drive-free linear map G, so instead of pushing every recorded state
 through it, the readout projector O is pulled back once through its adjoint
@@ -246,6 +266,79 @@ class _ChannelSet:
         return acc
 
 
+class _Sectors:
+    """The total-photon-number sectors of a space: rho's block-diagonal entries, packed.
+
+    Entry p of the packed vector is rho[I[p], J[p]], with N_tot(I[p]) =
+    N_tot(J[p]); the entries are grouped block by block (sectors in
+    ascending N_tot, basis indices ascending within each).  T[p] is the
+    position of the transposed entry (J[p], I[p]).  For ladder jump k of
+    the channel set (in build order), sources[k * len(I) + p] is the
+    position of (src[I[p]], src[J[p]]), and amp_rows[k], amp_cols[k] are
+    the jump's weights amp[I], conj(amp)[J], so one take gathers every
+    jump.  A jump moves both indices by the same photon, so a source pair
+    leaves the sectors only where a zero row of the jump gives it weight 0;
+    such a source points at entry 0, and its term is 0 as the dense one is.
+    This data is built per run and only for drive-free runs; driven runs
+    keep the O(dim) per-jump data of _ChannelSet alone.
+    """
+
+    def __init__(self, chans: _ChannelSet):
+        space = chans.space
+        ntot = occupations(space).sum(axis=1)
+        sizes = np.bincount(ntot)
+        order = np.argsort(ntot, kind="stable")
+        starts = np.cumsum(sizes) - sizes
+        rank = np.empty(space.dim, dtype=np.intp)
+        rank[order] = np.arange(space.dim) - starts[ntot[order]]
+        offsets = np.cumsum(sizes ** 2) - sizes ** 2
+
+        def position(i, j):
+            return offsets[ntot[i]] + rank[i] * sizes[ntot[i]] + rank[j]
+
+        blocks = [order[s:s + n] for s, n in zip(starts, sizes)]
+        self.dim = space.dim
+        self.I = np.concatenate([np.repeat(b, b.size) for b in blocks])
+        self.J = np.concatenate([np.tile(b, b.size) for b in blocks])
+        self.T = position(self.J, self.I)
+        self.neg_anti = -chans.anticomm[self.I, self.J]
+        self.deph = None if chans.deph_outer is None else chans.deph_outer[self.I, self.J]
+        sources, rows, cols = [], [], []
+        for src, amp_col, amp_row_conj in chans.ladder_jumps:
+            si, sj = src[self.I], src[self.J]
+            inside = ntot[si] == ntot[sj]
+            sources.append(np.where(inside, position(si, sj), 0))
+            rows.append(amp_col[self.I, 0])
+            cols.append(amp_row_conj[0, self.J])
+        self.sources = np.concatenate(sources) if sources else None
+        self.amp_rows = np.array(rows)
+        self.amp_cols = np.array(cols)
+
+    def pack(self, rho: np.ndarray) -> np.ndarray | None:
+        """rho's in-sector entries, or None if rho has a nonzero entry outside the sectors."""
+        v = rho[self.I, self.J]
+        return v if np.count_nonzero(v) == np.count_nonzero(rho) else None
+
+    def unpack(self, v: np.ndarray) -> np.ndarray:
+        rho = np.zeros((self.dim, self.dim), dtype=v.dtype)
+        rho[self.I, self.J] = v
+        return rho
+
+    def dagger(self, v: np.ndarray) -> np.ndarray:
+        return v.take(self.T).conj()
+
+    def dissipator(self, v: np.ndarray) -> np.ndarray:
+        """_ChannelSet.dissipator on the packed entries, term for term in the same order."""
+        acc = self.neg_anti * v
+        if self.sources is not None:
+            gathered = v.take(self.sources).reshape(self.amp_rows.shape)
+            for term in (self.amp_rows * gathered) * self.amp_cols:
+                acc += term
+        if self.deph is not None:
+            acc += self.deph * v
+        return acc
+
+
 def _gather_jump(op: np.ndarray, occ: np.ndarray, stride: int):
     """Gather form (src, amp[:, None], conj(amp)[None, :]) of a one-mode jump.
 
@@ -402,18 +495,33 @@ def _propagate(
             record(step)
         return rho, times, pops, traces, leaks, n_steps
 
+    sectors = None if g else _Sectors(chans)
+    state = sectors.pack(rho) if sectors else None
+    if state is None:
+        state, dissipator, dagger, unpack = rho, chans.dissipator, _dagger, _same
+    else:
+        dissipator, dagger, unpack = sectors.dissipator, sectors.dagger, sectors.unpack
     for step in range(1, n_steps + 1):
         if g:
             amp_next = mean_displacement(g, tau_dm, t_offset + step * dt)
             d_alpha = drive_amp * (amp_next - amp_prev)
             amp_prev = amp_next
             if d_alpha != 0.0:
-                rho = _displace_all(rho, d_alpha, space)
-        rho = rho + dt * chans.dissipator(rho)
-        rho = 0.5 * (rho + rho.conj().T)
+                state = _displace_all(state, d_alpha, space)
+        state = state + dt * dissipator(state)
+        state = 0.5 * (state + dagger(state))
         if is_record(step):
+            rho = unpack(state)
             record(step)
     return rho, times, pops, traces, leaks, n_steps
+
+
+def _dagger(rho: np.ndarray) -> np.ndarray:
+    return rho.conj().T
+
+
+def _same(rho: np.ndarray) -> np.ndarray:
+    return rho
 
 
 def _record_steps(dt: float, tau_int: float, record_every: int | None, record_times):

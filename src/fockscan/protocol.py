@@ -31,7 +31,7 @@ from .drive import (
     form_factor_tm010,
     rho_dm_si,
 )
-from .errors import InvalidArgument
+from .errors import DimensionCeilingExceeded, InvalidArgument
 from .fock import DensityMatrix, HilbertSpace, number_state
 from .gates import EDPlan, make_plan
 from .lindblad import (
@@ -50,6 +50,13 @@ from .sensitivity import thermal_occupation
 
 FULL_BACKEND_MAX_MODES = 3
 FULL_BACKEND_MAX_DIM = 4096
+# A full-backend run holds about this many dim x dim complex matrices at its
+# peak (state, dissipator terms and temporaries, rho0 and readout; 7 to 10
+# measured); a forced full backend whose estimate exceeds
+# FULL_BACKEND_MAX_BYTES is refused.  With 8 the bound admits exactly the
+# dimensions up to FULL_BACKEND_MAX_DIM that the auto choice may pick.
+FULL_BACKEND_WORKING_COPIES = 8
+FULL_BACKEND_MAX_BYTES = 2 * 1024 ** 3
 
 
 @dataclass(frozen=True)
@@ -232,7 +239,17 @@ def _populations_full(config: ProtocolConfig, tau_grid: np.ndarray):
     With a lossy gate the shared forward gate prepares the state, and the
     target projector is pulled back once through the adjoint of the lossy
     inverse gate, so each record reads the post-inverse population directly.
+    Raises DimensionCeilingExceeded, before allocating anything, when the
+    run's density matrices would exceed FULL_BACKEND_MAX_BYTES.
     """
+    dim = config.cutoff_eff ** config.n_cavities
+    need = dim * dim * 16 * FULL_BACKEND_WORKING_COPIES
+    if need > FULL_BACKEND_MAX_BYTES:
+        raise DimensionCeilingExceeded(
+            f"the full backend at dimension {dim} would need about {need / 2 ** 30:.3g} GiB "
+            f"of density matrices, over its {FULL_BACKEND_MAX_BYTES / 2 ** 30:g} GiB limit; "
+            "use the effective backend"
+        )
     space = HilbertSpace(config.n_cavities, config.cutoff_eff)
     plan = config.plan()
     noise = config.noise_model()

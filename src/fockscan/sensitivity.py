@@ -127,15 +127,7 @@ def _exposure(params, omega, volume, form_factor_g, n_th, constants):
     exposure would be zero), and ArithmeticError if the SI and natural-unit
     routes disagree on any step.
     """
-    cold = np.flatnonzero(np.equal(n_th, 0.0))
-    if cold.size:
-        w = float(np.ravel(omega)[cold[0]])
-        x = constants.hbar * w / (constants.k_b * params.temp_cavity)
-        raise InvalidArgument(
-            f"cavity temperature {params.temp_cavity:g} K is too cold at "
-            f"{w / (2.0 * math.pi):g} Hz: hbar w / k T = {x:.4g} underflows the "
-            "thermal occupation to 0, outside the model"
-        )
+    _require_warm(n_th, omega, params.temp_cavity, constants)
     g = _coupling(params.target_epsilon, form_factor_g, params.rho_dm, volume, omega, constants)
     tau_dm = params.q_dm / omega
     tau_tot = (
@@ -161,6 +153,22 @@ def _exposure(params, omega, volume, form_factor_g, n_th, constants):
     return tau_tot, rate_si, g
 
 
+def _require_warm(n_th, omega, temp: float, constants: PhysicalConstants) -> None:
+    """Raise InvalidArgument if the thermal occupation underflowed to 0 at any omega.
+
+    That happens for hbar w / k T > 745: the cavity is too cold for the model.
+    """
+    cold = np.flatnonzero(np.equal(n_th, 0.0))
+    if cold.size:
+        w = float(np.ravel(omega)[cold[0]])
+        x = constants.hbar * w / (constants.k_b * temp)
+        raise InvalidArgument(
+            f"cavity temperature {temp:g} K is too cold at "
+            f"{w / (2.0 * math.pi):g} Hz: hbar w / k T = {x:.4g} underflows the "
+            "thermal occupation to 0, outside the model"
+        )
+
+
 def exclusion_epsilon(
     omega: float,
     params: SensitivityParams,
@@ -171,13 +179,15 @@ def exclusion_epsilon(
 
     eps(w) = [ n_th zeta^2 w hbar^2 /
                (16 eta^2 G^2 rho^2 Q_dm^2 Q_cav V(w)^2 tau_tot (m+1) N^2) ]^(1/4),
-    with V(w) the TM010 frequency-volume relation.
+    with V(w) the TM010 frequency-volume relation.  Raises InvalidArgument
+    where the thermal occupation underflows to 0, as scan_rate does.
     """
     if tau_tot <= 0 or omega <= 0:
         raise InvalidArgument("omega and tau_tot must be positive")
     volume = cavity_volume_tm010(omega, constants)
     g_form = form_factor_tm010()
     n_th = thermal_occupation(omega, params.temp_cavity, constants)
+    _require_warm(n_th, omega, params.temp_cavity, constants)
     eps4_si = (
         n_th * params.zeta_snr ** 2 * omega * constants.hbar ** 2
         / (16.0 * params.eta ** 2 * g_form ** 2 * params.rho_dm ** 2

@@ -2,6 +2,7 @@ import importlib.util
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -141,6 +142,46 @@ class TestExitCodes:
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("config error: cavity temperature 0.0001 K is too cold")
         assert "5e+09 Hz" in proc.stderr and "hbar w / k T = 2400" in proc.stderr
+
+    def test_cold_cavity_exclusion_exits_two(self, tmp_path):
+        # the first grid point, 3 GHz at 0.1 mK, has hbar w / k T ~ 1440
+        doc = yaml.safe_load((GOLDEN / "configs" / "exclusion.yaml").read_text())
+        doc["sensitivity"]["temps_mk"] = [0.1]
+        cold = tmp_path / "cold.yaml"
+        cold.write_text(yaml.safe_dump(doc))
+        proc = subprocess.run(
+            [sys.executable, "-m", "fockscan.cli", "exclusion",
+             "--config", str(cold), "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, env=dict(os.environ),
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("config error: cavity temperature 0.0001 K is too cold")
+        assert "3e+09 Hz" in proc.stderr and "hbar w / k T = 1440" in proc.stderr
+
+    def test_oversized_full_backend_exits_two(self, tmp_path):
+        # N=5 at m=5 (cutoff 9) is dimension 59049, under the 65536 ceiling,
+        # but one dense rho alone would take 56 GB; the child's address space
+        # is capped so a missing guard fails with MemoryError, not by swapping
+        doc = yaml.safe_load((GOLDEN / "configs" / "cycle.yaml").read_text())
+        doc["protocol"].update(n_cavities=5, fock_m=5, ed_scheme="linear")
+        big = tmp_path / "big.yaml"
+        big.write_text(yaml.safe_dump(doc))
+        limit = 2 * 1024 ** 3
+
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "fockscan.cli", "simulate-cycle", "--backend", "full",
+             "--config", str(big), "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, preexec_fn=cap_address_space,
+            env=dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1"),
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: the full backend at dimension 59049")
+        assert "use the effective backend" in proc.stderr
 
 
 class TestDeterminism:
