@@ -35,6 +35,7 @@ JOBS = [
     ("scan-rate", "scan.yaml", "scan"),
     ("exclusion", "exclusion.yaml", "exclusion"),
     ("reach", "reach.yaml", "reach"),
+    ("scan-rate", "scan_eff.yaml", "scan_eff"),
 ]
 
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|inf", re.IGNORECASE)

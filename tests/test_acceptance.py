@@ -257,11 +257,9 @@ def test_criterion_10_cli_determinism(tmp_path):
             data = (out1 / name).read_bytes()
             if data != (out2 / name).read_bytes():
                 failures.append(f"{command}/{name} not repeatable")
-            golden = next(
-                (c / name for c in (GOLDEN / "expected").iterdir() if (c / name).exists()),
-                None,
-            )
-            if golden is None or data != golden.read_bytes():
+            # each golden directory is named after its job's config
+            golden = GOLDEN / "expected" / Path(config).stem / name
+            if not golden.exists() or data != golden.read_bytes():
                 failures.append(f"{command}/{name} differs from golden file")
     ok = not failures
     report(10, ok, "CLI byte-reproducibility against golden files",

@@ -30,6 +30,13 @@ def run_cli(args):
     return main([str(a) for a in args])
 
 
+def _golden_generator():
+    spec = importlib.util.spec_from_file_location("golden_generate", GOLDEN / "generate.py")
+    generate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(generate)
+    return generate
+
+
 class TestConfigLoading:
     def test_sample_configs_all_validate(self):
         for path in SAMPLE.glob("*.yaml"):
@@ -186,13 +193,8 @@ class TestExitCodes:
 
 class TestDeterminism:
     @pytest.mark.parametrize("command,config,outputs", [
-        ("validate-gates", "gates.yaml", ["validate_gates.json"]),
-        ("mc-dm", "mc.yaml", ["mc_dm.csv"]),
-        ("snr-sweep", "sweep.yaml", ["snr_sweep.csv", "snr_sweep.json"]),
-        ("simulate-cycle", "cycle.yaml", ["cycle.json", "cycle_signal.csv", "cycle_background.csv"]),
-        ("scan-rate", "scan.yaml", ["scan_rate.csv", "scan_rate.json"]),
-        ("exclusion", "exclusion.yaml", ["exclusion.csv", "exclusion.json"]),
-        ("reach", "reach.yaml", ["reach.csv", "reach.json"]),
+        (command, config, sorted((GOLDEN / "expected" / outname).iterdir()))
+        for command, config, outname in _golden_generator().JOBS
     ])
     def test_golden_and_repeatable(self, tmp_path, command, config, outputs):
         cfg = GOLDEN / "configs" / config
@@ -200,16 +202,11 @@ class TestDeterminism:
         out2 = tmp_path / "b"
         assert run_cli([command, "--config", cfg, "--out", out1, "--jobs", 1]) == 0
         assert run_cli([command, "--config", cfg, "--out", out2, "--jobs", 1]) == 0
-        for name in outputs:
-            bytes1 = (out1 / name).read_bytes()
-            assert bytes1 == (out2 / name).read_bytes(), f"{name} not reproducible"
-            expected = (GOLDEN / "expected" / command.split("-")[0] / name)
-            # golden directories are named by job, not command; resolve both
-            for candidate in (GOLDEN / "expected").iterdir():
-                if (candidate / name).exists():
-                    expected = candidate / name
-                    break
-            assert bytes1 == expected.read_bytes(), f"{name} differs from golden copy"
+        assert sorted(p.name for p in out1.iterdir()) == [p.name for p in outputs]
+        for expected in outputs:
+            bytes1 = (out1 / expected.name).read_bytes()
+            assert bytes1 == (out2 / expected.name).read_bytes(), f"{expected.name} not reproducible"
+            assert bytes1 == expected.read_bytes(), f"{expected.name} differs from golden copy"
 
     def test_seed_flag_changes_mc_output(self, tmp_path):
         cfg = GOLDEN / "configs" / "mc.yaml"
@@ -301,13 +298,6 @@ class TestOutputContent:
             capture_output=True, env=env,
         )
         assert proc.returncode == 0
-
-
-def _golden_generator():
-    spec = importlib.util.spec_from_file_location("golden_generate", GOLDEN / "generate.py")
-    generate = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(generate)
-    return generate
 
 
 def test_golden_generator_reports_numeric_change():
