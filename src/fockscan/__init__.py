@@ -20,7 +20,6 @@ from .fock import (
     displacement,
     ladder,
     leakage,
-    make_space,
     number_state,
 )
 from .gates import BeamsplitterSpec, EDPlan, beamsplitter_unitary, build_ed, make_plan, verify_ed
@@ -64,7 +63,7 @@ __all__ = [
     "calibrate_bs_multiplier", "cavity_volume_tm010", "coupling_g",
     "displacement", "dlme_step", "effective_propagate_cycle",
     "exclusion_epsilon", "form_factor_tm010", "incremental_displacement",
-    "ladder", "leakage", "lossy_ed_apply", "make_plan", "make_space",
+    "ladder", "leakage", "lossy_ed_apply", "make_plan",
     "mc_population", "mean_displacement", "mean_population_detuned",
     "number_state", "optimal_tau_int", "propagate_cycle", "reach_band",
     "run_cycle", "scan_rate", "scan_rate_grid", "semiclassical_rates",

@@ -58,17 +58,6 @@ class HilbertSpace:
         return idx
 
 
-def make_space(n_modes: int, cutoff: int, ceiling: int = DEFAULT_DIMENSION_CEILING) -> HilbertSpace:
-    """Validated space constructor (raises DimensionCeilingExceeded above the ceiling)."""
-    if cutoff >= 2 and n_modes >= 1:
-        # detect overflow-free: cutoff**n_modes can be huge but python ints are fine
-        if cutoff ** n_modes > ceiling:
-            raise DimensionCeilingExceeded(
-                f"dimension {cutoff}**{n_modes} = {cutoff ** n_modes} exceeds ceiling {ceiling}"
-            )
-    return HilbertSpace(n_modes=n_modes, cutoff=cutoff, ceiling=ceiling)
-
-
 @lru_cache(maxsize=64)
 def _occupation_table(n_modes: int, cutoff: int) -> np.ndarray:
     """(dim, n_modes) integer array mapping basis index -> occupations."""

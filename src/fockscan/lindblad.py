@@ -54,19 +54,31 @@ directions.  A window's adjoint substep is the adjoint dissipator update
 followed by O -> U_sub^dag O U_sub.  Symmetrisation is transparent for a
 Hermitian O, since Tr(O (X + X^dag)/2) = Re Tr(O X).
 
-Two backends share this machinery:
+Both backends are this one machinery run on different inputs:
 
-* the full tensor-product model (practical for N <= 3 at cutoff m+4), and
-* an effective single-mode model for any N, which propagates only the
-  primary cavity using the channel algebra induced by conjugating the
-  per-cavity channels with the distribution gate: heating enters at the
-  averaged rate, while decay and the photon-swap part of dephasing combine
-  into an effective lowering channel at bar_down + (1 - 1/N) bar_phi.
+* the full tensor-product model (practical for N <= 3 at cutoff m+4) runs
+  on HilbertSpace(N, cutoff) with the per-cavity noise model and drive
+  scale 1;
+* the effective single-mode model, valid for any N, runs on
+  HilbertSpace(1, cutoff) with effective_noise_model(rates), the channel
+  algebra induced by conjugating the per-cavity channels with the
+  distribution gate (heating at the averaged rate; decay and the
+  photon-swap part of dephasing combined into a lowering channel at
+  bar_down + (1 - 1/N) bar_phi; the 1/N dephasing remnant kept), and the
+  collective drive concentrated on the primary mode, scaled by sqrt(N).
 
-Beamsplitter infidelity is modelled by elevating the loss rates of the two
-coupled cavities during each splitter window with a common multiplier,
-calibrated so a single photon survives a full swap with the requested
-probability.
+propagate_cycle and effective_propagate_cycle only build their space,
+noise model, drive scale and |m>, |m+1> states; _run_cycle does the rest.
+
+Beamsplitter infidelity is modelled by lossy windows: each window evolves
+under elevated noise, with its splitter Hamiltonian or none, for a given
+duration.  The full model has one window per splitter, in which the two
+coupled cavities carry rates raised by a common multiplier, calibrated so
+a single photon survives a full swap with the requested probability.  The
+effective model has one window per layer of the binary tree on its one
+mode: every occupied cavity sits inside an elevated pair during each
+layer, so the averaged rates are the base rates times the multiplier.
+_run_windows runs a window list forward or adjoint.
 """
 from __future__ import annotations
 
@@ -84,7 +96,7 @@ from .fock import (
     occupations,
     single_mode_ladder,
 )
-from .gates import EDPlan, apply_plan, pair_unitary
+from .gates import BeamsplitterSpec, EDPlan, apply_plan, apply_plan_rho, pair_unitary
 from .linalg import expm
 from .tensorops import apply_left, apply_right_dag
 
@@ -240,7 +252,6 @@ class _ChannelSet:
             if g_phi > 0:
                 deph_amp.append(math.sqrt(g_phi) * occ[:, mode])
                 decay_diag += g_phi * occ[:, mode] ** 2
-        self.decay_diag = decay_diag
         self.anticomm = 0.5 * (decay_diag[:, None] + decay_diag[None, :])
         if deph_amp:
             self.deph_outer = sum(np.outer(v, v) for v in deph_amp)
@@ -362,9 +373,20 @@ def _displacement_eigensystem(cutoff: int):
     return vals, vecs
 
 
-def _single_displacement(cutoff: int, alpha: float) -> np.ndarray:
+def _single_displacement(cutoff: int, alpha: complex) -> np.ndarray:
+    """D(alpha) on one mode: the cached eigensystem for real alpha, expm otherwise."""
+    if alpha.imag:
+        a = single_mode_ladder(cutoff)
+        return expm(alpha * a.conj().T - np.conj(alpha) * a)
     vals, vecs = _displacement_eigensystem(cutoff)
-    return (vecs * np.exp(-1j * vals * alpha)) @ vecs.conj().T
+    return (vecs * np.exp(-1j * vals * alpha.real)) @ vecs.conj().T
+
+
+def _check_stability(dt: float, chans: _ChannelSet) -> None:
+    if dt * chans.total_rate >= STABILITY_LIMIT:
+        raise StabilityGuard(
+            f"dt*max_rate = {dt * chans.total_rate:.3g} exceeds {STABILITY_LIMIT}"
+        )
 
 
 def dlme_step(
@@ -379,19 +401,10 @@ def dlme_step(
     propagators below use the same update through cached channel data.
     """
     chans = _ChannelSet(rho.space, noise)
-    if dt * chans.total_rate >= STABILITY_LIMIT:
-        raise StabilityGuard(
-            f"dt*max_rate = {dt * chans.total_rate:.3g} exceeds {STABILITY_LIMIT}"
-        )
+    _check_stability(dt, chans)
     mat = rho.matrix
     if delta_alpha != 0:
-        d1 = _single_displacement(rho.space.cutoff, float(np.real(delta_alpha)))
-        if np.imag(delta_alpha) != 0:
-            a = single_mode_ladder(rho.space.cutoff)
-            d1 = expm(delta_alpha * a.conj().T - np.conj(delta_alpha) * a)
-        for mode in range(rho.space.n_modes):
-            mat = apply_left(d1, mat, (mode,), rho.space)
-            mat = apply_right_dag(d1, mat, (mode,), rho.space)
+        mat = _displace_all(mat, delta_alpha, rho.space)
     mat = mat + dt * chans.dissipator(mat)
     mat = 0.5 * (mat + mat.conj().T)
     return DensityMatrix(rho.space, mat)
@@ -407,7 +420,6 @@ class PropagationResult:
     leakage: np.ndarray
     dt: float
     n_steps: int
-    backend: str
     final_state: DensityMatrix
 
 
@@ -417,7 +429,7 @@ def _leakage_probs(diag: np.ndarray, space: HilbertSpace) -> float:
     return float(sum(diag[top[:, m]].sum() for m in range(space.n_modes)))
 
 
-def _displace_all(rho: np.ndarray, alpha: float, space: HilbertSpace) -> np.ndarray:
+def _displace_all(rho: np.ndarray, alpha: complex, space: HilbertSpace) -> np.ndarray:
     """D(alpha)^{(x)N} rho D(alpha)^{dag (x)N}, one mode at a time."""
     d1 = _single_displacement(space.cutoff, alpha)
     for mode in range(space.n_modes):
@@ -448,10 +460,7 @@ def _propagate(
     channel is evaluated in closed form at the record steps (see the module
     docstring); n_steps is the nominal step count either way.
     """
-    if dt * chans.total_rate >= STABILITY_LIMIT:
-        raise StabilityGuard(
-            f"dt*max_rate = {dt * chans.total_rate:.3g} exceeds {STABILITY_LIMIT}"
-        )
+    _check_stability(dt, chans)
     n_steps = max(1, int(round(tau_int / dt))) if tau_int > 0 else 0
     times, pops, traces, leaks = [], [], [], []
 
@@ -524,15 +533,62 @@ def _same(rho: np.ndarray) -> np.ndarray:
     return rho
 
 
-def _record_steps(dt: float, tau_int: float, record_every: int | None, record_times):
-    """(record_every, record step set) for _propagate from the public arguments."""
+def _primary_states(space: HilbertSpace, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The vectors |m, 0, ..., 0> and |m+1, 0, ..., 0> of a space."""
+    rest = [0] * (space.n_modes - 1)
+    return number_state(space, [m] + rest).vector, number_state(space, [m + 1] + rest).vector
+
+
+def _run_cycle(
+    space: HilbertSpace,
+    noise: NoiseModel,
+    drive_scale: float,
+    psi0: np.ndarray,
+    target: np.ndarray,
+    g: float,
+    tau_dm: float,
+    tau_int: float,
+    populate: str,
+    dt: float | None = None,
+    rho0: np.ndarray | None = None,
+    record_every: int | None = None,
+    leak_tol: float = DEFAULT_LEAK_TOL,
+    record_times=None,
+    readout: np.ndarray | None = None,
+) -> PropagationResult:
+    """One populate run of either backend, from its space, noise and drive scale.
+
+    Starts from rho0 (default |psi0><psi0|) and reads readout (default the
+    vector target).  Signal runs drive with heating disabled; background
+    runs heat with the drive off.  drive_scale multiplies every
+    displacement increment.
+    """
+    if populate not in ("signal", "background"):
+        raise InvalidArgument("populate must be 'signal' or 'background'")
+    signal = populate == "signal"
+    chans = _ChannelSet(space, noise.heating_off() if signal else noise)
+    if dt is None:
+        dt = default_dt(tau_dm, chans.total_rate)
     if record_every is None:
-        est_steps = max(1, int(round(tau_int / dt)))
-        record_every = max(1, est_steps // 800)
+        record_every = max(1, max(1, int(round(tau_int / dt))) // 800)
     record_steps = None
     if record_times is not None:
         record_steps = {int(round(t / dt)) for t in np.asarray(record_times, dtype=float)}
-    return record_every, record_steps
+    rho = rho0.copy() if rho0 is not None else np.outer(psi0, psi0.conj())
+
+    rho, times, pops, traces, leaks, n_steps = _propagate(
+        space, rho, chans, drive_scale, g if signal else 0.0, tau_dm, tau_int, dt,
+        target if readout is None else readout, record_every, leak_tol, record_steps,
+    )
+    return PropagationResult(
+        times=np.asarray(times),
+        population=np.asarray(pops),
+        trace_defect=np.asarray(traces),
+        leakage=np.asarray(leaks),
+        dt=dt,
+        n_steps=n_steps,
+        final_state=DensityMatrix(space, rho),
+    )
 
 
 def propagate_cycle(
@@ -561,45 +617,19 @@ def propagate_cycle(
     instead.  Signal runs drive with heating disabled; background runs heat
     with the drive off.
     """
-    if populate not in ("signal", "background"):
-        raise InvalidArgument("populate must be 'signal' or 'background'")
     if m < 0 or m + 1 >= space.cutoff:
         raise InvalidArgument("need fock_m >= 0 and cutoff > m+1")
-    run_noise = noise.heating_off() if populate == "signal" else noise
-    run_g = g if populate == "signal" else 0.0
-    chans = _ChannelSet(space, run_noise)
-    if dt is None:
-        dt = default_dt(tau_dm, chans.total_rate)
-
-    occ0 = [0] * space.n_modes
-    occ0[0] = m
-    occ1 = [0] * space.n_modes
-    occ1[0] = m + 1
-    psi0 = number_state(space, occ0).vector
-    target = number_state(space, occ1).vector
+    psi0, target = _primary_states(space, m)
     if ed is not None:
         psi0 = apply_plan(psi0, ed, space)
         target = apply_plan(target, ed, space)
-    rho = rho0.matrix.copy() if rho0 is not None else np.outer(psi0, psi0.conj())
-    record_every, record_steps = _record_steps(dt, tau_int, record_every, record_times)
-
-    rho, times, pops, traces, leaks, n_steps = _propagate(
-        space, rho, chans, 1.0, run_g, tau_dm, tau_int, dt,
-        target if readout is None else readout, record_every, leak_tol, record_steps,
-    )
-    return PropagationResult(
-        times=np.asarray(times),
-        population=np.asarray(pops),
-        trace_defect=np.asarray(traces),
-        leakage=np.asarray(leaks),
-        dt=dt,
-        n_steps=n_steps,
-        backend="full",
-        final_state=DensityMatrix(space, rho),
+    return _run_cycle(
+        space, noise, 1.0, psi0, target, g, tau_dm, tau_int, populate, dt,
+        None if rho0 is None else rho0.matrix, record_every, leak_tol, record_times, readout,
     )
 
 
-def effective_noise_model(rates: TransformedRates, residual_dephasing: bool = True) -> NoiseModel:
+def effective_noise_model(rates: TransformedRates) -> NoiseModel:
     """Single-mode noise model equivalent to the transformed channels.
 
     A lowering channel at bar_down + (1-1/N) bar_phi reproduces both the
@@ -607,11 +637,10 @@ def effective_noise_model(rates: TransformedRates, residual_dephasing: bool = Tr
     enters at the averaged rate.  The 1/N remnant of the dephasing channel
     stays a pure dephasing on the primary mode.
     """
-    phi = rates.bar_gamma_phi / rates.n_cavities if residual_dephasing else 0.0
     return NoiseModel(
         (rates.bar_gamma_up_1,),
         (rates.gamma_down_eff,),
-        (phi,),
+        (rates.bar_gamma_phi / rates.n_cavities,),
     )
 
 
@@ -629,7 +658,6 @@ def effective_propagate_cycle(
     leak_tol: float = DEFAULT_LEAK_TOL,
     record_times=None,
     rho0: np.ndarray | None = None,
-    residual_dephasing: bool = True,
     readout: np.ndarray | None = None,
 ) -> PropagationResult:
     """Reduced single-mode backend: primary cavity with transformed channels.
@@ -640,35 +668,11 @@ def effective_propagate_cycle(
     backend at N = 2.  A supplied readout observable replaces the |m+1>
     projector, as in propagate_cycle.
     """
-    if populate not in ("signal", "background"):
-        raise InvalidArgument("populate must be 'signal' or 'background'")
-    cutoff = cutoff if cutoff is not None else m + 4
-    space = HilbertSpace(1, cutoff)
-    noise = effective_noise_model(rates, residual_dephasing)
-    run_noise = noise.heating_off() if populate == "signal" else noise
-    run_g = g if populate == "signal" else 0.0
-    chans = _ChannelSet(space, run_noise)
-    if dt is None:
-        dt = default_dt(tau_dm, chans.total_rate)
-
-    psi0 = number_state(space, [m]).vector
-    target = number_state(space, [m + 1]).vector
-    rho = rho0.copy() if rho0 is not None else np.outer(psi0, psi0.conj())
-    record_every, record_steps = _record_steps(dt, tau_int, record_every, record_times)
-
-    rho, times, pops, traces, leaks, n_steps = _propagate(
-        space, rho, chans, math.sqrt(n_cavities), run_g, tau_dm, tau_int, dt,
-        target if readout is None else readout, record_every, leak_tol, record_steps,
-    )
-    return PropagationResult(
-        times=np.asarray(times),
-        population=np.asarray(pops),
-        trace_defect=np.asarray(traces),
-        leakage=np.asarray(leaks),
-        dt=dt,
-        n_steps=n_steps,
-        backend="effective",
-        final_state=DensityMatrix(space, rho),
+    space = HilbertSpace(1, cutoff if cutoff is not None else m + 4)
+    psi0, target = _primary_states(space, m)
+    return _run_cycle(
+        space, effective_noise_model(rates), math.sqrt(n_cavities), psi0, target, g,
+        tau_dm, tau_int, populate, dt, rho0, record_every, leak_tol, record_times, readout,
     )
 
 
@@ -679,22 +683,22 @@ def effective_propagate_cycle(
 def _evolve_window(
     rho: np.ndarray,
     chans: _ChannelSet,
-    hamiltonian_pair,
+    spec,
     duration: float,
     n_sub: int,
+    inverse: bool = False,
     adjoint: bool = False,
 ) -> np.ndarray:
-    """Evolve one beamsplitter window: exact unitary substeps + dissipator.
+    """Evolve one lossy window: exact splitter substeps (if spec) + dissipator.
 
-    With adjoint, rho is an observable and each substep runs the adjoint
-    map: the adjoint dissipator update, then O -> U_sub^dag O U_sub.
+    inverse runs the splitter backwards.  With adjoint, rho is an observable
+    and each substep runs the adjoint map: the adjoint dissipator update,
+    then O -> U_sub^dag O U_sub.
     """
-    from .gates import BeamsplitterSpec
-
     space = chans.space
     dt = duration / n_sub
-    if hamiltonian_pair is not None:
-        spec, inverse = hamiltonian_pair
+    sub = modes = None
+    if spec is not None:
         sub = pair_unitary(
             BeamsplitterSpec(spec.mode_a, spec.mode_b, spec.theta / n_sub, spec.phi),
             space.cutoff,
@@ -702,8 +706,6 @@ def _evolve_window(
         if inverse != adjoint:
             sub = sub.conj().T
         modes = (spec.mode_a, spec.mode_b)
-    else:
-        sub, modes = None, None
     for _ in range(n_sub):
         if sub is not None and not adjoint:
             rho = apply_left(sub, rho, modes, space)
@@ -716,10 +718,26 @@ def _evolve_window(
     return rho
 
 
-def _window_substeps(duration: float, total_rate: float) -> int:
-    if duration <= 0:
-        return 1
-    return max(64, int(math.ceil(duration * total_rate / 2e-3)))
+def _run_windows(
+    rho: np.ndarray,
+    space: HilbertSpace,
+    windows,
+    inverse: bool = False,
+    adjoint: bool = False,
+) -> np.ndarray:
+    """Run a lossy gate given as (noise, splitter or None, duration) windows in gate order.
+
+    inverse runs the inverse gate: the windows in reverse order, each
+    splitter backwards.  With adjoint, rho holds a Hermitian observable O
+    and the result is the Heisenberg-picture image G^dag(O) of the same gate
+    G (the order reversed once more, each window through its adjoint
+    substeps), so that Re Tr(G^dag(O) r) = Re Tr(O G(r)) for every state r.
+    """
+    for noise, spec, duration in (windows[::-1] if inverse != adjoint else windows):
+        chans = _ChannelSet(space, noise)
+        n_sub = max(64, int(math.ceil(duration * chans.total_rate / 2e-3))) if duration > 0 else 1
+        rho = _evolve_window(rho, chans, spec, duration, n_sub, inverse, adjoint)
+    return rho
 
 
 def swap_fidelity(
@@ -733,21 +751,14 @@ def swap_fidelity(
     elevate_heating: bool = True,
 ) -> float:
     """P(single photon entering mode a exits mode b) after a theta = pi/2 swap."""
-    from .gates import BeamsplitterSpec
-
     space = HilbertSpace(2, cutoff)
-    noise = NoiseModel.uniform(
-        2,
-        gamma_up * (multiplier if elevate_heating else 1.0),
-        gamma_down * multiplier,
-        gamma_phi * multiplier,
-    )
+    noise = NoiseModel.uniform(2, gamma_up, gamma_down, gamma_phi).elevated(
+        multiplier, (0, 1), elevate_heating)
     spec = BeamsplitterSpec(0, 1, math.pi / 2, math.pi / 2)
     duration = spec.theta / g_bs
-    rho = np.outer(
-        number_state(space, [1, 0]).vector, number_state(space, [1, 0]).vector.conj()
-    )
-    rho = _evolve_window(rho, _ChannelSet(space, noise), (spec, False), duration, n_sub)
+    psi = number_state(space, [1, 0]).vector
+    rho = np.outer(psi, psi.conj())
+    rho = _evolve_window(rho, _ChannelSet(space, noise), spec, duration, n_sub)
     idx = space.index_of([0, 1])
     return float(rho[idx, idx].real)
 
@@ -819,35 +830,22 @@ def lossy_ed_apply(
     unitary conjugation.
 
     With adjoint, rho holds a Hermitian observable O and the result is the
-    Heisenberg-picture image G^dag(O) of the same gate G (windows in reverse
-    order, each through its adjoint substeps), so that Re Tr(G^dag(O) r) =
-    Re Tr(O G(r)) for every state r.
+    Heisenberg-picture image G^dag(O) of the same gate G (see _run_windows).
     """
     space = rho.space
     if plan.n_cavities != space.n_modes:
         raise InvalidArgument("plan and state disagree on the cavity count")
-    mat = rho.matrix.copy()
-    seq = plan.sequence[::-1] if inverse != adjoint else plan.sequence
     if f_bs >= 1.0:
-        for spec in seq:
-            u = pair_unitary(spec, space.cutoff)
-            if inverse != adjoint:
-                u = u.conj().T
-            mat = apply_left(u, mat, (spec.mode_a, spec.mode_b), space)
-            mat = apply_right_dag(u, mat, (spec.mode_a, spec.mode_b), space)
-        return DensityMatrix(space, mat)
-
+        return DensityMatrix(space, apply_plan_rho(rho.matrix, plan, space, inverse != adjoint))
     if multiplier is None:
         multiplier = calibrate_bs_multiplier(f_bs, g_bs, *_mean_pair_rates(base_noise),
                                              elevate_heating=elevate_heating)
-    for spec in seq:
-        noise = base_noise.elevated(multiplier, (spec.mode_a, spec.mode_b),
-                                    elevate_heating=elevate_heating)
-        duration = spec.theta / g_bs
-        chans = _ChannelSet(space, noise)
-        n_sub = _window_substeps(duration, chans.total_rate)
-        mat = _evolve_window(mat, chans, (spec, inverse), duration, n_sub, adjoint)
-    return DensityMatrix(space, mat)
+    windows = [
+        (base_noise.elevated(multiplier, (spec.mode_a, spec.mode_b), elevate_heating),
+         spec, spec.theta / g_bs)
+        for spec in plan.sequence
+    ]
+    return DensityMatrix(space, _run_windows(rho.matrix, space, windows, inverse, adjoint))
 
 
 def _mean_pair_rates(noise: NoiseModel) -> tuple[float, float, float]:
@@ -867,24 +865,14 @@ def effective_lossy_window(
     duration: float,
     heating_on: bool,
     elevate_heating: bool = True,
-    residual_dephasing: bool = True,
     adjoint: bool = False,
 ) -> np.ndarray:
     """Reduced-model beamsplitter window: elevated transformed rates, no drive.
 
-    In the binary tree every occupied cavity sits inside an elevated pair
-    during each layer, so the averaged rates seen by the effective mode are
-    simply the base rates times the calibrated multiplier.  With adjoint,
-    rho is an observable and the window's adjoint map is applied.
+    One layer of the binary tree on the effective mode (see the module
+    docstring).  With adjoint, rho is an observable and the window's adjoint
+    map is applied.
     """
-    space = HilbertSpace(1, rho.shape[0])
-    noise = effective_noise_model(rates, residual_dephasing)
-    up = noise.gamma_up[0] * (multiplier if elevate_heating else 1.0)
-    noise = NoiseModel(
-        (up if heating_on else 0.0,),
-        (noise.gamma_down[0] * multiplier,),
-        (noise.gamma_phi[0] * multiplier,),
-    )
-    chans = _ChannelSet(space, noise)
-    n_sub = _window_substeps(duration, chans.total_rate)
-    return _evolve_window(rho, chans, None, duration, n_sub, adjoint)
+    noise = effective_noise_model(rates).elevated(multiplier, (0,), elevate_heating)
+    window = (noise if heating_on else noise.heating_off(), None, duration)
+    return _run_windows(rho, HilbertSpace(1, rho.shape[0]), [window], adjoint=adjoint)

@@ -32,16 +32,17 @@ from .drive import (
     rho_dm_si,
 )
 from .errors import DimensionCeilingExceeded, InvalidArgument
-from .fock import DensityMatrix, HilbertSpace, number_state
-from .gates import EDPlan, make_plan
+from .fock import HilbertSpace
+from .gates import EDPlan, apply_plan, make_plan
 from .lindblad import (
     NoiseModel,
     TransformedRates,
     _mean_pair_rates,
+    _primary_states,
+    _run_cycle,
+    _run_windows,
     calibrate_bs_multiplier,
-    effective_lossy_window,
-    effective_propagate_cycle,
-    lossy_ed_apply,
+    effective_noise_model,
     propagate_cycle,
     transformed_rates,
 )
@@ -86,7 +87,6 @@ class ProtocolConfig:
     backend: str = "auto"              # auto | full | effective
     dt: float | None = None
     seed: int = 0
-    effective_residual_dephasing: bool = True
 
     def __post_init__(self):
         if self.n_cavities < 1 or self.fock_m < 0:
@@ -223,145 +223,75 @@ def _interp_peak(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     return float(xv), float(a * xv ** 2 + b * xv + c)
 
 
-def _add_run_diagnostics(diag: dict, populate: str, res) -> None:
-    """Copy one run's guard series and their maxima into the diagnostics."""
-    diag[f"trace_defect_{populate}"] = float(res.trace_defect.max())
-    diag[f"leakage_{populate}"] = float(res.leakage.max())
-    diag[f"series_{populate}"] = {
-        "times": res.times, "trace": res.trace_defect, "leakage": res.leakage,
-    }
-    diag["dt"] = res.dt
+def simulate_populations(config: ProtocolConfig, tau_grid) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
+    """(actual times, n_s, n_b, diagnostics) at the requested integration times.
 
-
-def _populations_full(config: ProtocolConfig, tau_grid: np.ndarray):
-    """Signal and background populations at the grid times, full backend.
-
-    With a lossy gate the shared forward gate prepares the state, and the
-    target projector is pulled back once through the adjoint of the lossy
-    inverse gate, so each record reads the post-inverse population directly.
-    Raises DimensionCeilingExceeded, before allocating anything, when the
-    run's density matrices would exceed FULL_BACKEND_MAX_BYTES.
+    A set-up block per backend gives the space, noise model, drive scale
+    and lossy-window pieces (one per splitter, or one per layer on the
+    effective mode); the runs are shared.  With a lossy gate the forward
+    windows prepare the state, and the target projector is pulled back once
+    through the adjoint of the inverse windows, so each record reads the
+    post-inverse population directly.  The full backend raises
+    DimensionCeilingExceeded, before allocating anything, when the run's
+    density matrices would exceed FULL_BACKEND_MAX_BYTES.  The t = 0 record
+    of each run is dropped from the returned series; the grid starts later.
     """
-    dim = config.cutoff_eff ** config.n_cavities
-    need = dim * dim * 16 * FULL_BACKEND_WORKING_COPIES
-    if need > FULL_BACKEND_MAX_BYTES:
-        raise DimensionCeilingExceeded(
-            f"the full backend at dimension {dim} would need about {need / 2 ** 30:.3g} GiB "
-            f"of density matrices, over its {FULL_BACKEND_MAX_BYTES / 2 ** 30:g} GiB limit; "
-            "use the effective backend"
-        )
-    space = HilbertSpace(config.n_cavities, config.cutoff_eff)
-    plan = config.plan()
-    noise = config.noise_model()
-    g = config.coupling()
-    tau_max = float(tau_grid[-1])
-    diag: dict = {"backend": "full"}
-    lossy = config.bs_fidelity < 1.0 and bool(plan.sequence)
+    grid = np.asarray(tau_grid, dtype=float)
+    if grid.ndim != 1 or grid.size == 0 or np.any(np.diff(grid) <= 0) or grid[0] <= 0:
+        raise InvalidArgument("tau grid must be positive and strictly increasing")
+    n, plan, backend = config.n_cavities, config.plan(), config.chosen_backend()
+    if backend == "full":
+        dim = config.cutoff_eff ** n
+        need = dim * dim * 16 * FULL_BACKEND_WORKING_COPIES
+        if need > FULL_BACKEND_MAX_BYTES:
+            raise DimensionCeilingExceeded(
+                f"the full backend at dimension {dim} would need about {need / 2 ** 30:.3g} GiB "
+                f"of density matrices, over its {FULL_BACKEND_MAX_BYTES / 2 ** 30:g} GiB limit; "
+                "use the effective backend"
+            )
+        space = HilbertSpace(n, config.cutoff_eff)
+        noise, drive_scale = config.noise_model(), 1.0
+        pieces = [((s.mode_a, s.mode_b), s, s.theta / config.g_bs) for s in plan.sequence]
+    else:
+        space = HilbertSpace(1, config.cutoff_eff)
+        noise, drive_scale = effective_noise_model(config.rates()), math.sqrt(n)
+        pieces = [((0,), None, max(s.theta for s in layer) / config.g_bs) for layer in plan.layers]
+
+    psi0, target = _primary_states(space, config.fock_m)
+    diag: dict = {"backend": backend}
+    lossy = config.bs_fidelity < 1.0 and bool(pieces)
     if lossy:
         multiplier = calibrate_bs_multiplier(
-            config.bs_fidelity, config.g_bs, *_mean_pair_rates(noise),
+            config.bs_fidelity, config.g_bs, *_mean_pair_rates(config.noise_model()),
             elevate_heating=config.elevate_bs_heating,
         )
         diag["bs_multiplier"] = multiplier
-        occ = [0] * space.n_modes
-        occ[0] = config.fock_m
-        psi0 = number_state(space, occ).vector
-        occ[0] = config.fock_m + 1
-        target0 = number_state(space, occ).vector
+    elif backend == "full":
+        psi0, target = apply_plan(psi0, plan, space), apply_plan(target, plan, space)
 
     out = {}
     for populate in ("signal", "background"):
         rho0 = readout = None
         if lossy:
             run_noise = noise.heating_off() if populate == "signal" else noise
-            gate = dict(f_bs=config.bs_fidelity, g_bs=config.g_bs, base_noise=run_noise,
-                        multiplier=multiplier, elevate_heating=config.elevate_bs_heating)
-            rho0 = lossy_ed_apply(DensityMatrix(space, np.outer(psi0, psi0.conj())), plan,
-                                  **gate)
-            readout = lossy_ed_apply(
-                DensityMatrix(space, np.outer(target0, target0.conj())), plan,
-                inverse=True, adjoint=True, **gate,
-            ).matrix
-        res = propagate_cycle(
-            space, config.fock_m, noise, g, config.tau_dm, tau_max, populate,
-            ed=None if lossy else plan, dt=config.dt, rho0=rho0, record_times=tau_grid,
+            windows = [(run_noise.elevated(multiplier, modes, config.elevate_bs_heating), spec, dur)
+                       for modes, spec, dur in pieces]
+            rho0 = _run_windows(np.outer(psi0, psi0.conj()), space, windows)
+            readout = _run_windows(np.outer(target, target.conj()), space, windows,
+                                   inverse=True, adjoint=True)
+        res = out[populate] = _run_cycle(
+            space, noise, drive_scale, psi0, target, config.coupling(), config.tau_dm,
+            float(grid[-1]), populate, dt=config.dt, rho0=rho0, record_times=grid,
             readout=readout,
         )
-        out[populate] = res
-        _add_run_diagnostics(diag, populate, res)
-    return out["signal"].times, out["signal"].population, out["background"].population, diag
-
-
-def _populations_effective(config: ProtocolConfig, tau_grid: np.ndarray):
-    """Signal and background populations at the grid times, reduced backend.
-
-    Lossy windows prepare the state, and the |m+1> projector is pulled back
-    once through the adjoint of the inverse windows (in forward order).
-    """
-    rates = config.rates()
-    g = config.coupling()
-    tau_max = float(tau_grid[-1])
-    plan = config.plan()
-    diag: dict = {"backend": "effective"}
-
-    windows: list[float] = []
-    multiplier = 1.0
-    if config.bs_fidelity < 1.0 and plan.sequence:
-        noise = config.noise_model()
-        multiplier = calibrate_bs_multiplier(
-            config.bs_fidelity, config.g_bs, *_mean_pair_rates(noise),
-            elevate_heating=config.elevate_bs_heating,
-        )
-        diag["bs_multiplier"] = multiplier
-        windows = [max(s.theta for s in layer) / config.g_bs for layer in plan.layers]
-
-    out = {}
-    for populate in ("signal", "background"):
-        heating_on = populate == "background"
-        rho0 = readout = None
-        if windows:
-            space1 = HilbertSpace(1, config.cutoff_eff)
-            psi = number_state(space1, [config.fock_m]).vector
-            target = number_state(space1, [config.fock_m + 1]).vector
-            rho0 = np.outer(psi, psi.conj())
-            readout = np.outer(target, target.conj())
-            for dur in windows:
-                window = dict(rates=rates, multiplier=multiplier, duration=dur,
-                              heating_on=heating_on, elevate_heating=config.elevate_bs_heating,
-                              residual_dephasing=config.effective_residual_dephasing)
-                rho0 = effective_lossy_window(rho0, **window)
-                readout = effective_lossy_window(readout, adjoint=True, **window)
-        res = effective_propagate_cycle(
-            config.n_cavities, config.fock_m, rates, g, config.tau_dm, tau_max,
-            populate, dt=config.dt, cutoff=config.cutoff_eff,
-            record_times=tau_grid,
-            rho0=rho0,
-            residual_dephasing=config.effective_residual_dephasing,
-            readout=readout,
-        )
-        out[populate] = res
-        _add_run_diagnostics(diag, populate, res)
-    return out["signal"].times, out["signal"].population, out["background"].population, diag
-
-
-def simulate_populations(config: ProtocolConfig, tau_grid) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
-    """(actual times, n_s, n_b, diagnostics) at the requested integration times."""
-    grid = np.asarray(tau_grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0 or np.any(np.diff(grid) <= 0) or grid[0] <= 0:
-        raise InvalidArgument("tau grid must be positive and strictly increasing")
-    backend = config.chosen_backend()
-    if backend == "full":
-        times, n_s, n_b, diag = _populations_full(config, grid)
-    else:
-        times, n_s, n_b, diag = _populations_effective(config, grid)
-    # drop the t = 0 record if present; the sweep grid starts at the first point
-    if times.size and times[0] == 0.0 and grid[0] > 0.0:
-        times, n_s, n_b = times[1:], n_s[1:], n_b[1:]
-    for key in ("series_signal", "series_background"):
-        ser = diag.get(key)
-        if ser is not None and ser["times"].size and ser["times"][0] == 0.0 and grid[0] > 0.0:
-            diag[key] = {k: v[1:] for k, v in ser.items()}
-    return times, n_s, n_b, diag
+        diag[f"trace_defect_{populate}"] = float(res.trace_defect.max())
+        diag[f"leakage_{populate}"] = float(res.leakage.max())
+        diag[f"series_{populate}"] = {
+            "times": res.times[1:], "trace": res.trace_defect[1:], "leakage": res.leakage[1:],
+        }
+        diag["dt"] = res.dt
+    signal, background = out["signal"], out["background"]
+    return signal.times[1:], signal.population[1:], background.population[1:], diag
 
 
 def snr_sweep(config: ProtocolConfig, tau_grid) -> SweepResult:

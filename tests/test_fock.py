@@ -7,11 +7,11 @@ import pytest
 from fockscan.errors import DimensionCeilingExceeded, InvalidArgument
 from fockscan.fock import (
     DensityMatrix,
+    HilbertSpace,
     StateVector,
     displacement,
     ladder,
     leakage,
-    make_space,
     number_operator,
     number_state,
     occupations,
@@ -22,31 +22,31 @@ from fockscan.linalg import max_abs, unitarity_defect
 
 class TestMakeSpace:
     def test_single_mode_dimension(self):
-        assert make_space(1, 8).dim == 8
+        assert HilbertSpace(1, 8).dim == 8
 
     def test_product_rule(self):
-        assert make_space(2, 8).dim == 64
+        assert HilbertSpace(2, 8).dim == 64
 
     def test_ceiling_exceeded(self):
         # 8**8 = 16,777,216 > 65,536
         with pytest.raises(DimensionCeilingExceeded):
-            make_space(8, 8)
+            HilbertSpace(8, 8)
 
     def test_validation(self):
         with pytest.raises(InvalidArgument):
-            make_space(0, 4)
+            HilbertSpace(0, 4)
         with pytest.raises(InvalidArgument):
-            make_space(2, 1)
+            HilbertSpace(2, 1)
 
     def test_immutability(self):
-        sp = make_space(2, 4)
+        sp = HilbertSpace(2, 4)
         with pytest.raises(AttributeError):
             sp.cutoff = 5
 
 
 class TestLadder:
     def test_lowering_action(self):
-        sp = make_space(1, 3)
+        sp = HilbertSpace(1, 3)
         a = ladder(sp, 0)
         out = a.matrix @ number_state(sp, [2]).vector
         expected = math.sqrt(2) * number_state(sp, [1]).vector
@@ -54,19 +54,19 @@ class TestLadder:
 
     @pytest.mark.parametrize("m", [0, 1, 3, 5])
     def test_raising_amplitude_sqrt_m_plus_1(self, m):
-        sp = make_space(1, 8)
+        sp = HilbertSpace(1, 8)
         adag = ladder(sp, 0, "raising")
         out = adag.matrix @ number_state(sp, [m]).vector
         assert abs(np.vdot(number_state(sp, [m + 1]).vector, out) - math.sqrt(m + 1)) < 1e-14
 
     def test_raising_annihilates_top_level(self):
-        sp = make_space(1, 5)
+        sp = HilbertSpace(1, 5)
         adag = ladder(sp, 0, "raising")
         out = adag.matrix @ number_state(sp, [4]).vector
         assert np.linalg.norm(out) == 0.0
 
     def test_bad_mode_and_kind(self):
-        sp = make_space(2, 3)
+        sp = HilbertSpace(2, 3)
         with pytest.raises(InvalidArgument):
             ladder(sp, 2)
         with pytest.raises(InvalidArgument):
@@ -75,14 +75,14 @@ class TestLadder:
     def test_commutator_below_truncation(self):
         # [a, a^dag] = 1 on the subspace excluding the top two levels
         for n_modes, cutoff in [(1, 6), (2, 5), (3, 4)]:
-            sp = make_space(n_modes, cutoff)
+            sp = HilbertSpace(n_modes, cutoff)
             a = ladder(sp, 0).matrix
             comm = a @ a.conj().T - a.conj().T @ a
             low = occupations(sp)[:, 0] <= cutoff - 3
             assert max_abs((comm - np.eye(sp.dim))[np.ix_(low, low)]) <= 1e-12
 
     def test_disjoint_mode_operators_commute(self):
-        sp = make_space(3, 3)
+        sp = HilbertSpace(3, 3)
         rng = np.random.default_rng(3)
         ops = [ladder(sp, 0).matrix, ladder(sp, 1, "raising").matrix,
                number_operator(sp, 2).matrix]
@@ -94,14 +94,14 @@ class TestLadder:
 
 class TestNumberState:
     def test_basis_vector_norm(self):
-        sp = make_space(2, 4)
+        sp = HilbertSpace(2, 4)
         psi = number_state(sp, [1, 0])
         assert psi.norm() == 1.0
         assert psi.vector[sp.index_of([1, 0])] == 1.0
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_matches_repeated_raising_on_vacuum(self, m):
-        sp = make_space(3, 6)
+        sp = HilbertSpace(3, 6)
         adag = ladder(sp, 0, "raising").matrix
         vec = vacuum_state(sp).vector
         for _ in range(m):
@@ -110,13 +110,13 @@ class TestNumberState:
         assert np.allclose(vec, number_state(sp, [m, 0, 0]).vector, atol=1e-14)
 
     def test_vacuum_has_zero_occupation(self):
-        sp = make_space(3, 4)
+        sp = HilbertSpace(3, 4)
         vac = vacuum_state(sp)
         for mode in range(3):
             assert abs(vac.expectation(number_operator(sp, mode))) == 0.0
 
     def test_invalid_occupation(self):
-        sp = make_space(2, 3)
+        sp = HilbertSpace(2, 3)
         with pytest.raises(InvalidArgument):
             number_state(sp, [3, 0])
         with pytest.raises(InvalidArgument):
@@ -125,12 +125,12 @@ class TestNumberState:
 
 class TestDisplacement:
     def test_zero_alpha_is_identity(self):
-        sp = make_space(1, 6)
+        sp = HilbertSpace(1, 6)
         assert max_abs(displacement(sp, 0, 0.0).matrix - np.eye(6)) < 1e-15
 
     def test_vacuum_overlap_closed_form(self):
         # <0|D(alpha)|0> = exp(-|alpha|^2 / 2), high-precision scalar oracle
-        sp = make_space(1, 20)
+        sp = HilbertSpace(1, 20)
         alpha = 0.3
         d = displacement(sp, 0, alpha)
         expected = float(mpmath.e ** (-mpmath.mpf("0.3") ** 2 / 2))
@@ -138,19 +138,19 @@ class TestDisplacement:
 
     @pytest.mark.parametrize("m", [0, 1, 4])
     def test_weak_field_matrix_element(self, m):
-        sp = make_space(1, 10)
+        sp = HilbertSpace(1, 10)
         alpha = 1e-3
         d = displacement(sp, 0, alpha)
         elem = d.matrix[m + 1, m]
         assert abs(elem / (alpha * math.sqrt(m + 1)) - 1.0) < 1e-3
 
     def test_unitarity_at_large_alpha(self):
-        sp = make_space(1, 12)
+        sp = HilbertSpace(1, 12)
         for alpha in (0.4, 1.0, 0.7 + 0.5j):
             assert unitarity_defect(displacement(sp, 0, alpha).matrix) <= 1e-10
 
     def test_inverse_composition(self):
-        sp = make_space(2, 10)
+        sp = HilbertSpace(2, 10)
         d_plus = displacement(sp, 1, 0.3)
         d_minus = displacement(sp, 1, -0.3)
         assert max_abs((d_plus @ d_minus).matrix - np.eye(sp.dim)) <= 1e-10
@@ -158,16 +158,16 @@ class TestDisplacement:
 
 class TestLeakage:
     def test_vacuum(self):
-        sp = make_space(2, 4)
+        sp = HilbertSpace(2, 4)
         assert leakage(vacuum_state(sp)) == 0.0
 
     def test_top_level(self):
-        sp = make_space(2, 4)
+        sp = HilbertSpace(2, 4)
         assert leakage(number_state(sp, [3, 0])) == 1.0
 
     def test_displaced_vacuum_poisson_tail(self):
         # brute-force Poisson tail oracle: sum_{n >= cutoff-1} e^-x x^n / n!
-        sp = make_space(1, 10)
+        sp = HilbertSpace(1, 10)
         alpha = 0.1
         x = alpha ** 2
         tail = sum(math.exp(-x) * x ** n / math.factorial(n) for n in range(9, 40))
@@ -177,21 +177,21 @@ class TestLeakage:
         assert leak <= tail * 1.5 + 1e-18
 
     def test_density_matrix_input(self):
-        sp = make_space(1, 3)
+        sp = HilbertSpace(1, 3)
         rho = number_state(sp, [2]).to_density_matrix()
         assert leakage(rho) == 1.0
 
 
 class TestDensityMatrix:
     def test_trace_and_hermiticity_checks(self):
-        sp = make_space(1, 4)
+        sp = HilbertSpace(1, 4)
         rho = number_state(sp, [1]).to_density_matrix()
         assert rho.trace_defect() < 1e-15
         assert rho.hermiticity_defect() < 1e-15
         assert rho.min_eigenvalue() >= -1e-12
 
     def test_unitary_preserves_state_norm(self):
-        sp = make_space(1, 12)
+        sp = HilbertSpace(1, 12)
         psi = number_state(sp, [2])
         for alpha in (0.2, 0.5j):
             out = displacement(sp, 0, alpha) @ psi

@@ -602,15 +602,14 @@ class TestHeisenbergReadout:
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(2, 6), st.floats(1.0, 500.0), st.booleans(), st.booleans(),
-           st.booleans(), st.integers(0, 2 ** 32 - 1))
-    def test_effective_window_adjoint(self, cutoff, multiplier, heating_on, elevate,
-                                      residual, seed):
+           st.integers(0, 2 ** 32 - 1))
+    def test_effective_window_adjoint(self, cutoff, multiplier, heating_on, elevate, seed):
         rng = np.random.default_rng(seed)
         rho = random_hermitian(rng, cutoff)
         obs = random_hermitian(rng, cutoff)
         window = dict(rates=transformed_rates(8, reference_noise(8), 1), multiplier=multiplier,
                       duration=math.pi / 4 / G_BS, heating_on=heating_on,
-                      elevate_heating=elevate, residual_dephasing=residual)
+                      elevate_heating=elevate)
         want = float(np.real(np.vdot(obs, effective_lossy_window(rho, **window))))
         got = float(np.real(np.vdot(effective_lossy_window(obs, adjoint=True, **window), rho)))
         assert abs(got - want) <= 1e-12 * max(abs(want), 1.0)
