@@ -117,7 +117,7 @@ def cmd_validate_gates(doc, args, out_dir: Path) -> int:
     cutoff = sec.get("cutoff", 12)
     space = HilbertSpace(n, cutoff)
     report = verify_ed(
-        plan, n, space=space,
+        plan, space,
         alpha=sec.get("alpha", 0.05),
         max_fock=sec.get("max_fock", 3),
         tolerance=sec.get("tolerance", 1e-9),
@@ -365,11 +365,13 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", default=os.environ.get("FOCKSCAN_CONFIG"),
                        help="YAML run configuration (env: FOCKSCAN_CONFIG)")
+        # string defaults from the environment go through type=int, so a
+        # malformed value exits 2 with a usage message; empty counts as unset
         p.add_argument("--seed", type=int,
-                       default=_env_int("FOCKSCAN_SEED"),
+                       default=os.environ.get("FOCKSCAN_SEED") or None,
                        help="override the config seed (env: FOCKSCAN_SEED)")
         p.add_argument("--jobs", type=int,
-                       default=_env_int("FOCKSCAN_JOBS", os.cpu_count() or 1),
+                       default=os.environ.get("FOCKSCAN_JOBS") or os.cpu_count() or 1,
                        help="worker processes for sweeps, at most one per task and CPU "
                             "(env: FOCKSCAN_JOBS)")
         p.add_argument("--out", default=os.environ.get("FOCKSCAN_OUT", "."),
@@ -378,11 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
                        default=os.environ.get("FOCKSCAN_BACKEND"),
                        help="propagation backend override (env: FOCKSCAN_BACKEND)")
     return parser
-
-
-def _env_int(name, default=None):
-    val = os.environ.get(name)
-    return int(val) if val else default
 
 
 def main(argv=None) -> int:

@@ -148,10 +148,14 @@ _VALIDATOR = jsonschema.validators.validator_for(SCHEMA)(SCHEMA)
 
 
 def load_config(path) -> dict:
-    """Read + schema-validate a YAML run configuration."""
+    """Read + schema-validate a UTF-8 YAML run configuration.
+
+    Every number must be finite: the schema's bounds pass NaN (it fails no
+    comparison), and no field has a meaning for an infinity.
+    """
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
         doc = yaml.safe_load(text)
@@ -159,10 +163,30 @@ def load_config(path) -> dict:
         raise ConfigError(f"config {path} is not valid YAML: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a mapping")
+    where = _non_finite_path(doc)
+    if where is not None:
+        raise ConfigError(f"config validation failed: a number is not finite (at {where})")
     error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(doc))
     if error is not None:
         raise ConfigError(f"config validation failed: {error.message} (at {list(error.path)})")
     return doc
+
+
+def _non_finite_path(node, path=()):
+    """Key path of the first non-finite float in a loaded YAML document, or None."""
+    if isinstance(node, float):
+        return None if math.isfinite(node) else list(path)
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return None
+    for key, child in children:
+        where = _non_finite_path(child, path + (key,))
+        if where is not None:
+            return where
+    return None
 
 
 def config_hash(doc: dict) -> str:

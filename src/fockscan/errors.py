@@ -10,7 +10,7 @@ class InvalidArgument(FockscanError, ValueError):
 
 
 class DimensionCeilingExceeded(FockscanError):
-    """Requested tensor-product space is larger than the configured ceiling.
+    """Requested tensor-product space is larger than the fixed dimension ceiling.
 
     Callers hitting this should switch to the effective single-mode backend.
     """

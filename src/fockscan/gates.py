@@ -1,4 +1,4 @@
-"""Beamsplitter unitaries and the entanglement-distribution (ED) gate.
+"""Beamsplitter pair unitaries and the entanglement-distribution (ED) gate.
 
 A beamsplitter between modes a and b implements, under Heisenberg
 conjugation U^dag (.) U,
@@ -19,7 +19,10 @@ concentrates it on the primary cavity:
 
     U_ED^dag [ D_0(alpha) x ... x D_{N-1}(alpha) ] U_ED = D_0(sqrt(N) alpha).
 
-verify_ed measures all of these relations instead of trusting the
+The gate exists only as an EDPlan, a time-ordered splitter sequence.
+apply_plan and apply_plan_rho apply it one cutoff^2 x cutoff^2 pair
+unitary at a time by tensor contraction; no full-space matrix is built.
+verify_ed measures all of these relations on a plan instead of trusting the
 construction.
 """
 from __future__ import annotations
@@ -31,14 +34,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvalidArgument, UnsupportedCavityCount
-from .fock import (
-    DenseOperator,
-    HilbertSpace,
-    ladder,
-    number_state,
-    occupations,
-    single_mode_ladder,
-)
+from .fock import HilbertSpace, number_state, occupations, single_mode_ladder
 from .linalg import expm, max_abs, unitarity_defect
 from .tensorops import apply_to_vector
 
@@ -116,19 +112,6 @@ def pair_unitary(spec: BeamsplitterSpec, cutoff: int) -> np.ndarray:
     return _pair_unitary_cached(spec.theta, spec.phi, cutoff)
 
 
-def beamsplitter_unitary(space: HilbertSpace, spec: BeamsplitterSpec) -> DenseOperator:
-    """Full-space beamsplitter unitary."""
-    for m in (spec.mode_a, spec.mode_b):
-        if not 0 <= m < space.n_modes:
-            raise InvalidArgument(f"mode {m} outside the space")
-    a = ladder(space, spec.mode_a).matrix
-    b = ladder(space, spec.mode_b).matrix
-    gen = 1j * spec.theta * (
-        np.exp(1j * spec.phi) * (a.conj().T @ b) + np.exp(-1j * spec.phi) * (a @ b.conj().T)
-    )
-    return DenseOperator(space, expm(gen))
-
-
 def linear_plan(n_cavities: int) -> EDPlan:
     """Chain of adjacent splitters distributing amplitude uniformly.
 
@@ -172,17 +155,6 @@ def make_plan(scheme: str, n_cavities: int) -> EDPlan:
     raise InvalidArgument(f"unknown ED scheme {scheme!r}")
 
 
-def build_ed(space: HilbertSpace, scheme: str, n_cavities: int) -> tuple[DenseOperator, EDPlan]:
-    """Dense ED unitary plus its plan.  N must equal the space's mode count."""
-    if n_cavities != space.n_modes:
-        raise InvalidArgument("n_cavities must equal the space's mode count")
-    plan = make_plan(scheme, n_cavities)
-    u = np.eye(space.dim, dtype=complex)
-    for spec in plan.sequence:
-        u = beamsplitter_unitary(space, spec).matrix @ u
-    return DenseOperator(space, u), plan
-
-
 def apply_plan(psi: np.ndarray, plan: EDPlan, space: HilbertSpace, inverse: bool = False) -> np.ndarray:
     """Apply the ED gate (or its inverse) to a state vector via pair contractions."""
     seq = plan.sequence[::-1] if inverse else plan.sequence
@@ -210,34 +182,18 @@ def apply_plan_rho(rho: np.ndarray, plan: EDPlan, space: HilbertSpace, inverse: 
     return out
 
 
-def single_photon_matrix(ed, space: HilbertSpace) -> np.ndarray:
-    """M[j, i] = <1_j| U |1_i>; equals the ladder-conjugation transfer matrix.
+def single_photon_matrix(plan: EDPlan, space: HilbertSpace) -> np.ndarray:
+    """M[j, i] = <1_j| U_ED |1_i>; equals the ladder-conjugation transfer matrix.
 
     The ED defining relations in coefficient form read M[n, 0] = 1/sqrt(N)
     for every n, with c_{n n'} = M[n, n'] for n' >= 1 obeying the sum rule
     sum |c|^2 = 1 - 1/N row by row.
     """
-    n = space.n_modes
-    m = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        occ = [0] * n
-        occ[i] = 1
-        psi = number_state(space, occ).vector
-        out = _apply_ed(ed, psi, space)
-        for j in range(n):
-            occ_j = [0] * n
-            occ_j[j] = 1
-            m[j, i] = out[space.index_of(occ_j)]
-    return m
-
-
-def _apply_ed(ed, psi: np.ndarray, space: HilbertSpace, inverse: bool = False) -> np.ndarray:
-    if isinstance(ed, DenseOperator):
-        mat = ed.matrix.conj().T if inverse else ed.matrix
-        return mat @ psi
-    if isinstance(ed, EDPlan):
-        return apply_plan(psi, ed, space, inverse=inverse)
-    raise InvalidArgument("ed must be a DenseOperator or an EDPlan")
+    n = plan.n_cavities
+    singles = [[int(k == i) for k in range(n)] for i in range(n)]
+    ones = [space.index_of(occ) for occ in singles]
+    return np.stack([apply_plan(number_state(space, occ), plan, space)[ones] for occ in singles],
+                    axis=1)
 
 
 @dataclass(frozen=True)
@@ -283,91 +239,66 @@ class EDVerification:
 
 
 def verify_ed(
-    ed,
-    n_cavities: int,
-    space: HilbertSpace | None = None,
+    plan: EDPlan,
+    space: HilbertSpace,
     alpha: complex = 0.05,
     max_fock: int = 3,
     tolerance: float = 1e-9,
 ) -> EDVerification:
-    """Measure the ED defining relations on a DenseOperator or an EDPlan.
+    """Measure the ED defining relations of a plan on a space with N = plan.n_cavities modes.
 
-    Checks, in order: (i) conjugation U a_0^dag U^dag = (1/sqrt N) sum a_n^dag
-    on the truncation-safe subspace (total occupation <= cutoff-2), (ii) the
-    displacement-enhancement identity applied to Fock states |m,0,...,0> for
-    m <= max_fock, and (iii) the extracted coefficient matrix against the
-    uniform first column and the sum rule.
+    Checks, in order: (iii) the coefficient matrix extracted from the
+    single-photon sector against the uniform first column and the sum rule;
+    (i) the conjugation U a_0^dag U^dag = (1/sqrt N) sum a_n^dag and its dual
+    U^dag (sum a_n) U = sqrt(N) a_0, applied through the plan to every basis
+    state of total occupation <= min(2, cutoff-2), where both are exact; and
+    (ii) the displacement-enhancement identity applied to Fock states
+    |m,0,...,0> for m <= max_fock.
     """
-    if isinstance(ed, DenseOperator):
-        space = ed.space
-    if space is None:
-        raise InvalidArgument("an EDPlan needs an explicit space")
+    n_cavities = plan.n_cavities
     if space.n_modes != n_cavities:
-        raise InvalidArgument("space mode count must equal n_cavities")
+        raise InvalidArgument("space mode count must equal the plan's cavity count")
     c = space.cutoff
     if max_fock > c - 2:
         raise InvalidArgument("max_fock must leave at least one level of headroom")
 
     # (iii) coefficient extraction from the single-photon sector
-    m_mat = single_photon_matrix(ed, space)
+    m_mat = single_photon_matrix(plan, space)
     column_residual = max_abs(m_mat[:, 0] - 1.0 / math.sqrt(n_cavities))
-    if n_cavities > 1:
-        row_sums = np.sum(np.abs(m_mat[:, 1:]) ** 2, axis=1)
-        sum_rule_residual = max_abs(row_sums - (1.0 - 1.0 / n_cavities))
-    else:
-        sum_rule_residual = 0.0
+    row_sums = np.sum(np.abs(m_mat[:, 1:]) ** 2, axis=1)
+    sum_rule_residual = max_abs(row_sums - (1.0 - 1.0 / n_cavities))
 
-    # (i)/(Eq.-4 dual) conjugation relations on the safe subspace
-    if isinstance(ed, DenseOperator):
-        u = ed.matrix
-        unit_res = unitarity_defect(u)
-        a0d = ladder(space, 0, "raising").matrix
-        sym = sum(ladder(space, k, "raising").matrix for k in range(n_cavities))
-        sym = sym / math.sqrt(n_cavities)
-        totals = occupations(space).sum(axis=1)
-        safe = totals <= c - 2
-        conj_res = max_abs((u @ a0d @ u.conj().T - sym)[:, safe])
-        low_sum = sum(ladder(space, k, "lowering").matrix for k in range(n_cavities))
-        dual = u.conj().T @ low_sum @ u - math.sqrt(n_cavities) * ladder(space, 0).matrix
-        dual_res = max_abs(dual[:, totals <= c - 1])
-    else:
-        # plan path: measure the conjugation action on all safe basis states
-        # with small total occupation (exact in exact arithmetic there).
-        unit_res = max(
-            (unitarity_defect(pair_unitary(s, c)) for s in ed.sequence), default=0.0
-        )
-        conj_res = 0.0
-        dual_res = 0.0
-        occ_table = occupations(space)
-        totals = occ_table.sum(axis=1)
-        probe = np.flatnonzero(totals <= min(2, c - 2))
-        sqrt_n = math.sqrt(n_cavities)
-        a_low = single_mode_ladder(c)
-        for idx in probe:
-            base = np.zeros(space.dim, dtype=complex)
-            base[idx] = 1.0
-            lhs = _apply_ed(ed, _raise_mode(_apply_ed(ed, base, space, inverse=True), 0, space), space)
-            rhs = sum(_raise_mode(base, k, space) for k in range(n_cavities)) / sqrt_n
-            conj_res = max(conj_res, float(np.linalg.norm(lhs - rhs)))
-            # dual relation: U^dag (sum_n a_n) U = sqrt(N) a_0
-            mid = _apply_ed(ed, base, space)
-            mid = sum(apply_to_vector(a_low, mid, (k,), space) for k in range(n_cavities))
-            lhs2 = _apply_ed(ed, mid, space, inverse=True)
-            rhs2 = sqrt_n * apply_to_vector(a_low, base, (0,), space)
-            dual_res = max(dual_res, float(np.linalg.norm(lhs2 - rhs2)))
+    # (i) conjugation relation and its dual on the safe low-occupation states
+    unit_res = max((unitarity_defect(pair_unitary(s, c)) for s in plan.sequence), default=0.0)
+    conj_res = 0.0
+    dual_res = 0.0
+    totals = occupations(space).sum(axis=1)
+    probe = np.flatnonzero(totals <= min(2, c - 2))
+    sqrt_n = math.sqrt(n_cavities)
+    a_low = single_mode_ladder(c)
+    for idx in probe:
+        base = np.zeros(space.dim, dtype=complex)
+        base[idx] = 1.0
+        lhs = apply_plan(_raise_mode(apply_plan(base, plan, space, inverse=True), 0, space),
+                         plan, space)
+        rhs = sum(_raise_mode(base, k, space) for k in range(n_cavities)) / sqrt_n
+        conj_res = max(conj_res, float(np.linalg.norm(lhs - rhs)))
+        mid = apply_plan(base, plan, space)
+        mid = sum(apply_to_vector(a_low, mid, (k,), space) for k in range(n_cavities))
+        lhs2 = apply_plan(mid, plan, space, inverse=True)
+        rhs2 = sqrt_n * apply_to_vector(a_low, base, (0,), space)
+        dual_res = max(dual_res, float(np.linalg.norm(lhs2 - rhs2)))
 
     # (ii) displacement enhancement on Fock test states
     disp_res = 0.0
     d_single = _displacement_single(c, alpha)
     d_primary = _displacement_single(c, math.sqrt(n_cavities) * alpha)
     for m in range(0, max_fock + 1):
-        occ = [0] * n_cavities
-        occ[0] = m
-        psi = number_state(space, occ).vector
-        inside = _apply_ed(ed, psi, space)
+        psi = number_state(space, [m] + [0] * (n_cavities - 1))
+        inside = apply_plan(psi, plan, space)
         for mode in range(n_cavities):
             inside = apply_to_vector(d_single, inside, (mode,), space)
-        lhs = _apply_ed(ed, inside, space, inverse=True)
+        lhs = apply_plan(inside, plan, space, inverse=True)
         rhs = apply_to_vector(d_primary, psi, (0,), space)
         disp_res = max(disp_res, float(np.linalg.norm(lhs - rhs)))
 

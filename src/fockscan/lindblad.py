@@ -20,7 +20,8 @@ are diagonal in the Fock basis and act as elementwise weights.
 A run with no channel at all (the signal run of a lossless reference) only
 composes displacements along the one real generator i(a - a^dag), so its
 steps compose exactly: at record step k the state is D(alpha_k)^{(x)N} rho_0
-D(alpha_k)^{dag (x)N} with alpha_k = drive_amp (<|alpha|>(t_k) - <|alpha|>(t_0)).
+D(alpha_k)^{dag (x)N} with alpha_k = drive_amp <|alpha|>(t_k), since every run
+starts at t = 0, where <|alpha|> = 0.
 _propagate evaluates that closed form at the record steps only and reports
 the nominal step count; the stepping loop is not entered.
 
@@ -89,19 +90,13 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import FidelityUnreachable, InvalidArgument, StabilityGuard, TruncationLeak
-from .fock import (
-    DensityMatrix,
-    HilbertSpace,
-    number_state,
-    occupations,
-    single_mode_ladder,
-)
+from .fock import HilbertSpace, number_state, occupations, single_mode_ladder
 from .gates import BeamsplitterSpec, EDPlan, apply_plan, apply_plan_rho, pair_unitary
-from .linalg import expm
 from .tensorops import apply_left, apply_right_dag
 
 DEFAULT_LEAK_TOL = 1e-6
 STABILITY_LIMIT = 0.05
+CALIBRATION_REL_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -373,13 +368,10 @@ def _displacement_eigensystem(cutoff: int):
     return vals, vecs
 
 
-def _single_displacement(cutoff: int, alpha: complex) -> np.ndarray:
-    """D(alpha) on one mode: the cached eigensystem for real alpha, expm otherwise."""
-    if alpha.imag:
-        a = single_mode_ladder(cutoff)
-        return expm(alpha * a.conj().T - np.conj(alpha) * a)
+def _single_displacement(cutoff: int, alpha: float) -> np.ndarray:
+    """D(alpha) on one mode for real alpha, from the cached eigensystem."""
     vals, vecs = _displacement_eigensystem(cutoff)
-    return (vecs * np.exp(-1j * vals * alpha.real)) @ vecs.conj().T
+    return (vecs * np.exp(-1j * vals * alpha)) @ vecs.conj().T
 
 
 def _check_stability(dt: float, chans: _ChannelSet) -> None:
@@ -387,27 +379,6 @@ def _check_stability(dt: float, chans: _ChannelSet) -> None:
         raise StabilityGuard(
             f"dt*max_rate = {dt * chans.total_rate:.3g} exceeds {STABILITY_LIMIT}"
         )
-
-
-def dlme_step(
-    rho: DensityMatrix,
-    noise: NoiseModel,
-    delta_alpha: complex,
-    dt: float,
-) -> DensityMatrix:
-    """One discretised Lindblad step on a full-space density matrix.
-
-    Reference implementation of the single-step contract; the cycle
-    propagators below use the same update through cached channel data.
-    """
-    chans = _ChannelSet(rho.space, noise)
-    _check_stability(dt, chans)
-    mat = rho.matrix
-    if delta_alpha != 0:
-        mat = _displace_all(mat, delta_alpha, rho.space)
-    mat = mat + dt * chans.dissipator(mat)
-    mat = 0.5 * (mat + mat.conj().T)
-    return DensityMatrix(rho.space, mat)
 
 
 @dataclass
@@ -420,16 +391,17 @@ class PropagationResult:
     leakage: np.ndarray
     dt: float
     n_steps: int
-    final_state: DensityMatrix
+    final_state: np.ndarray
 
 
 def _leakage_probs(diag: np.ndarray, space: HilbertSpace) -> float:
+    """Population at the top Fock level of each mode, summed: the truncation's validity monitor."""
     occ = occupations(space)
     top = occ == (space.cutoff - 1)
     return float(sum(diag[top[:, m]].sum() for m in range(space.n_modes)))
 
 
-def _displace_all(rho: np.ndarray, alpha: complex, space: HilbertSpace) -> np.ndarray:
+def _displace_all(rho: np.ndarray, alpha: float, space: HilbertSpace) -> np.ndarray:
     """D(alpha)^{(x)N} rho D(alpha)^{dag (x)N}, one mode at a time."""
     d1 = _single_displacement(space.cutoff, alpha)
     for mode in range(space.n_modes):
@@ -451,7 +423,6 @@ def _propagate(
     record_every: int,
     leak_tol: float,
     record_steps: set[int] | None = None,
-    t_offset: float = 0.0,
 ):
     """Shared stepping loop; drive_amp scales the per-step displacement.
 
@@ -491,13 +462,12 @@ def _propagate(
     from .drive import mean_displacement
 
     record(0)
-    amp_prev = mean_displacement(g, tau_dm, t_offset) if g else 0.0
     if not chans.has_channels:
-        rho0, amp0 = rho, amp_prev
+        rho0 = rho
         for step in filter(is_record, range(1, n_steps + 1)):
             rho = rho0
             if g:
-                alpha = drive_amp * (mean_displacement(g, tau_dm, t_offset + step * dt) - amp0)
+                alpha = drive_amp * mean_displacement(g, tau_dm, step * dt)
                 if alpha != 0.0:
                     rho = _displace_all(rho0, alpha, space)
                     rho = 0.5 * (rho + rho.conj().T)
@@ -510,9 +480,10 @@ def _propagate(
         state, dissipator, dagger, unpack = rho, chans.dissipator, _dagger, _same
     else:
         dissipator, dagger, unpack = sectors.dissipator, sectors.dagger, sectors.unpack
+    amp_prev = 0.0  # mean_displacement at t = 0
     for step in range(1, n_steps + 1):
         if g:
-            amp_next = mean_displacement(g, tau_dm, t_offset + step * dt)
+            amp_next = mean_displacement(g, tau_dm, step * dt)
             d_alpha = drive_amp * (amp_next - amp_prev)
             amp_prev = amp_next
             if d_alpha != 0.0:
@@ -536,7 +507,7 @@ def _same(rho: np.ndarray) -> np.ndarray:
 def _primary_states(space: HilbertSpace, m: int) -> tuple[np.ndarray, np.ndarray]:
     """The vectors |m, 0, ..., 0> and |m+1, 0, ..., 0> of a space."""
     rest = [0] * (space.n_modes - 1)
-    return number_state(space, [m] + rest).vector, number_state(space, [m + 1] + rest).vector
+    return number_state(space, [m] + rest), number_state(space, [m + 1] + rest)
 
 
 def _run_cycle(
@@ -587,7 +558,7 @@ def _run_cycle(
         leakage=np.asarray(leaks),
         dt=dt,
         n_steps=n_steps,
-        final_state=DensityMatrix(space, rho),
+        final_state=rho,
     )
 
 
@@ -601,7 +572,7 @@ def propagate_cycle(
     populate: str,
     ed: EDPlan | None = None,
     dt: float | None = None,
-    rho0: DensityMatrix | None = None,
+    rho0: np.ndarray | None = None,
     record_every: int | None = None,
     leak_tol: float = DEFAULT_LEAK_TOL,
     record_times=None,
@@ -625,7 +596,7 @@ def propagate_cycle(
         target = apply_plan(target, ed, space)
     return _run_cycle(
         space, noise, 1.0, psi0, target, g, tau_dm, tau_int, populate, dt,
-        None if rho0 is None else rho0.matrix, record_every, leak_tol, record_times, readout,
+        rho0, record_every, leak_tol, record_times, readout,
     )
 
 
@@ -756,7 +727,7 @@ def swap_fidelity(
         multiplier, (0, 1), elevate_heating)
     spec = BeamsplitterSpec(0, 1, math.pi / 2, math.pi / 2)
     duration = spec.theta / g_bs
-    psi = number_state(space, [1, 0]).vector
+    psi = number_state(space, [1, 0])
     rho = np.outer(psi, psi.conj())
     rho = _evolve_window(rho, _ChannelSet(space, noise), spec, duration, n_sub)
     idx = space.index_of([0, 1])
@@ -770,7 +741,6 @@ def calibrate_bs_multiplier(
     gamma_up: float,
     gamma_down: float,
     gamma_phi: float,
-    rel_tol: float = 1e-6,
     elevate_heating: bool = True,
 ) -> float:
     """Common rate multiplier whose pi/2 single-photon swap fidelity equals f_bs.
@@ -802,7 +772,7 @@ def calibrate_bs_multiplier(
         lo, hi = hi, hi * 2.0
         if hi > 1e9:
             raise FidelityUnreachable("could not bracket the requested fidelity")
-    while (hi - lo) / hi > rel_tol:
+    while (hi - lo) / hi > CALIBRATION_REL_TOL:
         mid = 0.5 * (lo + hi)
         if fid(mid) > f_bs:
             lo = mid
@@ -812,7 +782,8 @@ def calibrate_bs_multiplier(
 
 
 def lossy_ed_apply(
-    rho: DensityMatrix,
+    rho: np.ndarray,
+    space: HilbertSpace,
     plan: EDPlan,
     f_bs: float,
     g_bs: float,
@@ -821,8 +792,8 @@ def lossy_ed_apply(
     multiplier: float | None = None,
     elevate_heating: bool = True,
     adjoint: bool = False,
-) -> DensityMatrix:
-    """Apply the distribution gate as a lossy channel.
+) -> np.ndarray:
+    """Apply the distribution gate as a lossy channel to a density matrix on space.
 
     Each splitter runs for theta/g_bs under its Hamiltonian while the two
     coupled cavities carry rates elevated by the calibrated multiplier; the
@@ -832,11 +803,10 @@ def lossy_ed_apply(
     With adjoint, rho holds a Hermitian observable O and the result is the
     Heisenberg-picture image G^dag(O) of the same gate G (see _run_windows).
     """
-    space = rho.space
     if plan.n_cavities != space.n_modes:
-        raise InvalidArgument("plan and state disagree on the cavity count")
+        raise InvalidArgument("plan and space disagree on the cavity count")
     if f_bs >= 1.0:
-        return DensityMatrix(space, apply_plan_rho(rho.matrix, plan, space, inverse != adjoint))
+        return apply_plan_rho(rho, plan, space, inverse != adjoint)
     if multiplier is None:
         multiplier = calibrate_bs_multiplier(f_bs, g_bs, *_mean_pair_rates(base_noise),
                                              elevate_heating=elevate_heating)
@@ -845,7 +815,7 @@ def lossy_ed_apply(
          spec, spec.theta / g_bs)
         for spec in plan.sequence
     ]
-    return DensityMatrix(space, _run_windows(rho.matrix, space, windows, inverse, adjoint))
+    return _run_windows(rho, space, windows, inverse, adjoint)
 
 
 def _mean_pair_rates(noise: NoiseModel) -> tuple[float, float, float]:

@@ -581,7 +581,7 @@ def spectator_calibration(
         space, m, noise, 0.0, tau, tau, "background", ed=plan, dt=dt,
         record_every=10 ** 9,
     )
-    rho = apply_plan_rho(res.final_state.matrix, plan, space, inverse=True)
+    rho = apply_plan_rho(res.final_state, plan, space, inverse=True)
     diag = np.diag(rho).real
     occ = occ_table(space)
     primary_mask = (occ[:, 0] == m + 1) & (occ[:, 1:] == 0).all(axis=1)

@@ -1,0 +1,84 @@
+"""Dense full-space model of the gate layer: the oracle the tests compare against.
+
+Every operator here is a dim x dim matrix built by Kronecker products, the
+textbook construction that the package avoids: fockscan applies the same
+operators through one-mode ladder matrices, pair unitaries and index
+gathers.  The ED relations are measured here on the dense unitary, directly
+as matrix identities, independently of gates.verify_ed's action on basis
+states.
+"""
+import math
+
+import numpy as np
+
+from fockscan.fock import occupations, single_mode_ladder
+from fockscan.linalg import expm, max_abs, unitarity_defect
+
+
+def embed(op, mode, space):
+    """A cutoff x cutoff matrix on one mode, identity on the others."""
+    c, n = space.cutoff, space.n_modes
+    return np.kron(np.kron(np.eye(c ** mode), op), np.eye(c ** (n - 1 - mode)))
+
+
+def ladder(space, mode, raising=False):
+    """Truncated lowering operator <k-1|a|k> = sqrt(k) on one mode (its adjoint if raising)."""
+    a = embed(single_mode_ladder(space.cutoff), mode, space)
+    return a.conj().T if raising else a
+
+
+def number_operator(space, mode):
+    return np.diag(occupations(space)[:, mode].astype(complex))
+
+
+def displacement(space, mode, alpha):
+    """D(alpha) = exp(alpha a^dag - alpha* a) on one mode."""
+    a = ladder(space, mode)
+    return expm(alpha * a.conj().T - np.conj(alpha) * a)
+
+
+def beamsplitter(space, spec):
+    """exp(i theta (e^{i phi} a^dag b + e^{-i phi} a b^dag)) on the spec's two modes."""
+    a, b = ladder(space, spec.mode_a), ladder(space, spec.mode_b)
+    return expm(1j * spec.theta * (np.exp(1j * spec.phi) * (a.conj().T @ b)
+                                   + np.exp(-1j * spec.phi) * (a @ b.conj().T)))
+
+
+def ed_unitary(space, plan):
+    """The plan's splitters multiplied out in time order."""
+    u = np.eye(space.dim, dtype=complex)
+    for spec in plan.sequence:
+        u = beamsplitter(space, spec) @ u
+    return u
+
+
+def single_photon_matrix(u, space):
+    """M[j, i] = <1_j| u |1_i>."""
+    n = space.n_modes
+    ones = [space.index_of([int(k == i) for k in range(n)]) for i in range(n)]
+    return u[np.ix_(ones, ones)]
+
+
+def ed_residuals(u, space):
+    """The ED relations of a dense unitary on all N = space.n_modes modes, as residuals.
+
+    conjugation: u a_0^dag u^dag = (1/sqrt N) sum a_n^dag on the columns of
+    total occupation <= cutoff-2; dual: u^dag (sum a_n) u = sqrt(N) a_0 on
+    total occupation <= cutoff-1; coefficient_column and sum_rule: the
+    single-photon matrix against 1/sqrt(N) and the row sums 1 - 1/N.
+    """
+    n, c = space.n_modes, space.cutoff
+    m = single_photon_matrix(u, space)
+    totals = occupations(space).sum(axis=1)
+    sym = sum(ladder(space, k, raising=True) for k in range(n)) / math.sqrt(n)
+    conj = u @ ladder(space, 0, raising=True) @ u.conj().T - sym
+    low_sum = sum(ladder(space, k) for k in range(n))
+    dual = u.conj().T @ low_sum @ u - math.sqrt(n) * ladder(space, 0)
+    rows = np.sum(np.abs(m[:, 1:]) ** 2, axis=1)
+    return {
+        "conjugation": max_abs(conj[:, totals <= c - 2]),
+        "dual": max_abs(dual[:, totals <= c - 1]),
+        "coefficient_column": max_abs(m[:, 0] - 1.0 / math.sqrt(n)),
+        "sum_rule": max_abs(rows - (1.0 - 1.0 / n)),
+        "unitarity": unitarity_defect(u),
+    }

@@ -10,10 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dense_model import ed_residuals, ed_unitary
 from fockscan.cli import main as cli_main
 from fockscan.drive import mc_population, mean_population_detuned, rho_dm_si
 from fockscan.fock import HilbertSpace
-from fockscan.gates import build_ed, make_plan, verify_ed
+from fockscan.gates import make_plan, verify_ed
 from fockscan.lindblad import NoiseModel, propagate_cycle, transformed_rates
 from fockscan.lindblad import effective_propagate_cycle
 from fockscan.protocol import (
@@ -61,17 +62,15 @@ def test_criterion_01_gate_algebra():
         for scheme in ("linear", "binary"):
             plan = make_plan(scheme, n)
             space = HilbertSpace(n, 14)
-            rep = verify_ed(plan, n, space=space, alpha=0.05, max_fock=3, tolerance=1e-9)
+            rep = verify_ed(plan, space, alpha=0.05, max_fock=3, tolerance=1e-9)
             worst = max(worst, rep.conjugation_residual, rep.dual_residual,
                         rep.displacement_residual, rep.sum_rule_residual,
                         rep.coefficient_column_residual)
             # independent dense-operator check of the conjugation relations
             dense_cut = 6 if n <= 2 else 4
             dense_space = HilbertSpace(n, dense_cut)
-            u, _ = build_ed(dense_space, scheme, n)
-            rep_d = verify_ed(u, n, max_fock=1, tolerance=1e-9)
-            worst = max(worst, rep_d.conjugation_residual, rep_d.dual_residual,
-                        rep_d.sum_rule_residual)
+            rep_d = ed_residuals(ed_unitary(dense_space, plan), dense_space)
+            worst = max(worst, rep_d["conjugation"], rep_d["dual"], rep_d["sum_rule"])
     report(1, worst < 1e-9, "gate algebra for N in {1,2,4}, both schemes",
            f"worst residual {worst:.2e} < 1e-9")
 

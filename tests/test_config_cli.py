@@ -190,6 +190,50 @@ class TestExitCodes:
         assert proc.stderr.startswith("error: the full backend at dimension 59049")
         assert "use the effective backend" in proc.stderr
 
+    @pytest.mark.parametrize("command,config,where,literal", [
+        ("exclusion", "exclusion.yaml", ["sensitivity", "tau_tot_s"], ".nan"),
+        ("exclusion", "exclusion.yaml", ["sensitivity", "temps_mk", 1], ".inf"),
+        ("mc-dm", "mc.yaml", ["dm", "coupling_rad_s"], ".nan"),
+        ("simulate-cycle", "cycle.yaml", ["protocol", "freq_hz"], ".nan"),
+        ("simulate-cycle", "cycle.yaml", ["protocol", "freq_hz"], "-.inf"),
+        ("simulate-cycle", "cycle.yaml", ["protocol", "freq_hz"], "1.0e+400"),
+        ("simulate-cycle", "cycle.yaml", ["protocol", "freq_hz"], "1e400"),
+    ])
+    def test_non_finite_number_exits_two(self, tmp_path, capsys, command, config, where, literal):
+        # the schema's bounds pass NaN; YAML reads 1.0e+400 as inf and 1e400 as a string
+        doc = yaml.safe_load((GOLDEN / "configs" / config).read_text())
+        node = doc
+        for key in where[:-1]:
+            node = node[key]
+        node[where[-1]] = "PLACEHOLDER"
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(yaml.safe_dump(doc).replace("PLACEHOLDER", literal))
+        assert run_cli([command, "--config", bad, "--out", tmp_path / "out", "--jobs", 1]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: config validation failed")
+        assert f"(at {where})" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_non_utf8_config_exits_two(self, tmp_path, capsys):
+        bad = tmp_path / "utf16.yaml"
+        bad.write_bytes((GOLDEN / "configs" / "mc.yaml").read_text().encode("utf-16"))
+        assert bad.read_bytes()[:2] == b"\xff\xfe"
+        assert run_cli(["mc-dm", "--config", bad, "--out", tmp_path]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: cannot read config {bad}")
+
+    @pytest.mark.parametrize("name,value", [("FOCKSCAN_JOBS", "two"), ("FOCKSCAN_SEED", "1.5")])
+    def test_malformed_integer_env_var_exits_two(self, tmp_path, monkeypatch, capsys, name, value):
+        monkeypatch.setenv(name, value)
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["validate-gates", "--config", GOLDEN / "configs" / "gates.yaml",
+                     "--out", tmp_path])
+        assert exc.value.code == 2
+        flag = name.removeprefix("FOCKSCAN_").lower()
+        assert f"argument --{flag}: invalid int value: '{value}'" in capsys.readouterr().err
+        monkeypatch.setenv(name, "")
+        assert run_cli(["validate-gates", "--config", GOLDEN / "configs" / "gates.yaml",
+                        "--out", tmp_path, "--jobs", 1]) == 0
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("command,config,outputs", [

@@ -3,15 +3,15 @@ import math
 import numpy as np
 import pytest
 
+import dense_model
+from dense_model import beamsplitter, ed_residuals, ed_unitary, ladder
 from fockscan.errors import InvalidArgument, UnsupportedCavityCount
-from fockscan.fock import HilbertSpace, ladder, number_state, occupations
+from fockscan.fock import HilbertSpace, number_state, occupations
 from fockscan.gates import (
     BeamsplitterSpec,
     EDPlan,
     apply_plan,
     apply_plan_rho,
-    beamsplitter_unitary,
-    build_ed,
     linear_plan,
     make_plan,
     pair_unitary,
@@ -34,15 +34,15 @@ class TestBeamsplitter:
 
     def test_zero_angle_is_identity(self):
         sp = HilbertSpace(2, 4)
-        u = beamsplitter_unitary(sp, BeamsplitterSpec(0, 1, 0.0, 0.3))
-        assert max_abs(u.matrix - np.eye(sp.dim)) < 1e-14
+        u = beamsplitter(sp, BeamsplitterSpec(0, 1, 0.0, 0.3))
+        assert max_abs(u - np.eye(sp.dim)) < 1e-14
 
     def test_fifty_fifty_conjugation(self):
         # theta = pi/4, phi = 0: a -> (a + i b)/sqrt(2) under U^dag a U
         sp = HilbertSpace(2, 5)
-        u = beamsplitter_unitary(sp, BeamsplitterSpec(0, 1, math.pi / 4, 0.0)).matrix
-        a = ladder(sp, 0).matrix
-        b = ladder(sp, 1).matrix
+        u = beamsplitter(sp, BeamsplitterSpec(0, 1, math.pi / 4, 0.0))
+        a = ladder(sp, 0)
+        b = ladder(sp, 1)
         target = (a + 1j * b) / math.sqrt(2)
         cols = occupations(sp).sum(axis=1) <= sp.cutoff - 1
         assert max_abs((u.conj().T @ a @ u - target)[:, cols]) <= 1e-12
@@ -50,9 +50,9 @@ class TestBeamsplitter:
     def test_full_swap_with_phase(self):
         # theta = pi/2, phi = 0: a -> i b, b -> i a
         sp = HilbertSpace(2, 4)
-        u = beamsplitter_unitary(sp, BeamsplitterSpec(0, 1, math.pi / 2, 0.0)).matrix
-        a = ladder(sp, 0).matrix
-        b = ladder(sp, 1).matrix
+        u = beamsplitter(sp, BeamsplitterSpec(0, 1, math.pi / 2, 0.0))
+        a = ladder(sp, 0)
+        b = ladder(sp, 1)
         cols = occupations(sp).sum(axis=1) <= sp.cutoff - 1
         assert max_abs((u.conj().T @ a @ u - 1j * b)[:, cols]) <= 1e-12
         assert max_abs((u.conj().T @ b @ u - 1j * a)[:, cols]) <= 1e-12
@@ -60,8 +60,8 @@ class TestBeamsplitter:
     def test_unitarity(self):
         sp = HilbertSpace(2, 6)
         for theta, phi in [(0.3, 0.1), (math.pi / 4, math.pi / 2), (1.3, -2.0)]:
-            u = beamsplitter_unitary(sp, BeamsplitterSpec(0, 1, theta, phi))
-            assert unitarity_defect(u.matrix) <= 1e-10
+            u = beamsplitter(sp, BeamsplitterSpec(0, 1, theta, phi))
+            assert unitarity_defect(u) <= 1e-10
             assert unitarity_defect(pair_unitary(BeamsplitterSpec(0, 1, theta, phi), 6)) <= 1e-10
 
 
@@ -97,35 +97,41 @@ class TestPlans:
 
 
 class TestBuildEd:
+    """The ED unitary multiplied out densely, and the plan's own coefficients."""
+
     def test_identity_for_single_cavity(self):
         sp = HilbertSpace(1, 4)
-        u, plan = build_ed(sp, "linear", 1)
+        plan = make_plan("linear", 1)
         assert plan.sequence == tuple()
-        assert max_abs(u.matrix - np.eye(4)) == 0.0
+        assert max_abs(ed_unitary(sp, plan) - np.eye(4)) == 0.0
 
     def test_two_cavity_coefficients(self):
         sp = HilbertSpace(2, 3)
-        u, _ = build_ed(sp, "linear", 2)
-        m = single_photon_matrix(u, sp)
-        assert max_abs(m[:, 0] - 1 / math.sqrt(2)) <= 1e-12
+        plan = make_plan("linear", 2)
+        for m in (single_photon_matrix(plan, sp),
+                  dense_model.single_photon_matrix(ed_unitary(sp, plan), sp)):
+            assert max_abs(m[:, 0] - 1 / math.sqrt(2)) <= 1e-12
 
     def test_four_cavity_binary_coefficients(self):
         sp = HilbertSpace(4, 3)
-        u, plan = build_ed(sp, "binary", 4)
+        plan = make_plan("binary", 4)
         assert len(plan.sequence) == 3
-        m = single_photon_matrix(u, sp)
-        assert max_abs(m[:, 0] - 0.5) <= 1e-12
+        for m in (single_photon_matrix(plan, sp),
+                  dense_model.single_photon_matrix(ed_unitary(sp, plan), sp)):
+            assert max_abs(m[:, 0] - 0.5) <= 1e-12
 
     def test_mode_count_must_match(self):
         with pytest.raises(InvalidArgument):
-            build_ed(HilbertSpace(3, 3), "linear", 2)
+            verify_ed(make_plan("linear", 2), HilbertSpace(3, 3), max_fock=1)
+        with pytest.raises(InvalidArgument):
+            single_photon_matrix(make_plan("linear", 2), HilbertSpace(3, 3))
 
 
 class TestVerifyEd:
     def test_ideal_two_cavity_report(self):
         sp = HilbertSpace(2, 14)
         plan = linear_plan(2)
-        rep = verify_ed(plan, 2, space=sp, alpha=0.05, max_fock=3)
+        rep = verify_ed(plan, sp, alpha=0.05, max_fock=3)
         assert rep.displacement_residual < 1e-9
         assert rep.conjugation_residual < 1e-9
         assert rep.sum_rule_residual < 1e-12
@@ -134,30 +140,34 @@ class TestVerifyEd:
     @pytest.mark.parametrize("n,scheme", [(2, "linear"), (2, "binary"), (4, "linear"), (4, "binary")])
     def test_sum_rule(self, n, scheme):
         sp = HilbertSpace(n, 4)
-        u, _ = build_ed(sp, scheme, n)
-        rep = verify_ed(u, n, max_fock=1)
+        plan = make_plan(scheme, n)
+        dense = ed_residuals(ed_unitary(sp, plan), sp)
+        assert dense["sum_rule"] < 1e-12
+        assert dense["coefficient_column"] < 1e-12
+        rep = verify_ed(plan, sp, max_fock=1)
         assert rep.sum_rule_residual < 1e-12
         assert rep.coefficient_column_residual < 1e-12
 
     def test_identity_flagged_as_violation(self):
+        # zero-angle splitters make the identity; it must fail the relations
         sp = HilbertSpace(2, 6)
-        from fockscan.fock import DenseOperator
-
-        rep = verify_ed(DenseOperator(sp, np.eye(sp.dim)), 2, max_fock=1)
+        spec = BeamsplitterSpec(0, 1, 0.0, math.pi / 2)
+        rep = verify_ed(EDPlan("linear", 2, (spec,), ((spec,),)), sp, max_fock=1)
         assert rep.conjugation_residual > 0.1
         assert not rep.passed
+        assert ed_residuals(np.eye(sp.dim), sp)["conjugation"] > 0.1
 
     def test_dual_relation(self):
         # U^dag (sum_n a_n) U = sqrt(N) a_0 within 1e-10
         sp = HilbertSpace(3, 4)
-        u, _ = build_ed(sp, "linear", 3)
-        rep = verify_ed(u, 3, max_fock=1)
-        assert rep.dual_residual <= 1e-10
+        plan = make_plan("linear", 3)
+        assert ed_residuals(ed_unitary(sp, plan), sp)["dual"] <= 1e-10
+        assert verify_ed(plan, sp, max_fock=1).dual_residual <= 1e-10
 
     def test_linear_and_binary_agree(self):
         sp = HilbertSpace(4, 10)
         for scheme in ("linear", "binary"):
-            rep = verify_ed(make_plan(scheme, 4), 4, space=sp, alpha=0.05, max_fock=2)
+            rep = verify_ed(make_plan(scheme, 4), sp, alpha=0.05, max_fock=2)
             assert rep.passed, scheme
 
     def test_enhancement_on_generic_basis_states(self):
@@ -188,25 +198,31 @@ class TestVerifyEd:
 
 
 class TestPlanApplication:
+    # (scheme, N, cutoff): every linear N up to 4 and every binary N
+    PLAN_CASES = [("linear", 1, 4), ("linear", 2, 4), ("linear", 3, 4), ("linear", 4, 3),
+                  ("binary", 1, 4), ("binary", 2, 4), ("binary", 4, 3)]
+
     def test_vector_and_rho_paths_agree_with_dense(self):
-        sp = HilbertSpace(2, 4)
-        u, plan = build_ed(sp, "linear", 2)
         rng = np.random.default_rng(0)
-        psi = rng.normal(size=sp.dim) + 1j * rng.normal(size=sp.dim)
-        psi /= np.linalg.norm(psi)
-        assert np.allclose(apply_plan(psi, plan, sp), u.matrix @ psi, atol=1e-12)
-        assert np.allclose(
-            apply_plan(psi, plan, sp, inverse=True), u.matrix.conj().T @ psi, atol=1e-12
-        )
-        rho = np.outer(psi, psi.conj())
-        assert np.allclose(
-            apply_plan_rho(rho, plan, sp), u.matrix @ rho @ u.matrix.conj().T, atol=1e-12
-        )
+        for scheme, n, cutoff in self.PLAN_CASES:
+            sp = HilbertSpace(n, cutoff)
+            plan = make_plan(scheme, n)
+            u = ed_unitary(sp, plan)
+            psi = rng.normal(size=sp.dim) + 1j * rng.normal(size=sp.dim)
+            psi /= np.linalg.norm(psi)
+            rho = np.outer(psi, psi.conj())
+            for got, want in (
+                (apply_plan(psi, plan, sp), u @ psi),
+                (apply_plan(psi, plan, sp, inverse=True), u.conj().T @ psi),
+                (apply_plan_rho(rho, plan, sp), u @ rho @ u.conj().T),
+                (apply_plan_rho(rho, plan, sp, inverse=True), u.conj().T @ rho @ u),
+            ):
+                assert np.abs(got - want).max() <= 1e-12, (scheme, n)
 
     def test_distributed_fock_state(self):
         # U_ED |m,0> puts the photons in the symmetric mode
         sp = HilbertSpace(2, 5)
         plan = linear_plan(2)
-        psi = apply_plan(number_state(sp, [1, 0]).vector, plan, sp)
-        expected = (number_state(sp, [1, 0]).vector + number_state(sp, [0, 1]).vector) / math.sqrt(2)
+        psi = apply_plan(number_state(sp, [1, 0]), plan, sp)
+        expected = (number_state(sp, [1, 0]) + number_state(sp, [0, 1])) / math.sqrt(2)
         assert np.allclose(psi, expected, atol=1e-12)

@@ -5,17 +5,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dense_model import embed, number_operator
 from fockscan.drive import mean_displacement
 from fockscan.errors import FidelityUnreachable, InvalidArgument, StabilityGuard, TruncationLeak
-from fockscan.fock import DensityMatrix, HilbertSpace, number_state, single_mode_ladder
-from fockscan.gates import apply_plan_rho, build_ed, linear_plan, make_plan, single_photon_matrix
+from fockscan.fock import HilbertSpace, number_state, single_mode_ladder
+from fockscan.gates import apply_plan, apply_plan_rho, linear_plan, make_plan, single_photon_matrix
 from fockscan import lindblad
 from fockscan.lindblad import (
     NoiseModel,
     _ChannelSet,
     _mean_pair_rates,
     calibrate_bs_multiplier,
-    dlme_step,
     effective_lossy_window,
     effective_propagate_cycle,
     lossy_ed_apply,
@@ -84,69 +84,57 @@ class TestTransformedRates:
         assert fields == {(GAMMA_UP, GAMMA_DOWN, GAMMA_PHI)}
 
 
+def projector(psi):
+    return np.outer(psi, psi.conj())
+
+
+def one_step(space, rho, noise, dt):
+    """One drive-free discretised Lindblad step: a one-step background run from rho."""
+    return propagate_cycle(space, 0, noise, 0.0, TAU_DM, dt, "background", dt=dt,
+                           rho0=rho).final_state
+
+
 class TestDlmeStep:
     def test_pure_decay_first_order(self):
         sp = HilbertSpace(1, 3)
-        rho = number_state(sp, [1]).to_density_matrix()
+        rho = projector(number_state(sp, [1]))
         dt = 1e-6
         noise = NoiseModel.uniform(1, 0.0, GAMMA_DOWN, 0.0)
-        out = dlme_step(rho, noise, 0.0, dt)
-        assert out.matrix[1, 1].real == pytest.approx(1 - GAMMA_DOWN * dt, rel=1e-12)
-        assert out.matrix[0, 0].real == pytest.approx(GAMMA_DOWN * dt, rel=1e-12)
+        out = one_step(sp, rho, noise, dt)
+        assert out[1, 1].real == pytest.approx(1 - GAMMA_DOWN * dt, rel=1e-12)
+        assert out[0, 0].real == pytest.approx(GAMMA_DOWN * dt, rel=1e-12)
 
     def test_heating_from_vacuum(self):
         sp = HilbertSpace(1, 3)
-        rho = number_state(sp, [0]).to_density_matrix()
+        rho = projector(number_state(sp, [0]))
         dt = 1e-6
         noise = NoiseModel.uniform(1, GAMMA_UP, 0.0, 0.0)
-        out = dlme_step(rho, noise, 0.0, dt)
-        assert out.matrix[1, 1].real == pytest.approx(GAMMA_UP * dt, rel=1e-12)
+        out = one_step(sp, rho, noise, dt)
+        assert out[1, 1].real == pytest.approx(GAMMA_UP * dt, rel=1e-12)
 
     def test_dephasing_preserves_trace_and_hermiticity(self):
         sp = HilbertSpace(2, 3)
-        psi = number_state(sp, [1, 0]).vector + number_state(sp, [0, 1]).vector
+        psi = number_state(sp, [1, 0]) + number_state(sp, [0, 1])
         psi /= np.linalg.norm(psi)
-        rho = DensityMatrix(sp, np.outer(psi, psi.conj()))
-        out = dlme_step(rho, NoiseModel.uniform(2, 0.0, 0.0, 50.0), 0.0, 1e-5)
-        assert out.trace_defect() <= 1e-12
-        assert out.hermiticity_defect() <= 1e-12
+        out = one_step(sp, projector(psi), NoiseModel.uniform(2, 0.0, 0.0, 50.0), 1e-5)
+        assert abs(np.trace(out) - 1.0) <= 1e-12
+        assert np.abs(out - out.conj().T).max() <= 1e-12
 
     def test_stability_guard(self):
         sp = HilbertSpace(1, 4)
-        rho = number_state(sp, [0]).to_density_matrix()
+        rho = projector(number_state(sp, [0]))
         with pytest.raises(StabilityGuard):
-            dlme_step(rho, NoiseModel.uniform(1, 0.0, 1e4, 0.0), 0.0, 1e-4)
-
-    def test_matches_engine_loop(self):
-        # the cycle propagator and the reference step implement one update
-        sp = HilbertSpace(2, 4)
-        noise = reference_noise(2)
-        plan = linear_plan(2)
-        dt = TAU_DM / 200
-        res = propagate_cycle(sp, 0, noise, G_DRIVE, TAU_DM, 3 * dt, "background",
-                              ed=plan, dt=dt)
-        from fockscan.gates import apply_plan
-
-        psi = apply_plan(number_state(sp, [0, 0]).vector, plan, sp)
-        rho = DensityMatrix(sp, np.outer(psi, psi.conj()))
-        for _ in range(3):
-            rho = dlme_step(rho, noise, 0.0, dt)
-        assert np.allclose(res.final_state.matrix, rho.matrix, atol=1e-13)
+            one_step(sp, rho, NoiseModel.uniform(1, 0.0, 1e4, 0.0), 1e-4)
 
 
 def _dense_lindblad(space, noise, rho):
     """Oracle: sum_A A rho A^dag - {A^dag A, rho}/2 with kron-embedded channels."""
-    c, n = space.cutoff, space.n_modes
-    a = single_mode_ladder(c)
-
-    def embed(op, mode):
-        return np.kron(np.kron(np.eye(c ** mode), op), np.eye(c ** (n - 1 - mode)))
-
+    a = single_mode_ladder(space.cutoff)
     out = np.zeros_like(rho)
-    for mode in range(n):
+    for mode in range(space.n_modes):
         for rate, op in ((noise.gamma_up[mode], a.conj().T), (noise.gamma_down[mode], a),
                          (noise.gamma_phi[mode], a.conj().T @ a)):
-            jump = math.sqrt(rate) * embed(op, mode)
+            jump = math.sqrt(rate) * embed(op, mode, space)
             jd_j = jump.conj().T @ jump
             out += jump @ rho @ jump.conj().T - 0.5 * (jd_j @ rho + rho @ jd_j)
     return out
@@ -251,15 +239,15 @@ class TestPropagateCycle:
             propagate_cycle(sp, 0, reference_noise(1), 0.0, TAU_DM, TAU_DM, "both")
 
 
-def stepping_loop(space, rho, drive_amp, g, tau_dm, n_steps, dt, record_steps, t_offset):
+def stepping_loop(space, rho, drive_amp, g, tau_dm, n_steps, dt, record_steps):
     """The stepping loop with every rate zero: per-step displacements, then symmetrisation.
 
     Returns {step: state} at step 0 and at every record step.
     """
     states = {0: rho}
-    amp_prev = mean_displacement(g, tau_dm, t_offset)
+    amp_prev = mean_displacement(g, tau_dm, 0.0)
     for step in range(1, n_steps + 1):
-        amp_next = mean_displacement(g, tau_dm, t_offset + step * dt)
+        amp_next = mean_displacement(g, tau_dm, step * dt)
         d_alpha = drive_amp * (amp_next - amp_prev)
         amp_prev = amp_next
         if d_alpha != 0.0:
@@ -283,16 +271,15 @@ def drive_only_cases(draw):
     steps = None if every is not None else set(
         draw(st.lists(st.integers(1, n_steps), min_size=0, max_size=40)))
     g = draw(st.floats(1.0, 5e3))
-    t_offset = draw(st.sampled_from([0.0, 0.5 * TAU_DM, 3.0 * TAU_DM]))
     seed = draw(st.integers(0, 2 ** 32 - 1))
-    return HilbertSpace(n, cutoff), drive_amp, n_steps, every, steps, g, t_offset, seed
+    return HilbertSpace(n, cutoff), drive_amp, n_steps, every, steps, g, seed
 
 
 class TestDriveOnlyClosedForm:
     @settings(max_examples=40, deadline=None)
     @given(drive_only_cases())
     def test_matches_stepping_loop(self, case):
-        space, drive_amp, n_steps, every, steps, g, t_offset, seed = case
+        space, drive_amp, n_steps, every, steps, g, seed = case
         rng = np.random.default_rng(seed)
         psi = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
         psi /= np.linalg.norm(psi)
@@ -303,12 +290,12 @@ class TestDriveOnlyClosedForm:
         dt = TAU_DM / 200
         rho, times, pops, traces, leaks, n_done = lindblad._propagate(
             space, rho0, chans, drive_amp, g, TAU_DM, n_steps * dt, dt, readout,
-            every, math.inf, steps, t_offset,
+            every, math.inf, steps,
         )
         assert n_done == n_steps
         wanted = ({s for s in range(1, n_steps + 1) if s % every == 0} if every is not None
                   else set(steps)) | {n_steps}
-        oracle = stepping_loop(space, rho0, drive_amp, g, TAU_DM, n_steps, dt, wanted, t_offset)
+        oracle = stepping_loop(space, rho0, drive_amp, g, TAU_DM, n_steps, dt, wanted)
         assert list(times) == [s * dt for s in sorted(oracle)]
         for k, step in enumerate(sorted(oracle)):
             want = oracle[step]
@@ -325,9 +312,9 @@ class TestDriveOnlyClosedForm:
         sp = HilbertSpace(1, 3)
         noise = NoiseModel.uniform(1, 0.0, 0.0, 0.0)
         dt, n_steps = TAU_DM / 200, 2000
-        rho0 = number_state(sp, [0]).to_density_matrix().matrix
+        rho0 = projector(number_state(sp, [0]))
         records = set(range(13, n_steps + 1, 13)) | {n_steps}
-        oracle = stepping_loop(sp, rho0, 1.0, 1e3, TAU_DM, n_steps, dt, records, 0.0)
+        oracle = stepping_loop(sp, rho0, 1.0, 1e3, TAU_DM, n_steps, dt, records)
         first = min(s for s, r in oracle.items() if lindblad._leakage_probs(np.diag(r).real, sp)
                     > lindblad.DEFAULT_LEAK_TOL)
         assert first > 13
@@ -395,8 +382,7 @@ class TestHeatingSumRule:
         # sum_i bar_gamma_up_i = sum_n gamma_up_n (unitarity of the gate)
         for n, scheme in [(2, "linear"), (4, "binary")]:
             sp = HilbertSpace(n, 3)
-            u, _ = build_ed(sp, scheme, n)
-            m = single_photon_matrix(u, sp)
+            m = single_photon_matrix(make_plan(scheme, n), sp)
             ups = np.linspace(0.5, 1.4, n)
             bar = np.abs(m.conj().T) ** 2 @ ups  # |M_ni|^2 weights, per target i
             bar_direct = np.array([sum(ups[k] * abs(m[k, i]) ** 2 for k in range(n))
@@ -413,15 +399,10 @@ class TestHeatingSumRule:
         noise = NoiseModel(ups, (0.0, 0.0), (0.0, 0.0))
         plan = linear_plan(2)
         dt = 1e-4
-        from fockscan.gates import apply_plan
-
-        psi = apply_plan(number_state(sp, [1, 0]).vector, plan, sp)
-        rho = DensityMatrix(sp, np.outer(psi, psi.conj()))
-        out = dlme_step(rho, noise, 0.0, dt)
-        from fockscan.fock import number_operator
-
-        n_tot = number_operator(sp, 0).matrix + number_operator(sp, 1).matrix
-        gain = np.trace(n_tot @ (out.matrix - rho.matrix)).real
+        rho = projector(apply_plan(number_state(sp, [1, 0]), plan, sp))
+        out = one_step(sp, rho, noise, dt)
+        n_tot = number_operator(sp, 0) + number_operator(sp, 1)
+        gain = np.trace(n_tot @ (out - rho)).real
         # bosonic enhancement: deposit rate on a 1-photon symmetric state is
         # sum_n gamma_up_n (1 + <n_n>) = sum(ups) + mean-weighted occupation
         expected = dt * (sum(ups) + sum(u * 0.5 for u in ups))
@@ -484,11 +465,10 @@ class TestBeamsplitterInfidelity:
     def test_perfect_fidelity_is_unitary_conjugation(self):
         sp = HilbertSpace(2, 5)
         plan = linear_plan(2)
-        psi = number_state(sp, [2, 0]).vector
-        rho = DensityMatrix(sp, np.outer(psi, psi.conj()))
-        lossy = lossy_ed_apply(rho, plan, 1.0, G_BS, reference_noise(2))
-        ideal = apply_plan_rho(rho.matrix, plan, sp)
-        assert np.max(np.abs(lossy.matrix - ideal)) < 1e-9
+        rho = projector(number_state(sp, [2, 0]))
+        lossy = lossy_ed_apply(rho, sp, plan, 1.0, G_BS, reference_noise(2))
+        ideal = apply_plan_rho(rho, plan, sp)
+        assert np.max(np.abs(lossy - ideal)) < 1e-9
 
     def test_calibrated_swap_probability(self):
         lam = calibrate_bs_multiplier(0.99, G_BS, GAMMA_UP, GAMMA_DOWN, GAMMA_PHI)
@@ -539,27 +519,26 @@ class TestBeamsplitterInfidelity:
 
     def test_lossy_gate_calibrates_with_its_heating_flag(self):
         sp = HilbertSpace(2, 3)
-        rho = number_state(sp, [1, 0]).to_density_matrix()
+        rho = projector(number_state(sp, [1, 0]))
         noise = reference_noise(2)
         plan = linear_plan(2)
         own = calibrate_bs_multiplier(0.99, G_BS, *_mean_pair_rates(noise),
                                       elevate_heating=False)
         assert own != calibrate_bs_multiplier(0.99, G_BS, *_mean_pair_rates(noise))
-        auto = lossy_ed_apply(rho, plan, 0.99, G_BS, noise, elevate_heating=False)
-        given_mult = lossy_ed_apply(rho, plan, 0.99, G_BS, noise, multiplier=own,
+        auto = lossy_ed_apply(rho, sp, plan, 0.99, G_BS, noise, elevate_heating=False)
+        given_mult = lossy_ed_apply(rho, sp, plan, 0.99, G_BS, noise, multiplier=own,
                                     elevate_heating=False)
-        assert auto.matrix.tobytes() == given_mult.matrix.tobytes()
+        assert auto.tobytes() == given_mult.tobytes()
 
     def test_distributed_fock_state_fidelity_below_single_photon(self):
         # higher Fock states suffer more from the elevated window rates
         sp = HilbertSpace(2, 8)
         plan = linear_plan(2)
         f_bs = 0.99
-        psi = number_state(sp, [5, 0]).vector
-        rho = DensityMatrix(sp, np.outer(psi, psi.conj()))
-        lossy = lossy_ed_apply(rho, plan, f_bs, G_BS, reference_noise(2))
-        ideal = apply_plan_rho(rho.matrix, plan, sp)
-        fidelity = float(np.trace(ideal @ lossy.matrix).real)
+        rho = projector(number_state(sp, [5, 0]))
+        lossy = lossy_ed_apply(rho, sp, plan, f_bs, G_BS, reference_noise(2))
+        ideal = apply_plan_rho(rho, plan, sp)
+        fidelity = float(np.trace(ideal @ lossy).real)
         assert fidelity < f_bs
 
 
@@ -589,14 +568,13 @@ class TestHeisenbergReadout:
         space, scheme, f_bs, elevate, inverse, occ, seed = case
         rng = np.random.default_rng(seed)
         rho = random_hermitian(rng, space.dim)
-        target = number_state(space, occ).vector
+        target = number_state(space, occ)
         plan = make_plan(scheme, space.n_modes)
         gate = dict(f_bs=f_bs, g_bs=G_BS, base_noise=reference_noise(space.n_modes),
                     inverse=inverse, elevate_heating=elevate)
-        forward = lossy_ed_apply(DensityMatrix(space, rho), plan, **gate).matrix
+        forward = lossy_ed_apply(rho, space, plan, **gate)
         want = float(np.real(np.vdot(target, forward @ target)))
-        obs = lossy_ed_apply(DensityMatrix(space, np.outer(target, target.conj())), plan,
-                             adjoint=True, **gate).matrix
+        obs = lossy_ed_apply(projector(target), space, plan, adjoint=True, **gate)
         got = float(np.real(np.vdot(obs, rho)))
         assert abs(got - want) <= 1e-12 * max(abs(want), 1.0)
 
@@ -739,7 +717,7 @@ def records_of_run(case):
         res = propagate_cycle(space, m, noise, g, TAU_DM, k * dt, populate, ed=plan,
                               dt=dt, leak_tol=math.inf)
         assert res.n_steps == k and res.trace_defect.max() <= 1e-12
-        states.append(res.final_state.matrix)
+        states.append(res.final_state)
     return states
 
 
