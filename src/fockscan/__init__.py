@@ -7,7 +7,6 @@ from .drive import (
     cavity_volume_tm010,
     coupling_g,
     form_factor_tm010,
-    incremental_displacement,
     mc_population,
     mean_displacement,
     mean_population_detuned,
@@ -50,9 +49,9 @@ __all__ = [
     "HilbertSpace", "NoiseModel", "PhysicalConstants", "ProtocolConfig",
     "SensitivityParams", "TransformedRates", "calibrate_bs_multiplier",
     "cavity_volume_tm010", "coupling_g", "effective_propagate_cycle",
-    "exclusion_epsilon", "form_factor_tm010", "incremental_displacement",
-    "lossy_ed_apply", "make_plan", "mc_population", "mean_displacement",
-    "mean_population_detuned", "number_state", "optimal_tau_int",
+    "exclusion_epsilon", "form_factor_tm010", "lossy_ed_apply", "make_plan",
+    "mc_population", "mean_displacement", "mean_population_detuned", "number_state",
+    "optimal_tau_int",
     "propagate_cycle", "reach_band", "run_cycle", "scan_rate", "scan_rate_grid",
     "semiclassical_rates", "snr_from_counts", "snr_sweep", "spam_background",
     "spectator_calibration", "thermal_occupation", "transformed_rates", "verify_ed",

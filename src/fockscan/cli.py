@@ -26,6 +26,7 @@ import numpy as np
 
 from . import __version__
 from .config import (
+    SCHEMA,
     build_protocol_config,
     build_sensitivity_params,
     config_hash,
@@ -366,7 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=os.environ.get("FOCKSCAN_CONFIG"),
                        help="YAML run configuration (env: FOCKSCAN_CONFIG)")
         # string defaults from the environment go through type=int, so a
-        # malformed value exits 2 with a usage message; empty counts as unset
+        # malformed value exits 2 with a usage message; empty counts as unset;
+        # main holds the seed to the config schema's range the same way
         p.add_argument("--seed", type=int,
                        default=os.environ.get("FOCKSCAN_SEED") or None,
                        help="override the config seed (env: FOCKSCAN_SEED)")
@@ -385,6 +387,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    bounds = SCHEMA["properties"]["seed"]
+    if args.seed is not None and not bounds["minimum"] <= args.seed <= bounds["maximum"]:
+        parser.error(f"argument --seed: {args.seed} is outside the seed range "
+                     f"{bounds['minimum']}..{bounds['maximum']}")
     try:
         if not args.config:
             raise ConfigError("--config is required (or set FOCKSCAN_CONFIG)")

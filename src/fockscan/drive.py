@@ -151,18 +151,6 @@ def mean_population_detuned(g: float, tau_dm: float, delta: float, t) -> np.ndar
     return float(val) if np.isscalar(t) else val
 
 
-def incremental_displacement(g: float, tau_dm: float, t: float, dt: float) -> float:
-    """Displacement step consumed by the discretised Lindblad propagation.
-
-    Delta alpha(t) = <|alpha|>(t + dt) - <|alpha|>(t); the phase is fixed real
-    positive (the DM phase randomness is already folded into the ensemble
-    average), so the per-step displacements compose by simple addition.
-    """
-    if dt <= 0:
-        raise InvalidArgument("dt must be positive")
-    return float(mean_displacement(g, tau_dm, t + dt) - mean_displacement(g, tau_dm, t))
-
-
 @dataclass(frozen=True)
 class McResult:
     """Ensemble-averaged Monte Carlo population with its standard error."""

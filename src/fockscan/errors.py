@@ -21,7 +21,7 @@ class UnsupportedCavityCount(FockscanError):
 
 
 class StabilityGuard(FockscanError):
-    """Time step too large for the first-order dissipator update."""
+    """dt times the largest total channel rate reached the stability limit."""
 
 
 class TruncationLeak(FockscanError):

@@ -322,9 +322,9 @@ def _raise_mode(psi: np.ndarray, mode: int, space: HilbertSpace) -> np.ndarray:
 
 
 def _displacement_single(cutoff: int, alpha: complex) -> np.ndarray:
-    # Deliberately expm, not the propagator's cached eigen route
-    # (lindblad._single_displacement): verify_ed then checks the gate
-    # relations with a displacement computed independently of the one the
-    # propagation uses.
+    # Deliberately expm, not the propagator's cached eigensystem of
+    # i(a^dag - a) (lindblad._displacement_eigensystem): verify_ed then checks
+    # the gate relations with a displacement computed independently of the
+    # one the propagation uses.
     a = single_mode_ladder(cutoff)
     return expm(alpha * a.conj().T - np.conj(alpha) * a)

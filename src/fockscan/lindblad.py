@@ -1,49 +1,45 @@
-"""Discretised Lindblad propagation of the detection cycle.
+"""Lindblad propagation of the detection cycle.
 
-Each step applies the collective incremental displacement exactly (the
-generator is exponentiated, not Euler-stepped) and then one first-order
-dissipator update
+During the integration window every cavity carries its own collapse
+channels sqrt(gamma_up) a^dag, sqrt(gamma_down) a and sqrt(gamma_phi) a^dag a,
+and the drive displaces every cavity by the same real amplitude.  Signal
+runs switch heating off; background runs switch the drive off; total counts
+are assembled downstream.  The generator is thus a sum of single-mode
+generators, which commute, so the window's N-mode channel is a product of
+one-mode channels:
 
-    rho <- U rho U^dag + dt * sum_k (A_k rho A_k^dag - {A_k^dag A_k, rho}/2),
+    rho(t) = (Phi_0(t) (x) ... (x) Phi_{N-1}(t)) rho_0.
 
-with collapse channels sqrt(gamma_up) a^dag, sqrt(gamma_down) a and
-sqrt(gamma_phi) a^dag a per cavity.  Signal runs switch heating off;
-background runs switch the drive off; total counts are assembled downstream.
+_mode_channels computes one cavity's Phi as a cutoff^2 x cutoff^2 matrix on
+rho.ravel(), at the record steps only; cavities with equal rates share one
+run.  _propagate applies each Phi_i to rho_0 over mode i's ket and bra axes
+(tensorops._contract) and reads every record from that dense state.
+
+* E(t) = exp(t L) of the one-mode dissipator superoperator L is exact.  L is
+  built column by column from _ChannelSet.dissipator on the basis matrices.
+  E(t) is completely positive (CP) for every t >= 0, being the semigroup of
+  a Lindblad generator.
+* A drive-free run has a constant generator, so Phi(t_j) = E(t_j - t_{j-1})
+  Phi(t_{j-1}) is exact.  The rounded record intervals differ, so E is
+  computed once per distinct interval.
+* A driven run takes Strang steps E(dt/2) Ad(D(d_alpha_k)) E(dt/2), where
+  Ad(D) X = D X D^dag and d_alpha_k = drive_amp (<|alpha|>(k dt) -
+  <|alpha|>((k-1) dt)).  Each factor is CP (a semigroup element or a
+  unitary conjugation), so every step is CP.  The splitting is symmetric,
+  so it is second order: the error at fixed t is O(dt^2).  Adjacent half
+  steps merge into E(dt) (first same as last).  In the eigenbasis of
+  i(a^dag - a), D(alpha) = Q e^{-i Lambda alpha} Q^dag, so Ad(D) is an
+  elementwise phase and a step is one matmul and one multiply.  Without
+  channels (E = 1) the displacements compose exactly.
+
+A run counts n_steps = round(tau_int / dt) steps, and its record times are
+rounded to whole steps.
 
 The ladder channels have one nonzero entry per row, so each A rho A^dag is
 an index gather of rho scaled by the jump's row weights: O(dim^2) flops and
 O(dim) stored data per jump (see _ChannelSet), with no dense jump matrix.
-The terms are accumulated in the order the dense contractions used, which
-keeps every update bit-identical to them.  Dephasing and the anticommutator
-are diagonal in the Fock basis and act as elementwise weights.
-
-A run with no channel at all (the signal run of a lossless reference) only
-composes displacements along the one real generator i(a - a^dag), so its
-steps compose exactly: at record step k the state is D(alpha_k)^{(x)N} rho_0
-D(alpha_k)^{dag (x)N} with alpha_k = drive_amp <|alpha|>(t_k), since every run
-starts at t = 0, where <|alpha|> = 0.
-_propagate evaluates that closed form at the record steps only and reports
-the nominal step count; the stepping loop is not entered.
-
-A drive-free run with channels (every background run) steps only the
-total-photon-number sectors.  Each jump moves the row and the column index
-of rho by the same photon, and the anticommutator and dephasing weights are
-diagonal, so the dissipator commutes with exp(i phi N_tot): a state with no
-coherence between different N_tot never gains any.  Background runs start
-from U_ED |m,0,...,0>, which has N_tot = m because the splitters conserve
-photon number, so only the N_tot-diagonal blocks are nonzero (489 of 6561
-entries at N = 2, cutoff 9).  _propagate packs those entries into one
-vector (see _Sectors), steps it, and scatters it back into a dense matrix
-at each record and at the end, so recording, readout and final state are
-unchanged.  The packed update is bit-identical to the dense one: each
-packed entry goes through the same float operations in the same order
-(-anticomm x rho, each jump's (amp_i x gathered) x conj(amp_j) in build
-order, dephasing, rho + dt x acc, then (rho + rho^dag)/2 with the dagger
-read through the transpose permutation), and elementwise arithmetic does
-not depend on which entries sit beside it.  The entries outside the
-sectors are exact zeros in the dense loop and stay so.  A driven run, or
-an initial state with any nonzero entry outside the sectors, keeps the
-dense layout.
+Dephasing and the anticommutator are diagonal in the Fock basis and act as
+elementwise weights.
 
 Readouts are taken in the Heisenberg picture.  A lossy inverse gate is a
 fixed, drive-free linear map G, so instead of pushing every recorded state
@@ -73,13 +69,15 @@ noise model, drive scale and |m>, |m+1> states; _run_cycle does the rest.
 
 Beamsplitter infidelity is modelled by lossy windows: each window evolves
 under elevated noise, with its splitter Hamiltonian or none, for a given
-duration.  The full model has one window per splitter, in which the two
-coupled cavities carry rates raised by a common multiplier, calibrated so
-a single photon survives a full swap with the requested probability.  The
-effective model has one window per layer of the binary tree on its one
-mode: every occupied cavity sits inside an elevated pair during each
-layer, so the averaged rates are the base rates times the multiplier.
-_run_windows runs a window list forward or adjoint.
+duration.  A window substep applies the exact splitter unitary and then one
+first-order dissipator update, rho <- rho + dt D(rho), symmetrised.  The
+full model has one window per splitter, in which the two coupled cavities
+carry rates raised by a common multiplier, calibrated so a single photon
+survives a full swap with the requested probability.  The effective model
+has one window per layer of the binary tree on its one mode: every
+occupied cavity sits inside an elevated pair during each layer, so the
+averaged rates are the base rates times the multiplier.  _run_windows runs
+a window list forward or adjoint.
 """
 from __future__ import annotations
 
@@ -92,7 +90,8 @@ import numpy as np
 from .errors import FidelityUnreachable, InvalidArgument, StabilityGuard, TruncationLeak
 from .fock import HilbertSpace, number_state, occupations, single_mode_ladder
 from .gates import BeamsplitterSpec, EDPlan, apply_plan, apply_plan_rho, pair_unitary
-from .tensorops import apply_left, apply_right_dag
+from .linalg import expm
+from .tensorops import _contract, apply_left, apply_right_dag
 
 DEFAULT_LEAK_TOL = 1e-6
 STABILITY_LIMIT = 0.05
@@ -222,6 +221,7 @@ class _ChannelSet:
         if noise.n_cavities != space.n_modes:
             raise InvalidArgument("noise model length must equal the space's mode count")
         self.space = space
+        self.noise = noise
         c = space.cutoff
         occ_idx = occupations(space)
         occ = occ_idx.astype(float)
@@ -258,90 +258,12 @@ class _ChannelSet:
         self.ladder_jumps.append(_gather_jump(op, occ, stride))
         self.adjoint_jumps.append(_gather_jump(op.conj().T, occ, stride))
 
-    @property
-    def has_channels(self) -> bool:
-        """False when every rate is zero: no jump, no dephasing, a zero anticommutator."""
-        return bool(self.ladder_jumps) or self.deph_outer is not None
-
     def dissipator(self, rho: np.ndarray, adjoint: bool = False) -> np.ndarray:
         acc = -self.anticomm * rho
         for src, amp_col, amp_row_conj in (self.adjoint_jumps if adjoint else self.ladder_jumps):
             acc += (amp_col * rho.take(src, 0).take(src, 1)) * amp_row_conj
         if self.deph_outer is not None:
             acc += self.deph_outer * rho
-        return acc
-
-
-class _Sectors:
-    """The total-photon-number sectors of a space: rho's block-diagonal entries, packed.
-
-    Entry p of the packed vector is rho[I[p], J[p]], with N_tot(I[p]) =
-    N_tot(J[p]); the entries are grouped block by block (sectors in
-    ascending N_tot, basis indices ascending within each).  T[p] is the
-    position of the transposed entry (J[p], I[p]).  For ladder jump k of
-    the channel set (in build order), sources[k * len(I) + p] is the
-    position of (src[I[p]], src[J[p]]), and amp_rows[k], amp_cols[k] are
-    the jump's weights amp[I], conj(amp)[J], so one take gathers every
-    jump.  A jump moves both indices by the same photon, so a source pair
-    leaves the sectors only where a zero row of the jump gives it weight 0;
-    such a source points at entry 0, and its term is 0 as the dense one is.
-    This data is built per run and only for drive-free runs; driven runs
-    keep the O(dim) per-jump data of _ChannelSet alone.
-    """
-
-    def __init__(self, chans: _ChannelSet):
-        space = chans.space
-        ntot = occupations(space).sum(axis=1)
-        sizes = np.bincount(ntot)
-        order = np.argsort(ntot, kind="stable")
-        starts = np.cumsum(sizes) - sizes
-        rank = np.empty(space.dim, dtype=np.intp)
-        rank[order] = np.arange(space.dim) - starts[ntot[order]]
-        offsets = np.cumsum(sizes ** 2) - sizes ** 2
-
-        def position(i, j):
-            return offsets[ntot[i]] + rank[i] * sizes[ntot[i]] + rank[j]
-
-        blocks = [order[s:s + n] for s, n in zip(starts, sizes)]
-        self.dim = space.dim
-        self.I = np.concatenate([np.repeat(b, b.size) for b in blocks])
-        self.J = np.concatenate([np.tile(b, b.size) for b in blocks])
-        self.T = position(self.J, self.I)
-        self.neg_anti = -chans.anticomm[self.I, self.J]
-        self.deph = None if chans.deph_outer is None else chans.deph_outer[self.I, self.J]
-        sources, rows, cols = [], [], []
-        for src, amp_col, amp_row_conj in chans.ladder_jumps:
-            si, sj = src[self.I], src[self.J]
-            inside = ntot[si] == ntot[sj]
-            sources.append(np.where(inside, position(si, sj), 0))
-            rows.append(amp_col[self.I, 0])
-            cols.append(amp_row_conj[0, self.J])
-        self.sources = np.concatenate(sources) if sources else None
-        self.amp_rows = np.array(rows)
-        self.amp_cols = np.array(cols)
-
-    def pack(self, rho: np.ndarray) -> np.ndarray | None:
-        """rho's in-sector entries, or None if rho has a nonzero entry outside the sectors."""
-        v = rho[self.I, self.J]
-        return v if np.count_nonzero(v) == np.count_nonzero(rho) else None
-
-    def unpack(self, v: np.ndarray) -> np.ndarray:
-        rho = np.zeros((self.dim, self.dim), dtype=v.dtype)
-        rho[self.I, self.J] = v
-        return rho
-
-    def dagger(self, v: np.ndarray) -> np.ndarray:
-        return v.take(self.T).conj()
-
-    def dissipator(self, v: np.ndarray) -> np.ndarray:
-        """_ChannelSet.dissipator on the packed entries, term for term in the same order."""
-        acc = self.neg_anti * v
-        if self.sources is not None:
-            gathered = v.take(self.sources).reshape(self.amp_rows.shape)
-            for term in (self.amp_rows * gathered) * self.amp_cols:
-                acc += term
-        if self.deph is not None:
-            acc += self.deph * v
         return acc
 
 
@@ -361,17 +283,11 @@ def _gather_jump(op: np.ndarray, occ: np.ndarray, stride: int):
 
 @lru_cache(maxsize=32)
 def _displacement_eigensystem(cutoff: int):
-    """Eigendecomposition of i(a - a^dag); exp(alpha(a^dag - a)) = Q e^{-i L alpha} Q^dag."""
+    """Eigendecomposition of i(a^dag - a); exp(alpha(a^dag - a)) = Q e^{-i L alpha} Q^dag."""
     a = single_mode_ladder(cutoff)
     herm = 1j * (a.conj().T - a)
     vals, vecs = np.linalg.eigh(herm)
     return vals, vecs
-
-
-def _single_displacement(cutoff: int, alpha: float) -> np.ndarray:
-    """D(alpha) on one mode for real alpha, from the cached eigensystem."""
-    vals, vecs = _displacement_eigensystem(cutoff)
-    return (vecs * np.exp(-1j * vals * alpha)) @ vecs.conj().T
 
 
 def _check_stability(dt: float, chans: _ChannelSet) -> None:
@@ -401,13 +317,40 @@ def _leakage_probs(diag: np.ndarray, space: HilbertSpace) -> float:
     return float(sum(diag[top[:, m]].sum() for m in range(space.n_modes)))
 
 
-def _displace_all(rho: np.ndarray, alpha: float, space: HilbertSpace) -> np.ndarray:
-    """D(alpha)^{(x)N} rho D(alpha)^{dag (x)N}, one mode at a time."""
-    d1 = _single_displacement(space.cutoff, alpha)
-    for mode in range(space.n_modes):
-        rho = apply_left(d1, rho, (mode,), space)
-        rho = apply_right_dag(d1, rho, (mode,), space)
-    return rho
+def _mode_channels(cutoff: int, rates: tuple, dt: float, d_alphas, steps):
+    """Yield one cavity's channel Phi(s dt) at each record step s of steps (ascending, >= 1).
+
+    Phi is the cutoff^2 x cutoff^2 matrix acting on rho.ravel() of one mode
+    with the given (up, down, phi) rates.  d_alphas[k] is the displacement
+    of step k + 1, or None for a drive-free run (see the module docstring).
+    """
+    c = cutoff
+    chans = _ChannelSet(HilbertSpace(1, c), NoiseModel(*((r,) for r in rates)))
+    gen = np.stack([chans.dissipator(e.reshape(c, c)).ravel()
+                    for e in np.eye(c * c, dtype=complex)], axis=1)
+    if d_alphas is None:
+        factors, phi, done = {}, np.eye(c * c, dtype=complex), 0
+        for step in steps:
+            if step - done not in factors:
+                factors[step - done] = expm((step - done) * dt * gen)
+            phi, done = factors[step - done] @ phi, step
+            yield phi
+        return
+    vals, vecs = _displacement_eigensystem(c)
+    to_fock = np.kron(vecs, vecs.conj())  # vec(Q X Q^dag) = to_fock @ vec(X)
+    half = expm(0.5 * dt * gen)
+    close = half @ to_fock  # E(dt/2), then back to the Fock basis
+    psi = to_fock.conj().T @ half  # E(dt/2) into the eigenbasis: the first half step
+    full = psi @ close  # E(dt) in the eigenbasis
+    freqs = (vals[:, None] - vals[None, :]).reshape(-1, 1)
+    done = 0
+    for step in steps:
+        for k in range(done, step):
+            if k:
+                psi = full @ psi
+            psi = np.exp(-1j * d_alphas[k] * freqs) * psi
+        done = step
+        yield close @ psi
 
 
 def _propagate(
@@ -424,23 +367,19 @@ def _propagate(
     leak_tol: float,
     record_steps: set[int] | None = None,
 ):
-    """Shared stepping loop; drive_amp scales the per-step displacement.
+    """The integration window: (x)_i Phi_i applied to rho at each record step.
 
-    readout is read at every record: a state vector t as <t|rho|t>, or a
-    Hermitian observable O (a matrix) as Re Tr(O rho).  A run without any
-    channel is evaluated in closed form at the record steps (see the module
-    docstring); n_steps is the nominal step count either way.
+    drive_amp scales the displacement of every step.  readout is read at
+    every record: a state vector t as <t|rho|t>, or a Hermitian observable
+    O (a matrix) as Re Tr(O rho).  One _mode_channels run serves every
+    cavity with the same rates; n_steps is the number of dt steps.
     """
     _check_stability(dt, chans)
     n_steps = max(1, int(round(tau_int / dt))) if tau_int > 0 else 0
+    if record_steps is None:
+        record_steps = range(record_every, n_steps, record_every)
+    steps = sorted({s for s in record_steps if 0 < s < n_steps} | {n_steps}) if n_steps else []
     times, pops, traces, leaks = [], [], [], []
-
-    def is_record(step):
-        if step == n_steps:
-            return True
-        if record_steps is not None:
-            return step in record_steps
-        return step % record_every == 0
 
     def record(step):
         t = step * dt
@@ -461,47 +400,25 @@ def _propagate(
 
     from .drive import mean_displacement
 
+    d_alphas = None
+    if g:
+        d_alphas = drive_amp * np.diff(mean_displacement(g, tau_dm, np.arange(n_steps + 1) * dt))
+    noise = chans.noise
+    groups: dict[tuple, list[int]] = {}
+    for mode, rates in enumerate(zip(noise.gamma_up, noise.gamma_down, noise.gamma_phi)):
+        groups.setdefault(rates, []).append(mode)
+    engines = [_mode_channels(space.cutoff, rates, dt, d_alphas, steps) for rates in groups]
+    c, n = space.cutoff, space.n_modes
+    rho0 = rho.reshape((c,) * (2 * n))
     record(0)
-    if not chans.has_channels:
-        rho0 = rho
-        for step in filter(is_record, range(1, n_steps + 1)):
-            rho = rho0
-            if g:
-                alpha = drive_amp * mean_displacement(g, tau_dm, step * dt)
-                if alpha != 0.0:
-                    rho = _displace_all(rho0, alpha, space)
-                    rho = 0.5 * (rho + rho.conj().T)
-            record(step)
-        return rho, times, pops, traces, leaks, n_steps
-
-    sectors = None if g else _Sectors(chans)
-    state = sectors.pack(rho) if sectors else None
-    if state is None:
-        state, dissipator, dagger, unpack = rho, chans.dissipator, _dagger, _same
-    else:
-        dissipator, dagger, unpack = sectors.dissipator, sectors.dagger, sectors.unpack
-    amp_prev = 0.0  # mean_displacement at t = 0
-    for step in range(1, n_steps + 1):
-        if g:
-            amp_next = mean_displacement(g, tau_dm, step * dt)
-            d_alpha = drive_amp * (amp_next - amp_prev)
-            amp_prev = amp_next
-            if d_alpha != 0.0:
-                state = _displace_all(state, d_alpha, space)
-        state = state + dt * dissipator(state)
-        state = 0.5 * (state + dagger(state))
-        if is_record(step):
-            rho = unpack(state)
-            record(step)
+    for step, *phis in zip(steps, *engines):
+        state = rho0
+        for phi, modes in zip(phis, groups.values()):
+            for mode in modes:
+                state = _contract(phi, state, (mode, n + mode), c)
+        rho = state.reshape(space.dim, space.dim)
+        record(step)
     return rho, times, pops, traces, leaks, n_steps
-
-
-def _dagger(rho: np.ndarray) -> np.ndarray:
-    return rho.conj().T
-
-
-def _same(rho: np.ndarray) -> np.ndarray:
-    return rho
 
 
 def _primary_states(space: HilbertSpace, m: int) -> tuple[np.ndarray, np.ndarray]:

@@ -18,7 +18,9 @@ rank-n / rank-2n tensor with ``np.tensordot`` and the axes moved back.  Both
 routes cost O(c^(n+k)) per state vector and O(c^(2n+k)) per density matrix,
 instead of the O(c^(2n)) / O(c^(3n)) of a dense full-space product; the
 matmul route avoids the per-call axis bookkeeping that dominates at the small
-dimensions the propagators step through.
+dimensions the propagators step through.  lindblad calls _contract directly
+to apply a one-mode channel, a cutoff^2 x cutoff^2 matrix, over a mode's ket
+and bra axes of a density matrix.
 """
 from __future__ import annotations
 

@@ -82,3 +82,47 @@ def ed_residuals(u, space):
         "sum_rule": max_abs(rows - (1.0 - 1.0 / n)),
         "unitarity": unitarity_defect(u),
     }
+
+
+def liouvillian(space, noise):
+    """The Lindblad dissipator as a dim^2 x dim^2 matrix on rho.ravel().
+
+    Row-major vectorisation gives vec(A rho B) = kron(A, B^T) vec(rho), so
+    each collapse operator A contributes kron(A, conj A) - (kron(A^dag A, 1)
+    + kron(1, (A^dag A)^T)) / 2.
+    """
+    eye = np.eye(space.dim)
+    out = np.zeros((space.dim ** 2,) * 2, dtype=complex)
+    for mode in range(space.n_modes):
+        for rate, op in ((noise.gamma_up[mode], ladder(space, mode, raising=True)),
+                         (noise.gamma_down[mode], ladder(space, mode)),
+                         (noise.gamma_phi[mode], number_operator(space, mode))):
+            a = math.sqrt(rate) * op
+            ada = a.conj().T @ a
+            out += np.kron(a, a.conj()) - 0.5 * (np.kron(ada, eye) + np.kron(eye, ada.T))
+    return out
+
+
+def strang_states(space, noise, rho0, dt, d_alphas, steps):
+    """{step: rho} at the listed steps of the dense N-mode Strang integration.
+
+    Each step is E(dt/2) Ad(D(d_alpha)^{(x)N}) E(dt/2) with E(t) = expm(t L)
+    of the dense Liouvillian (scipy), or E(dt) alone when d_alphas is None.
+    """
+    from scipy.linalg import expm as scipy_expm
+
+    gen = liouvillian(space, noise)
+    half, full = scipy_expm(0.5 * dt * gen), scipy_expm(dt * gen)
+    v, out = rho0.ravel(), {}
+    for step in range(1, max(steps) + 1):
+        if d_alphas is None:
+            v = full @ v
+        else:
+            d = np.eye(space.dim)
+            for mode in range(space.n_modes):
+                d = displacement(space, mode, d_alphas[step - 1]) @ d
+            r = (half @ v).reshape(space.dim, space.dim)
+            v = half @ (d @ r @ d.conj().T).ravel()
+        if step in steps:
+            out[step] = v.reshape(space.dim, space.dim)
+    return out

@@ -221,18 +221,37 @@ class TestExitCodes:
         assert run_cli(["mc-dm", "--config", bad, "--out", tmp_path]) == 2
         assert capsys.readouterr().err.startswith(f"config error: cannot read config {bad}")
 
-    @pytest.mark.parametrize("name,value", [("FOCKSCAN_JOBS", "two"), ("FOCKSCAN_SEED", "1.5")])
-    def test_malformed_integer_env_var_exits_two(self, tmp_path, monkeypatch, capsys, name, value):
+    @pytest.mark.parametrize("name,value,error", [
+        pytest.param("FOCKSCAN_JOBS", "two", "invalid int value: 'two'", id="FOCKSCAN_JOBS-two"),
+        pytest.param("FOCKSCAN_SEED", "1.5", "invalid int value: '1.5'", id="FOCKSCAN_SEED-1.5"),
+        pytest.param("FOCKSCAN_SEED", "-1", "-1 is outside the seed range 0..18446744073709551615",
+                     id="FOCKSCAN_SEED--1"),
+    ])
+    def test_malformed_integer_env_var_exits_two(self, tmp_path, monkeypatch, capsys, name, value,
+                                                 error):
         monkeypatch.setenv(name, value)
         with pytest.raises(SystemExit) as exc:
             run_cli(["validate-gates", "--config", GOLDEN / "configs" / "gates.yaml",
                      "--out", tmp_path])
         assert exc.value.code == 2
         flag = name.removeprefix("FOCKSCAN_").lower()
-        assert f"argument --{flag}: invalid int value: '{value}'" in capsys.readouterr().err
+        assert f"argument --{flag}: {error}" in capsys.readouterr().err
         monkeypatch.setenv(name, "")
         assert run_cli(["validate-gates", "--config", GOLDEN / "configs" / "gates.yaml",
                         "--out", tmp_path, "--jobs", 1]) == 0
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    def test_seed_flag_outside_schema_range_exits_two(self, tmp_path, capsys, seed):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["mc-dm", "--config", GOLDEN / "configs" / "mc.yaml", "--out", tmp_path,
+                     "--seed", seed])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --seed: {seed} is outside the seed range" in err
+        assert "Traceback" not in err
+        for edge in (0, 2 ** 64 - 1):
+            assert run_cli(["validate-gates", "--config", GOLDEN / "configs" / "gates.yaml",
+                            "--out", tmp_path, "--jobs", 1, "--seed", edge]) == 0
 
 
 class TestDeterminism:

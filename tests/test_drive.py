@@ -13,7 +13,6 @@ from fockscan.drive import (
     cavity_volume_tm010,
     coupling_g,
     form_factor_tm010,
-    incremental_displacement,
     mc_population,
     mean_displacement,
     mean_population_detuned,
@@ -125,35 +124,6 @@ class TestDetunedPopulation:
     def test_quadratic_coupling_scaling(self):
         base = mean_population_detuned(1.0, TAU, 0.7, 3.0)
         assert mean_population_detuned(3.0, TAU, 0.7, 3.0) == pytest.approx(9 * base, rel=1e-14)
-
-
-class TestIncrementalDisplacement:
-    def test_telescoping(self):
-        g = 1.3
-        grid = np.linspace(0.0, 12.0, 241)
-        total = sum(
-            incremental_displacement(g, TAU, t, grid[1]) for t in grid[:-1]
-        )
-        assert total == pytest.approx(mean_displacement(g, TAU, grid[-1]), rel=1e-12)
-
-    def test_first_step_series_oracle(self):
-        # sympy oracle: <|alpha|>(dt) = g dt (1 - dt/(6 tau) + O(dt^2))
-        import sympy as sp
-
-        dt_s, tau_s, g_s = sp.symbols("dt tau g", positive=True)
-        expr = sp.sqrt(2 * g_s ** 2 * tau_s * (dt_s - tau_s * (1 - sp.exp(-dt_s / tau_s))))
-        series = sp.series(expr / (g_s * dt_s), dt_s, 0, 2).removeO()
-        dt = TAU / 100
-        expected_ratio = float(series.subs({tau_s: TAU, dt_s: dt, g_s: 1.0}))
-        step = incremental_displacement(2.0, TAU, 0.0, dt)
-        ratio = step / (2.0 * dt)
-        assert ratio == pytest.approx(expected_ratio, rel=1e-4)
-        assert abs(ratio - 1.0) < 1e-2  # within 1% of the ballistic slope
-
-    def test_zero_coupling_and_validation(self):
-        assert incremental_displacement(0.0, TAU, 1.0, 0.1) == 0.0
-        with pytest.raises(InvalidArgument):
-            incremental_displacement(1.0, TAU, 1.0, 0.0)
 
 
 class TestMonteCarlo:
