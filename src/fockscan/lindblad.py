@@ -12,8 +12,14 @@ one-mode channels:
 
 _mode_channels computes one cavity's Phi as a cutoff^2 x cutoff^2 matrix on
 rho.ravel(), at the record steps only; cavities with equal rates share one
-run.  _propagate applies each Phi_i to rho_0 over mode i's ket and bra axes
-(tensorops._contract) and reads every record from that dense state.
+run.  _run_cycle applies each Phi_i to rho_0 over mode i's ket and bra axes
+(tensorops._contract) and reads every record from that dense state.  Phi_i
+only meets the column span of rho_0 unfolded over mode i's ket and bra axes
+(a cutoff^2-row matrix), which the other modes' channels leave in place, so
+the engine evolves Phi on an orthonormal basis B of that span and applies
+(Phi B) B^dag.  B is one vector for any one-mode rho_0, at most (m+1)^2 for
+a distributed m-photon state and cutoff^2 for a full-rank rho_0; a step
+costs cutoff^4 flops per basis vector.
 
 * E(t) = exp(t L) of the one-mode dissipator superoperator L is exact.  L is
   built column by column from _ChannelSet.dissipator on the basis matrices.
@@ -221,7 +227,6 @@ class _ChannelSet:
         if noise.n_cavities != space.n_modes:
             raise InvalidArgument("noise model length must equal the space's mode count")
         self.space = space
-        self.noise = noise
         c = space.cutoff
         occ_idx = occupations(space)
         occ = occ_idx.astype(float)
@@ -290,10 +295,10 @@ def _displacement_eigensystem(cutoff: int):
     return vals, vecs
 
 
-def _check_stability(dt: float, chans: _ChannelSet) -> None:
-    if dt * chans.total_rate >= STABILITY_LIMIT:
+def _check_stability(dt: float, total_rate: float) -> None:
+    if dt * total_rate >= STABILITY_LIMIT:
         raise StabilityGuard(
-            f"dt*max_rate = {dt * chans.total_rate:.3g} exceeds {STABILITY_LIMIT}"
+            f"dt*max_rate = {dt * total_rate:.3g} exceeds {STABILITY_LIMIT}"
         )
 
 
@@ -317,19 +322,33 @@ def _leakage_probs(diag: np.ndarray, space: HilbertSpace) -> float:
     return float(sum(diag[top[:, m]].sum() for m in range(space.n_modes)))
 
 
-def _mode_channels(cutoff: int, rates: tuple, dt: float, d_alphas, steps):
-    """Yield one cavity's channel Phi(s dt) at each record step s of steps (ascending, >= 1).
+def _span(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal basis B of the column span of a, and the norms of the rows of B^dag a.
 
-    Phi is the cutoff^2 x cutoff^2 matrix acting on rho.ravel() of one mode
-    with the given (up, down, phi) rates.  d_alphas[k] is the displacement
-    of step k + 1, or None for a drive-free run (see the module docstring).
+    B holds the eigenvectors of a a^dag onto which a projects with more than
+    max(a.shape) eps of its largest such norm.  The norms are taken from a
+    itself, not from the eigenvalues, so what is dropped is measured to
+    rounding, not to its square root.
     """
-    c = cutoff
-    chans = _ChannelSet(HilbertSpace(1, c), NoiseModel(*((r,) for r in rates)))
+    _, vecs = np.linalg.eigh(a @ a.conj().T)
+    norms = np.linalg.norm(vecs.conj().T @ a, axis=1)
+    keep = norms > norms.max() * max(a.shape) * np.finfo(float).eps
+    return vecs[:, keep], norms[keep]
+
+
+def _mode_channels(chans: _ChannelSet, dt: float, d_alphas, steps, basis: np.ndarray):
+    """Yield Phi(s dt) @ basis for one cavity at each record step s of steps (ascending, >= 1).
+
+    Phi is the cutoff^2 x cutoff^2 matrix acting on rho.ravel() on the
+    one-mode space of chans, and basis has cutoff^2 rows (see _run_cycle).
+    d_alphas[k] is the displacement of step k + 1, or None for a drive-free
+    run (see the module docstring).
+    """
+    c = chans.space.cutoff
     gen = np.stack([chans.dissipator(e.reshape(c, c)).ravel()
                     for e in np.eye(c * c, dtype=complex)], axis=1)
     if d_alphas is None:
-        factors, phi, done = {}, np.eye(c * c, dtype=complex), 0
+        factors, phi, done = {}, basis, 0
         for step in steps:
             if step - done not in factors:
                 factors[step - done] = expm((step - done) * dt * gen)
@@ -340,10 +359,10 @@ def _mode_channels(cutoff: int, rates: tuple, dt: float, d_alphas, steps):
     to_fock = np.kron(vecs, vecs.conj())  # vec(Q X Q^dag) = to_fock @ vec(X)
     half = expm(0.5 * dt * gen)
     close = half @ to_fock  # E(dt/2), then back to the Fock basis
-    psi = to_fock.conj().T @ half  # E(dt/2) into the eigenbasis: the first half step
-    full = psi @ close  # E(dt) in the eigenbasis
+    into = to_fock.conj().T @ half  # E(dt/2) into the eigenbasis: the first half step
+    full = into @ close  # E(dt) in the eigenbasis
     freqs = (vals[:, None] - vals[None, :]).reshape(-1, 1)
-    done = 0
+    psi, done = into @ basis, 0
     for step in steps:
         for k in range(done, step):
             if k:
@@ -351,74 +370,6 @@ def _mode_channels(cutoff: int, rates: tuple, dt: float, d_alphas, steps):
             psi = np.exp(-1j * d_alphas[k] * freqs) * psi
         done = step
         yield close @ psi
-
-
-def _propagate(
-    space: HilbertSpace,
-    rho: np.ndarray,
-    chans: _ChannelSet,
-    drive_amp: float,
-    g: float,
-    tau_dm: float,
-    tau_int: float,
-    dt: float,
-    readout: np.ndarray | None,
-    record_every: int,
-    leak_tol: float,
-    record_steps: set[int] | None = None,
-):
-    """The integration window: (x)_i Phi_i applied to rho at each record step.
-
-    drive_amp scales the displacement of every step.  readout is read at
-    every record: a state vector t as <t|rho|t>, or a Hermitian observable
-    O (a matrix) as Re Tr(O rho).  One _mode_channels run serves every
-    cavity with the same rates; n_steps is the number of dt steps.
-    """
-    _check_stability(dt, chans)
-    n_steps = max(1, int(round(tau_int / dt))) if tau_int > 0 else 0
-    if record_steps is None:
-        record_steps = range(record_every, n_steps, record_every)
-    steps = sorted({s for s in record_steps if 0 < s < n_steps} | {n_steps}) if n_steps else []
-    times, pops, traces, leaks = [], [], [], []
-
-    def record(step):
-        t = step * dt
-        times.append(t)
-        if readout is not None:
-            if readout.ndim == 1:
-                pops.append(float(np.real(np.vdot(readout, rho @ readout))))
-            else:
-                pops.append(float(np.real(np.vdot(readout, rho))))
-        diag = np.diag(rho).real
-        traces.append(abs(diag.sum() - 1.0))
-        leak = _leakage_probs(diag, space)
-        leaks.append(leak)
-        if leak > leak_tol:
-            raise TruncationLeak(
-                f"leakage {leak:.3g} exceeded budget {leak_tol:g} at t = {t:.3g} s"
-            )
-
-    from .drive import mean_displacement
-
-    d_alphas = None
-    if g:
-        d_alphas = drive_amp * np.diff(mean_displacement(g, tau_dm, np.arange(n_steps + 1) * dt))
-    noise = chans.noise
-    groups: dict[tuple, list[int]] = {}
-    for mode, rates in enumerate(zip(noise.gamma_up, noise.gamma_down, noise.gamma_phi)):
-        groups.setdefault(rates, []).append(mode)
-    engines = [_mode_channels(space.cutoff, rates, dt, d_alphas, steps) for rates in groups]
-    c, n = space.cutoff, space.n_modes
-    rho0 = rho.reshape((c,) * (2 * n))
-    record(0)
-    for step, *phis in zip(steps, *engines):
-        state = rho0
-        for phi, modes in zip(phis, groups.values()):
-            for mode in modes:
-                state = _contract(phi, state, (mode, n + mode), c)
-        rho = state.reshape(space.dim, space.dim)
-        record(step)
-    return rho, times, pops, traces, leaks, n_steps
 
 
 def _primary_states(space: HilbertSpace, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -444,30 +395,85 @@ def _run_cycle(
     record_times=None,
     readout: np.ndarray | None = None,
 ) -> PropagationResult:
-    """One populate run of either backend, from its space, noise and drive scale.
+    """One populate run of either backend: (x)_i Phi_i applied to rho0 at each record step.
 
-    Starts from rho0 (default |psi0><psi0|) and reads readout (default the
-    vector target).  Signal runs drive with heating disabled; background
-    runs heat with the drive off.  drive_scale multiplies every
-    displacement increment.
+    Starts from rho0 (default |psi0><psi0|) and reads readout at every
+    record: a state vector t (default target) as <t|rho|t>, or a Hermitian
+    observable O (a matrix) as Re Tr(O rho).  Signal runs drive with heating
+    disabled; background runs heat with the drive off.  drive_scale
+    multiplies every displacement increment.  One _mode_channels run serves
+    every cavity with the same rates; n_steps is the number of dt steps.
     """
     if populate not in ("signal", "background"):
         raise InvalidArgument("populate must be 'signal' or 'background'")
     signal = populate == "signal"
-    chans = _ChannelSet(space, noise.heating_off() if signal else noise)
+    if signal:
+        noise = noise.heating_off()
+    c, n = space.cutoff, space.n_modes
+    mode_rates = list(zip(noise.gamma_up, noise.gamma_down, noise.gamma_phi))
+    groups: dict[tuple, list[int]] = {}
+    for mode, rates in enumerate(mode_rates):
+        groups.setdefault(rates, []).append(mode)
+    chans = {rates: _ChannelSet(HilbertSpace(1, c), NoiseModel(*((r,) for r in rates)))
+             for rates in groups}
+    # each mode's decay rate depends on its own occupation only, so the
+    # largest over the product basis is the sum of the modes' largest
+    total_rate = sum(chans[rates].total_rate for rates in mode_rates)
     if dt is None:
-        dt = default_dt(tau_dm, chans.total_rate)
-    if record_every is None:
-        record_every = max(1, max(1, int(round(tau_int / dt))) // 800)
-    record_steps = None
+        dt = default_dt(tau_dm, total_rate)
+    _check_stability(dt, total_rate)
+    n_steps = max(1, int(round(tau_int / dt))) if tau_int > 0 else 0
     if record_times is not None:
         record_steps = {int(round(t / dt)) for t in np.asarray(record_times, dtype=float)}
+    else:
+        every = record_every if record_every is not None else max(1, n_steps // 800)
+        record_steps = range(every, n_steps, every)
+    steps = sorted({s for s in record_steps if 0 < s < n_steps} | {n_steps}) if n_steps else []
+    if readout is None:
+        readout = target
     rho = rho0.copy() if rho0 is not None else np.outer(psi0, psi0.conj())
+    times, pops, traces, leaks = [], [], [], []
 
-    rho, times, pops, traces, leaks, n_steps = _propagate(
-        space, rho, chans, drive_scale, g if signal else 0.0, tau_dm, tau_int, dt,
-        target if readout is None else readout, record_every, leak_tol, record_steps,
-    )
+    def record(step):
+        t = step * dt
+        times.append(t)
+        if readout.ndim == 1:
+            pops.append(float(np.real(np.vdot(readout, rho @ readout))))
+        else:
+            pops.append(float(np.real(np.vdot(readout, rho))))
+        diag = np.diag(rho).real
+        traces.append(abs(diag.sum() - 1.0))
+        leak = _leakage_probs(diag, space)
+        leaks.append(leak)
+        if leak > leak_tol:
+            raise TruncationLeak(
+                f"leakage {leak:.3g} exceeded budget {leak_tol:g} at t = {t:.3g} s"
+            )
+
+    from .drive import mean_displacement
+
+    d_alphas = None
+    if signal and g:
+        d_alphas = drive_scale * np.diff(mean_displacement(g, tau_dm, np.arange(n_steps + 1) * dt))
+    rho0 = rho.reshape((c,) * (2 * n))
+    engines, bases = [], []
+    for rates, modes in groups.items():
+        # the span of rho_0's unfoldings over each mode's ket and bra axes,
+        # joined from each mode's basis weighted by its norms (see the module docstring)
+        spans = [_span(np.moveaxis(rho0, (mode, n + mode), (0, 1)).reshape(c * c, -1))
+                 for mode in modes]
+        basis, _ = _span(np.hstack([u * s for u, s in spans]))
+        engines.append(_mode_channels(chans[rates], dt, d_alphas, steps, basis))
+        bases.append((modes, basis.conj().T))
+    record(0)
+    for step, *blocks in zip(steps, *engines):
+        state = rho0
+        for block, (modes, basis_dag) in zip(blocks, bases):
+            phi = block @ basis_dag
+            for mode in modes:
+                state = _contract(phi, state, (mode, n + mode), c)
+        rho = state.reshape(space.dim, space.dim)
+        record(step)
     return PropagationResult(
         times=np.asarray(times),
         population=np.asarray(pops),
