@@ -13,18 +13,19 @@ one-mode channels:
 _mode_channels computes one cavity's Phi as a cutoff^2 x cutoff^2 matrix on
 rho.ravel(), at the record steps only; cavities with equal rates share one
 run.  _run_cycle applies each Phi_i to rho_0 over mode i's ket and bra axes
-(tensorops._contract) and reads every record from that dense state.  Phi_i
-only meets the column span of rho_0 unfolded over mode i's ket and bra axes
-(a cutoff^2-row matrix), which the other modes' channels leave in place, so
-the engine evolves Phi on an orthonormal basis B of that span and applies
-(Phi B) B^dag.  B is one vector for any one-mode rho_0, at most (m+1)^2 for
-a distributed m-photon state and cutoff^2 for a full-rank rho_0; a step
-costs cutoff^4 flops per basis vector.
+(tensorops.apply_channel) and reads every record from that dense state.
+Phi_i only meets the column span of rho_0 unfolded over mode i's ket and bra
+axes (a cutoff^2-row matrix), which the other modes' channels leave in
+place, so the engine evolves Phi on an orthonormal basis B of that span and
+applies (Phi B) B^dag.  B is one vector for any one-mode rho_0, at most
+(m+1)^2 for a distributed m-photon state and cutoff^2 for a full-rank
+rho_0; a step costs cutoff^4 flops per basis vector.
 
 * E(t) = exp(t L) of the one-mode dissipator superoperator L is exact.  L is
-  built column by column from _ChannelSet.dissipator on the basis matrices.
-  E(t) is completely positive (CP) for every t >= 0, being the semigroup of
-  a Lindblad generator.
+  built directly as a cutoff^2 x cutoff^2 matrix from Kronecker products of
+  the one-mode collapse operators (_generator), and E(t) is cached per
+  cutoff, rate triple and t (_factor).  E(t) is completely positive (CP)
+  for every t >= 0, being the semigroup of a Lindblad generator.
 * A drive-free run has a constant generator, so Phi(t_j) = E(t_j - t_{j-1})
   Phi(t_{j-1}) is exact.  The rounded record intervals differ, so E is
   computed once per distinct interval.
@@ -41,21 +42,12 @@ costs cutoff^4 flops per basis vector.
 A run counts n_steps = round(tau_int / dt) steps, and its record times are
 rounded to whole steps.
 
-The ladder channels have one nonzero entry per row, so each A rho A^dag is
-an index gather of rho scaled by the jump's row weights: O(dim^2) flops and
-O(dim) stored data per jump (see _ChannelSet), with no dense jump matrix.
-Dephasing and the anticommutator are diagonal in the Fock basis and act as
-elementwise weights.
-
 Readouts are taken in the Heisenberg picture.  A lossy inverse gate is a
 fixed, drive-free linear map G, so instead of pushing every recorded state
 through it, the readout projector O is pulled back once through its adjoint
-G^dag and each record reads Re Tr(G^dag(O) rho).  The adjoint of a ladder
-jump, A^dag O A, is again a one-nonzero-per-row gather (that of A^dag); the
-anticommutator and dephasing weights are symmetric and serve both
-directions.  A window's adjoint substep is the adjoint dissipator update
-followed by O -> U_sub^dag O U_sub.  Symmetrisation is transparent for a
-Hermitian O, since Tr(O (X + X^dag)/2) = Re Tr(O X).
+G^dag and each record reads Re Tr(G^dag(O) rho).  With the Hilbert-Schmidt
+inner product Tr(X^dag Y) = vec(X)^H vec(Y), the adjoint of a channel
+matrix E is its conjugate transpose E^H, and that of Ad(U) is Ad(U^dag).
 
 Both backends are this one machinery run on different inputs:
 
@@ -75,20 +67,27 @@ noise model, drive scale and |m>, |m+1> states; _run_cycle does the rest.
 
 Beamsplitter infidelity is modelled by lossy windows: each window evolves
 under elevated noise, with its splitter Hamiltonian or none, for a given
-duration.  A window substep applies the exact splitter unitary and then one
-first-order dissipator update, rho <- rho + dt D(rho), symmetrised.  The
-full model has one window per splitter, in which the two coupled cavities
-carry rates raised by a common multiplier, calibrated so a single photon
-survives a full swap with the requested probability.  The effective model
-has one window per layer of the binary tree on its one mode: every
-occupied cavity sits inside an elevated pair during each layer, so the
-averaged rates are the base rates times the multiplier.  _run_windows runs
-a window list forward or adjoint.
+duration.  The full model has one window per splitter, in which the two
+coupled cavities carry rates raised by a common multiplier, calibrated so a
+single photon survives a full swap with the requested probability.  The
+effective model has one window per layer of the binary tree on its one
+mode: every occupied cavity sits inside an elevated pair during each layer,
+so the averaged rates are the base rates times the multiplier.
+
+A window's channels commute with each other and with the splitter on every
+cavity outside its pair, so each such cavity takes its exact factor
+E_i(duration) once; an effective-model window, which has no splitter, is
+therefore exact.  The pair takes n_sub = max(64, ceil(duration rate /
+2e-3)) symmetric Strang steps E(h/2) Ad(U_sub) E(h/2), h = duration /
+n_sub, with adjacent half steps merged and U_sub the exact splitter unitary
+for theta / n_sub; every factor is CP and the error is O(h^2).  The adjoint
+window is the same sequence with E^H and U_sub^dag.  _run_windows runs a
+window list forward or adjoint.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -97,7 +96,7 @@ from .errors import FidelityUnreachable, InvalidArgument, StabilityGuard, Trunca
 from .fock import HilbertSpace, number_state, occupations, single_mode_ladder
 from .gates import BeamsplitterSpec, EDPlan, apply_plan, apply_plan_rho, pair_unitary
 from .linalg import expm
-from .tensorops import _contract, apply_left, apply_right_dag
+from .tensorops import apply_channel, apply_left, apply_right_dag
 
 DEFAULT_LEAK_TOL = 1e-6
 STABILITY_LIMIT = 0.05
@@ -202,88 +201,51 @@ def default_dt(tau_dm: float, total_rate: float) -> float:
     return dt
 
 
-class _ChannelSet:
-    """Precomputed collapse-channel data for one space + noise model.
+def _mode_rates(noise: NoiseModel) -> list[tuple[float, float, float]]:
+    """Each cavity's (gamma_up, gamma_down, gamma_phi)."""
+    return list(zip(noise.gamma_up, noise.gamma_down, noise.gamma_phi))
 
-    A ladder jump A = sqrt(gamma) a or sqrt(gamma) a^dag on one mode has at
-    most one nonzero entry per row of its full-space matrix, so it is stored
-    as a gather: row i of A reads column src[i] with weight amp[i], and
 
-        (A rho A^dag)[i, j] = (amp[i] * rho[src[i], src[j]]) * conj(amp[j]).
+def _total_rate(noise: NoiseModel, cutoff: int) -> float:
+    """Largest diagonal entry of sum_A A^dag A over the product basis.
 
-    That costs O(dim^2) flops and O(dim) memory per jump instead of two
-    tensor contractions.  The contraction summed exact zeros around the same
-    single product, and dissipator() adds the terms in the same order
-    (anticommutator, jumps in build order, dephasing), so the update is
-    bit-identical to the contraction form.
-
-    The adjoint term A^dag O A is the gather of A^dag, built beside each
-    forward jump; dissipator(O, adjoint=True) applies the adjoint
-    dissipator with the same (symmetric) anticommutator and dephasing
-    weights.
+    Each cavity's entry depends on its own occupation k only, as gamma_up
+    (k+1) (0 at the top level, where the truncated a^dag vanishes) plus
+    gamma_down k plus gamma_phi k^2, so the largest is the sum of the
+    cavities' largest.
     """
-
-    def __init__(self, space: HilbertSpace, noise: NoiseModel):
-        if noise.n_cavities != space.n_modes:
-            raise InvalidArgument("noise model length must equal the space's mode count")
-        self.space = space
-        c = space.cutoff
-        occ_idx = occupations(space)
-        occ = occ_idx.astype(float)
-        a = single_mode_ladder(c)
-        # per jump: src, amp[:, None] and conj(amp)[None, :]
-        self.ladder_jumps: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        self.adjoint_jumps: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        decay_diag = np.zeros(space.dim)
-        deph_amp = []  # per-mode sqrt(gamma_phi) * occupation vectors
-        for mode in range(space.n_modes):
-            g_up = noise.gamma_up[mode]
-            g_down = noise.gamma_down[mode]
-            g_phi = noise.gamma_phi[mode]
-            stride = c ** (space.n_modes - 1 - mode)
-            if g_up > 0:
-                self._add_jump(math.sqrt(g_up) * a.conj().T, occ_idx[:, mode], stride)
-                # truncated a a^dag has diagonal k+1 below the boundary, 0 at the top
-                diag = np.where(occ[:, mode] < c - 1, g_up * (occ[:, mode] + 1.0), 0.0)
-                decay_diag += diag
-            if g_down > 0:
-                self._add_jump(math.sqrt(g_down) * a, occ_idx[:, mode], stride)
-                decay_diag += g_down * occ[:, mode]
-            if g_phi > 0:
-                deph_amp.append(math.sqrt(g_phi) * occ[:, mode])
-                decay_diag += g_phi * occ[:, mode] ** 2
-        self.anticomm = 0.5 * (decay_diag[:, None] + decay_diag[None, :])
-        if deph_amp:
-            self.deph_outer = sum(np.outer(v, v) for v in deph_amp)
-        else:
-            self.deph_outer = None
-        self.total_rate = float(decay_diag.max()) if space.dim else 0.0
-
-    def _add_jump(self, op: np.ndarray, occ: np.ndarray, stride: int) -> None:
-        self.ladder_jumps.append(_gather_jump(op, occ, stride))
-        self.adjoint_jumps.append(_gather_jump(op.conj().T, occ, stride))
-
-    def dissipator(self, rho: np.ndarray, adjoint: bool = False) -> np.ndarray:
-        acc = -self.anticomm * rho
-        for src, amp_col, amp_row_conj in (self.adjoint_jumps if adjoint else self.ladder_jumps):
-            acc += (amp_col * rho.take(src, 0).take(src, 1)) * amp_row_conj
-        if self.deph_outer is not None:
-            acc += self.deph_outer * rho
-        return acc
+    k = np.arange(cutoff, dtype=float)
+    return sum(
+        float((np.where(k < cutoff - 1, up * (k + 1.0), 0.0) + down * k + phi * k ** 2).max())
+        for up, down, phi in _mode_rates(noise)
+    )
 
 
-def _gather_jump(op: np.ndarray, occ: np.ndarray, stride: int):
-    """Gather form (src, amp[:, None], conj(amp)[None, :]) of a one-mode jump.
+def _generator(cutoff: int, rates: tuple[float, float, float]) -> np.ndarray:
+    """One cavity's dissipator L as a cutoff^2 x cutoff^2 matrix on rho.ravel().
 
-    op is the cutoff x cutoff jump with at most one nonzero per row, occ the
-    mode's column of the occupation table and stride the mode's step in the
-    flat index.  A zero row of op gets column 0 and weight 0, so its src
-    stays a valid index.
+    rates is (gamma_up, gamma_down, gamma_phi), with collapse operators
+    sqrt(gamma_up) a^dag, sqrt(gamma_down) a and sqrt(gamma_phi) a^dag a.
+    Row-major vectorisation gives vec(A rho B) = kron(A, B^T) vec(rho), so
+    each A adds kron(A, conj A) - (kron(A^dag A, 1) + kron(1, (A^dag A)^T)) / 2.
     """
-    cols = np.argmax(op != 0, axis=1)
-    amp = op[occ, cols[occ]]
-    src = np.arange(occ.size) + (cols[occ] - occ) * stride
-    return src, amp[:, None], amp.conj()[None, :]
+    a = single_mode_ladder(cutoff)
+    eye = np.eye(cutoff)
+    gen = np.zeros((cutoff * cutoff,) * 2, dtype=complex)
+    for rate, op in zip(rates, (a.conj().T, a, a.conj().T @ a)):
+        if rate > 0:
+            jump = math.sqrt(rate) * op
+            ada = jump.conj().T @ jump
+            gen += np.kron(jump, jump.conj()) - 0.5 * (np.kron(ada, eye) + np.kron(eye, ada.T))
+    return gen
+
+
+@lru_cache(maxsize=64)
+def _factor(cutoff: int, rates: tuple[float, float, float], t: float) -> np.ndarray:
+    """E(t) = exp(t L) of one cavity's dissipator (see _generator), read-only."""
+    out = expm(t * _generator(cutoff, rates))
+    out.setflags(write=False)
+    return out
 
 
 @lru_cache(maxsize=32)
@@ -336,28 +298,23 @@ def _span(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vecs[:, keep], norms[keep]
 
 
-def _mode_channels(chans: _ChannelSet, dt: float, d_alphas, steps, basis: np.ndarray):
+def _mode_channels(cutoff: int, rates, dt: float, d_alphas, steps, basis: np.ndarray):
     """Yield Phi(s dt) @ basis for one cavity at each record step s of steps (ascending, >= 1).
 
-    Phi is the cutoff^2 x cutoff^2 matrix acting on rho.ravel() on the
-    one-mode space of chans, and basis has cutoff^2 rows (see _run_cycle).
-    d_alphas[k] is the displacement of step k + 1, or None for a drive-free
-    run (see the module docstring).
+    Phi is the cutoff^2 x cutoff^2 matrix acting on rho.ravel() of one
+    cavity with the given rates, and basis has cutoff^2 rows (see
+    _run_cycle).  d_alphas[k] is the displacement of step k + 1, or None for
+    a drive-free run (see the module docstring).
     """
-    c = chans.space.cutoff
-    gen = np.stack([chans.dissipator(e.reshape(c, c)).ravel()
-                    for e in np.eye(c * c, dtype=complex)], axis=1)
     if d_alphas is None:
-        factors, phi, done = {}, basis, 0
+        phi, done = basis, 0
         for step in steps:
-            if step - done not in factors:
-                factors[step - done] = expm((step - done) * dt * gen)
-            phi, done = factors[step - done] @ phi, step
+            phi, done = _factor(cutoff, rates, (step - done) * dt) @ phi, step
             yield phi
         return
-    vals, vecs = _displacement_eigensystem(c)
+    vals, vecs = _displacement_eigensystem(cutoff)
     to_fock = np.kron(vecs, vecs.conj())  # vec(Q X Q^dag) = to_fock @ vec(X)
-    half = expm(0.5 * dt * gen)
+    half = _factor(cutoff, rates, 0.5 * dt)
     close = half @ to_fock  # E(dt/2), then back to the Fock basis
     into = to_fock.conj().T @ half  # E(dt/2) into the eigenbasis: the first half step
     full = into @ close  # E(dt) in the eigenbasis
@@ -410,15 +367,10 @@ def _run_cycle(
     if signal:
         noise = noise.heating_off()
     c, n = space.cutoff, space.n_modes
-    mode_rates = list(zip(noise.gamma_up, noise.gamma_down, noise.gamma_phi))
     groups: dict[tuple, list[int]] = {}
-    for mode, rates in enumerate(mode_rates):
+    for mode, rates in enumerate(_mode_rates(noise)):
         groups.setdefault(rates, []).append(mode)
-    chans = {rates: _ChannelSet(HilbertSpace(1, c), NoiseModel(*((r,) for r in rates)))
-             for rates in groups}
-    # each mode's decay rate depends on its own occupation only, so the
-    # largest over the product basis is the sum of the modes' largest
-    total_rate = sum(chans[rates].total_rate for rates in mode_rates)
+    total_rate = _total_rate(noise, c)
     if dt is None:
         dt = default_dt(tau_dm, total_rate)
     _check_stability(dt, total_rate)
@@ -455,24 +407,23 @@ def _run_cycle(
     d_alphas = None
     if signal and g:
         d_alphas = drive_scale * np.diff(mean_displacement(g, tau_dm, np.arange(n_steps + 1) * dt))
-    rho0 = rho.reshape((c,) * (2 * n))
+    rho0, tensor = rho, rho.reshape((c,) * (2 * n))
     engines, bases = [], []
     for rates, modes in groups.items():
         # the span of rho_0's unfoldings over each mode's ket and bra axes,
         # joined from each mode's basis weighted by its norms (see the module docstring)
-        spans = [_span(np.moveaxis(rho0, (mode, n + mode), (0, 1)).reshape(c * c, -1))
+        spans = [_span(np.moveaxis(tensor, (mode, n + mode), (0, 1)).reshape(c * c, -1))
                  for mode in modes]
         basis, _ = _span(np.hstack([u * s for u, s in spans]))
-        engines.append(_mode_channels(chans[rates], dt, d_alphas, steps, basis))
+        engines.append(_mode_channels(c, rates, dt, d_alphas, steps, basis))
         bases.append((modes, basis.conj().T))
     record(0)
     for step, *blocks in zip(steps, *engines):
-        state = rho0
+        rho = rho0
         for block, (modes, basis_dag) in zip(blocks, bases):
             phi = block @ basis_dag
             for mode in modes:
-                state = _contract(phi, state, (mode, n + mode), c)
-        rho = state.reshape(space.dim, space.dim)
+                rho = apply_channel(phi, rho, mode, space)
         record(step)
     return PropagationResult(
         times=np.asarray(times),
@@ -574,44 +525,6 @@ def effective_propagate_cycle(
 # Beamsplitter-infidelity model
 # ---------------------------------------------------------------------------
 
-def _evolve_window(
-    rho: np.ndarray,
-    chans: _ChannelSet,
-    spec,
-    duration: float,
-    n_sub: int,
-    inverse: bool = False,
-    adjoint: bool = False,
-) -> np.ndarray:
-    """Evolve one lossy window: exact splitter substeps (if spec) + dissipator.
-
-    inverse runs the splitter backwards.  With adjoint, rho is an observable
-    and each substep runs the adjoint map: the adjoint dissipator update,
-    then O -> U_sub^dag O U_sub.
-    """
-    space = chans.space
-    dt = duration / n_sub
-    sub = modes = None
-    if spec is not None:
-        sub = pair_unitary(
-            BeamsplitterSpec(spec.mode_a, spec.mode_b, spec.theta / n_sub, spec.phi),
-            space.cutoff,
-        )
-        if inverse != adjoint:
-            sub = sub.conj().T
-        modes = (spec.mode_a, spec.mode_b)
-    for _ in range(n_sub):
-        if sub is not None and not adjoint:
-            rho = apply_left(sub, rho, modes, space)
-            rho = apply_right_dag(sub, rho, modes, space)
-        rho = rho + dt * chans.dissipator(rho, adjoint)
-        rho = 0.5 * (rho + rho.conj().T)
-        if sub is not None and adjoint:
-            rho = apply_left(sub, rho, modes, space)
-            rho = apply_right_dag(sub, rho, modes, space)
-    return rho
-
-
 def _run_windows(
     rho: np.ndarray,
     space: HilbertSpace,
@@ -621,16 +534,41 @@ def _run_windows(
 ) -> np.ndarray:
     """Run a lossy gate given as (noise, splitter or None, duration) windows in gate order.
 
-    inverse runs the inverse gate: the windows in reverse order, each
-    splitter backwards.  With adjoint, rho holds a Hermitian observable O
-    and the result is the Heisenberg-picture image G^dag(O) of the same gate
-    G (the order reversed once more, each window through its adjoint
-    substeps), so that Re Tr(G^dag(O) r) = Re Tr(O G(r)) for every state r.
+    Each cavity outside a window's splitter pair takes its exact factor
+    E(duration) once; the pair takes n_sub symmetric Strang steps
+    E(h/2) Ad(U_sub) E(h/2), adjacent half steps merged (see the module
+    docstring).  inverse runs the inverse gate: the windows in reverse
+    order, each splitter backwards.  With adjoint, rho holds a Hermitian
+    observable O and the result is the Heisenberg-picture image G^dag(O) of
+    the same gate G (the order reversed once more, each factor replaced by
+    its adjoint), so that Re Tr(G^dag(O) r) = Re Tr(O G(r)) for every state r.
     """
+    c = space.cutoff
     for noise, spec, duration in (windows[::-1] if inverse != adjoint else windows):
-        chans = _ChannelSet(space, noise)
-        n_sub = max(64, int(math.ceil(duration * chans.total_rate / 2e-3))) if duration > 0 else 1
-        rho = _evolve_window(rho, chans, spec, duration, n_sub, inverse, adjoint)
+        rates = _mode_rates(noise)
+
+        def dissipate(rho, modes, t):
+            for mode in modes:
+                phi = _factor(c, rates[mode], t)
+                rho = apply_channel(phi.conj().T if adjoint else phi, rho, mode, space)
+            return rho
+
+        pair = (spec.mode_a, spec.mode_b) if spec is not None else ()
+        rho = dissipate(rho, [mode for mode in range(space.n_modes) if mode not in pair],
+                        duration)
+        if spec is None:
+            continue
+        n_sub = 1
+        if duration > 0:
+            n_sub = max(64, int(math.ceil(duration * _total_rate(noise, c) / 2e-3)))
+        h = duration / n_sub
+        sub = pair_unitary(replace(spec, theta=spec.theta / n_sub), c)
+        if inverse != adjoint:
+            sub = sub.conj().T
+        for k in range(n_sub):
+            rho = dissipate(rho, pair, h if k else 0.5 * h)
+            rho = apply_right_dag(sub, apply_left(sub, rho, pair, space), pair, space)
+        rho = dissipate(rho, pair, 0.5 * h)
     return rho
 
 
@@ -640,19 +578,15 @@ def swap_fidelity(
     gamma_up: float,
     gamma_down: float,
     gamma_phi: float,
-    cutoff: int = 3,
-    n_sub: int = 256,
     elevate_heating: bool = True,
 ) -> float:
-    """P(single photon entering mode a exits mode b) after a theta = pi/2 swap."""
-    space = HilbertSpace(2, cutoff)
+    """P(single photon entering mode a exits mode b) after a theta = pi/2 swap, at cutoff 3."""
+    space = HilbertSpace(2, 3)
     noise = NoiseModel.uniform(2, gamma_up, gamma_down, gamma_phi).elevated(
         multiplier, (0, 1), elevate_heating)
     spec = BeamsplitterSpec(0, 1, math.pi / 2, math.pi / 2)
-    duration = spec.theta / g_bs
     psi = number_state(space, [1, 0])
-    rho = np.outer(psi, psi.conj())
-    rho = _evolve_window(rho, _ChannelSet(space, noise), spec, duration, n_sub)
+    rho = _run_windows(np.outer(psi, psi.conj()), space, [(noise, spec, spec.theta / g_bs)])
     idx = space.index_of([0, 1])
     return float(rho[idx, idx].real)
 

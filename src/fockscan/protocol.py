@@ -52,8 +52,10 @@ from .sensitivity import thermal_occupation
 FULL_BACKEND_MAX_MODES = 3
 FULL_BACKEND_MAX_DIM = 4096
 # A full-backend run holds about this many dim x dim complex matrices at its
-# peak (state, dissipator terms and temporaries, rho0 and readout; 7 to 10
-# measured); a forced full backend whose estimate exceeds
+# peak (state, channel-application temporaries, rho0 and readout; tracemalloc
+# gave 5.1 with ideal gates and 7.4 with lossy ones at N=3, cutoff 7; at
+# N=2 the one-mode channel matrices are cutoff^4 = dim^2 entries each and
+# add up to 10 more); a forced full backend whose estimate exceeds
 # FULL_BACKEND_MAX_BYTES is refused.  With 8 the bound admits exactly the
 # dimensions up to FULL_BACKEND_MAX_DIM that the auto choice may pick.
 FULL_BACKEND_WORKING_COPIES = 8

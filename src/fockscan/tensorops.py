@@ -18,9 +18,12 @@ rank-n / rank-2n tensor with ``np.tensordot`` and the axes moved back.  Both
 routes cost O(c^(n+k)) per state vector and O(c^(2n+k)) per density matrix,
 instead of the O(c^(2n)) / O(c^(3n)) of a dense full-space product; the
 matmul route avoids the per-call axis bookkeeping that dominates at the small
-dimensions the propagators step through.  lindblad calls _contract directly
-to apply a one-mode channel, a cutoff^2 x cutoff^2 matrix, over a mode's ket
-and bra axes of a density matrix.
+dimensions the propagators step through.
+
+apply_channel applies a one-mode channel, a cutoff^2 x cutoff^2 matrix on
+that mode's rho.ravel(), over the mode's ket and bra axes of a density
+matrix: one transpose brings the two axes to the front, one matmul applies
+the channel, and one transpose puts them back.
 """
 from __future__ import annotations
 
@@ -88,3 +91,14 @@ def apply_right_dag(op: np.ndarray, rho: np.ndarray, modes, space: HilbertSpace)
     """rho @ A^dag with A acting on the listed modes."""
     n = space.n_modes
     return _apply(op.conj(), rho, modes, space, 2 * n, n).reshape(space.dim, space.dim)
+
+
+def apply_channel(phi: np.ndarray, rho: np.ndarray, mode: int, space: HilbertSpace) -> np.ndarray:
+    """A one-mode channel phi (acting on a one-mode rho.ravel()) on one mode of a density matrix."""
+    c = space.cutoff
+    if phi.shape != (c * c, c * c) or not 0 <= mode < space.n_modes:
+        raise InvalidArgument("channel dimension or mode does not match the space")
+    lead, rest = c ** mode, c ** (space.n_modes - 1 - mode)
+    t = rho.reshape(lead, c, rest, lead, c, rest).transpose(1, 4, 0, 2, 3, 5)
+    out = (phi @ t.reshape(c * c, -1)).reshape(c, c, lead, rest, lead, rest)
+    return out.transpose(2, 0, 3, 4, 1, 5).reshape(space.dim, space.dim)

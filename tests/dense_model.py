@@ -103,6 +103,26 @@ def liouvillian(space, noise):
     return out
 
 
+def window_channel(space, noise, spec, duration):
+    """A lossy window exp(duration (-i[H, .] + L)) as a dim^2 x dim^2 matrix on rho.ravel().
+
+    L is the dense Liouvillian and H the splitter Hamiltonian, chosen so that
+    beamsplitter(space, spec) = exp(-i H duration), or 0 when spec is None;
+    row-major vectorisation gives vec([H, rho]) = (kron(H, 1) - kron(1, H^T))
+    vec(rho).  Exponentiated by scipy.
+    """
+    from scipy.linalg import expm as scipy_expm
+
+    gen = liouvillian(space, noise)
+    if spec is not None:
+        a, b = ladder(space, spec.mode_a), ladder(space, spec.mode_b)
+        ham = -spec.theta / duration * (np.exp(1j * spec.phi) * (a.conj().T @ b)
+                                        + np.exp(-1j * spec.phi) * (a @ b.conj().T))
+        eye = np.eye(space.dim)
+        gen = gen - 1j * (np.kron(ham, eye) - np.kron(eye, ham.T))
+    return scipy_expm(duration * gen)
+
+
 def strang_states(space, noise, rho0, dt, d_alphas, steps):
     """{step: rho} at the listed steps of the dense N-mode Strang integration.
 

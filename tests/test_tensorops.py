@@ -4,7 +4,13 @@ import pytest
 
 from fockscan.errors import InvalidArgument
 from fockscan.fock import HilbertSpace
-from fockscan.tensorops import apply_left, apply_right_dag, apply_to_vector
+from fockscan.tensorops import (
+    _contract,
+    apply_channel,
+    apply_left,
+    apply_right_dag,
+    apply_to_vector,
+)
 
 
 def _embed(op, modes, space):
@@ -74,3 +80,20 @@ def test_dimension_mismatch_rejected():
             apply_left(op, np.zeros((9, 9)), modes, space)
         with pytest.raises(InvalidArgument):
             apply_right_dag(op, np.zeros((9, 9)), modes, space)
+
+
+@pytest.mark.parametrize("n_modes,cutoff,mode",
+                         [(n, c, mode) for n, c in ((1, 2), (1, 4), (2, 3), (2, 4), (3, 2), (3, 3))
+                          for mode in range(n)])
+def test_channel_matches_contract(n_modes, cutoff, mode):
+    space = HilbertSpace(n_modes, cutoff)
+    rng = np.random.default_rng(11)
+    phi = _random_op(rng, 2, cutoff)  # cutoff^2 x cutoff^2, on one mode's rho.ravel()
+    rho = rng.normal(size=(space.dim,) * 2) + 1j * rng.normal(size=(space.dim,) * 2)
+    tensor = rho.reshape((cutoff,) * (2 * n_modes))
+    want = _contract(phi, tensor, (mode, n_modes + mode), cutoff).reshape(rho.shape)
+    assert np.allclose(apply_channel(phi, rho, mode, space), want, atol=1e-12)
+    with pytest.raises(InvalidArgument):
+        apply_channel(phi[1:, 1:], rho, mode, space)
+    with pytest.raises(InvalidArgument):
+        apply_channel(phi, rho, n_modes, space)
