@@ -201,8 +201,10 @@ def default_dt(tau_dm: float, total_rate: float) -> float:
     return dt
 
 
-def _mode_rates(noise: NoiseModel) -> list[tuple[float, float, float]]:
-    """Each cavity's (gamma_up, gamma_down, gamma_phi)."""
+def _mode_rates(noise: NoiseModel, space: HilbertSpace) -> list[tuple[float, float, float]]:
+    """Each cavity's (gamma_up, gamma_down, gamma_phi), one per mode of space."""
+    if noise.n_cavities != space.n_modes:
+        raise InvalidArgument("noise model length must equal the space's mode count")
     return list(zip(noise.gamma_up, noise.gamma_down, noise.gamma_phi))
 
 
@@ -217,7 +219,7 @@ def _total_rate(noise: NoiseModel, cutoff: int) -> float:
     k = np.arange(cutoff, dtype=float)
     return sum(
         float((np.where(k < cutoff - 1, up * (k + 1.0), 0.0) + down * k + phi * k ** 2).max())
-        for up, down, phi in _mode_rates(noise)
+        for up, down, phi in zip(noise.gamma_up, noise.gamma_down, noise.gamma_phi)
     )
 
 
@@ -368,7 +370,7 @@ def _run_cycle(
         noise = noise.heating_off()
     c, n = space.cutoff, space.n_modes
     groups: dict[tuple, list[int]] = {}
-    for mode, rates in enumerate(_mode_rates(noise)):
+    for mode, rates in enumerate(_mode_rates(noise, space)):
         groups.setdefault(rates, []).append(mode)
     total_rate = _total_rate(noise, c)
     if dt is None:
@@ -545,7 +547,7 @@ def _run_windows(
     """
     c = space.cutoff
     for noise, spec, duration in (windows[::-1] if inverse != adjoint else windows):
-        rates = _mode_rates(noise)
+        rates = _mode_rates(noise, space)
 
         def dissipate(rho, modes, t):
             for mode in modes:

@@ -2,8 +2,8 @@
 
 Every operator here is a dim x dim matrix built by Kronecker products, the
 textbook construction that the package avoids: fockscan applies the same
-operators through one-mode ladder matrices, pair unitaries and index
-gathers.  The ED relations are measured here on the dense unitary, directly
+operators through one-mode ladder matrices, pair unitaries and one-mode
+channel matrices.  The ED relations are measured here on the dense unitary, directly
 as matrix identities, independently of gates.verify_ed's action on basis
 states.
 """

@@ -167,7 +167,7 @@ class TestDissipator:
     def test_one_mode_generator_matches_dense_liouvillian(self, case):
         space, noise = case
         c = space.cutoff
-        for rates in lindblad._mode_rates(noise):
+        for rates in lindblad._mode_rates(noise, space):
             want = liouvillian(HilbertSpace(1, c), NoiseModel(*((r,) for r in rates)))
             got = lindblad._generator(c, rates)
             assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
@@ -241,6 +241,16 @@ class TestPropagateCycle:
         sp = HilbertSpace(1, 4)
         with pytest.raises(InvalidArgument):
             propagate_cycle(sp, 0, reference_noise(1), 0.0, TAU_DM, TAU_DM, "both")
+
+    def test_noise_length_must_match_the_modes(self):
+        sp = HilbertSpace(2, 3)
+        rho = projector(number_state(sp, [1, 0]))
+        for n in (1, 3):
+            with pytest.raises(InvalidArgument):
+                propagate_cycle(sp, 0, reference_noise(n), G_DRIVE, TAU_DM, TAU_DM, "signal")
+            with pytest.raises(InvalidArgument):
+                lossy_ed_apply(rho, sp, linear_plan(2), 0.99, G_BS, reference_noise(n),
+                               multiplier=10.0)
 
 
 def stepping_loop(space, rho, drive_amp, g, tau_dm, n_steps, dt, record_steps):
@@ -692,7 +702,7 @@ def window_cases(draw):
 
 
 # The pair's Strang steps err by O(h^2); 64 substeps reach at most 1.6e-6 at
-# f_bs = 0.9 on random states (the parent's Euler substeps reached 5.5e-4).
+# f_bs = 0.9 on random states, so the bound leaves a factor of six.
 STRANG_WINDOW_TOL = 1e-5
 
 
