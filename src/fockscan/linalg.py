@@ -47,9 +47,3 @@ def unitarity_defect(u: np.ndarray) -> float:
     """max |U^dag U - I|."""
     u = np.asarray(u)
     return max_abs(u.conj().T @ u - np.eye(u.shape[0]))
-
-
-def hermiticity_defect(mat: np.ndarray) -> float:
-    """max |M - M^dag|."""
-    mat = np.asarray(mat)
-    return max_abs(mat - mat.conj().T)

@@ -24,23 +24,26 @@ rho_0; a step costs cutoff^4 flops per basis vector.
 * E(t) = exp(t L) of the one-mode dissipator superoperator L is exact.  L is
   built directly as a cutoff^2 x cutoff^2 matrix from Kronecker products of
   the one-mode collapse operators (_generator), and E(t) is cached per
-  cutoff, rate triple and t (_factor).  E(t) is completely positive (CP)
+  cutoff, rate triple, t and basis (_factor).  E(t) is completely positive (CP)
   for every t >= 0, being the semigroup of a Lindblad generator.
 * A drive-free run has a constant generator, so Phi(t_j) = E(t_j - t_{j-1})
   Phi(t_{j-1}) is exact.  The rounded record intervals differ, so E is
   computed once per distinct interval.
-* A driven run takes Strang steps E(dt/2) Ad(D(d_alpha_k)) E(dt/2), where
-  Ad(D) X = D X D^dag and d_alpha_k = drive_amp (<|alpha|>(k dt) -
-  <|alpha|>((k-1) dt)).  Each factor is CP (a semigroup element or a
-  unitary conjugation), so every step is CP.  The splitting is symmetric,
-  so it is second order: the error at fixed t is O(dt^2).  Adjacent half
-  steps merge into E(dt) (first same as last).  In the eigenbasis of
-  i(a^dag - a), D(alpha) = Q e^{-i Lambda alpha} Q^dag, so Ad(D) is an
-  elementwise phase and a step is one matmul and one multiply.  Without
-  channels (E = 1) the displacements compose exactly.
+* A driven run takes Strang steps E(h/2) Ad(D(d_alpha)) E(h/2), where
+  Ad(D) X = D X D^dag and d_alpha = drive_amp (<|alpha|>(t + h) -
+  <|alpha|>(t)) for the step from t to t + h.  Each factor is CP (a
+  semigroup element or a unitary conjugation), so every step is CP.  The
+  splitting is symmetric, so it is second order: the error at fixed t is
+  O(h^2).  Adjacent half steps merge into one factor (first same as last).
+  In the eigenbasis of i(a^dag - a), D(alpha) = Q e^{-i Lambda alpha}
+  Q^dag, so Ad(D) is an elementwise phase and a step is one matmul and one
+  multiply; the factors are built in that basis (_generator with eigen).
+  Without channels (E = 1) the displacements compose exactly.
 
-A run counts n_steps = round(tau_int / dt) steps, and its record times are
-rounded to whole steps.
+A run counts n_steps = round(tau_int / dt) steps of dt, the record-time
+quantum: its record times are rounded to whole steps.  A driven Strang step
+spans up to STRIDE of them: _boundaries splits each record interval of n
+steps into ceil(n / STRIDE) steps whose sizes differ by at most one.
 
 Readouts are taken in the Heisenberg picture.  A lossy inverse gate is a
 fixed, drive-free linear map G, so instead of pushing every recorded state
@@ -99,6 +102,7 @@ from .linalg import expm
 from .tensorops import apply_channel, apply_left, apply_right_dag
 
 DEFAULT_LEAK_TOL = 1e-6
+STRIDE = 10  # dt steps per driven Strang step, at most (see the module docstring)
 STABILITY_LIMIT = 0.05
 CALIBRATION_REL_TOL = 1e-6
 
@@ -194,7 +198,12 @@ def transformed_rates(n_cavities: int, noise: NoiseModel, m: int) -> Transformed
 
 
 def default_dt(tau_dm: float, total_rate: float) -> float:
-    """min(tau_dm/200, 0.02/total_rate): keeps drive and dissipator errors below the 0.5% gate."""
+    """min(tau_dm/200, 0.02/total_rate): the record-time quantum and the stability guard's step.
+
+    Dissipation is exact, and a driven Strang step spans up to STRIDE of
+    these steps: at tau_dm/200 and the reference rates, populations to 40
+    tau_dm lie within 3e-6 relative of one Strang step per dt.
+    """
     dt = tau_dm / 200.0
     if total_rate > 0:
         dt = min(dt, 0.02 / total_rate)
@@ -223,18 +232,24 @@ def _total_rate(noise: NoiseModel, cutoff: int) -> float:
     )
 
 
-def _generator(cutoff: int, rates: tuple[float, float, float]) -> np.ndarray:
+def _generator(cutoff: int, rates: tuple[float, float, float], eigen: bool = False) -> np.ndarray:
     """One cavity's dissipator L as a cutoff^2 x cutoff^2 matrix on rho.ravel().
 
     rates is (gamma_up, gamma_down, gamma_phi), with collapse operators
     sqrt(gamma_up) a^dag, sqrt(gamma_down) a and sqrt(gamma_phi) a^dag a.
     Row-major vectorisation gives vec(A rho B) = kron(A, B^T) vec(rho), so
     each A adds kron(A, conj A) - (kron(A^dag A, 1) + kron(1, (A^dag A)^T)) / 2.
+    With eigen, L acts on vec(Q^dag rho Q) instead, Q the eigenvectors of
+    i(a^dag - a): the same sum over the rotated operators Q^dag A Q.
     """
     a = single_mode_ladder(cutoff)
+    ops = (a.conj().T, a, a.conj().T @ a)
+    if eigen:
+        q = _displacement_eigensystem(cutoff)[1]
+        ops = tuple(q.conj().T @ op @ q for op in ops)
     eye = np.eye(cutoff)
     gen = np.zeros((cutoff * cutoff,) * 2, dtype=complex)
-    for rate, op in zip(rates, (a.conj().T, a, a.conj().T @ a)):
+    for rate, op in zip(rates, ops):
         if rate > 0:
             jump = math.sqrt(rate) * op
             ada = jump.conj().T @ jump
@@ -243,9 +258,10 @@ def _generator(cutoff: int, rates: tuple[float, float, float]) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _factor(cutoff: int, rates: tuple[float, float, float], t: float) -> np.ndarray:
+def _factor(cutoff: int, rates: tuple[float, float, float], t: float,
+            eigen: bool = False) -> np.ndarray:
     """E(t) = exp(t L) of one cavity's dissipator (see _generator), read-only."""
-    out = expm(t * _generator(cutoff, rates))
+    out = expm(t * _generator(cutoff, rates, eigen))
     out.setflags(write=False)
     return out
 
@@ -300,35 +316,59 @@ def _span(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vecs[:, keep], norms[keep]
 
 
-def _mode_channels(cutoff: int, rates, dt: float, d_alphas, steps, basis: np.ndarray):
+def _boundaries(steps) -> list[int]:
+    """The driven Strang steps' end points, in dt steps, for record steps (ascending, >= 1).
+
+    Each record interval of n steps splits into ceil(n / STRIDE) Strang
+    steps whose sizes differ by at most one, so every record step is a
+    boundary and no Strang step spans more than STRIDE steps.
+    """
+    out, done = [], 0
+    for step in steps:
+        n = step - done
+        q = -(-n // STRIDE)
+        out += [done + k * n // q for k in range(1, q + 1)]
+        done = step
+    return out
+
+
+def _rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """vec(q X q^dag) for every column vec(X) of v (cutoff^2 rows)."""
+    c = q.shape[0]
+    x = q @ v.reshape(c, c, -1).transpose(2, 0, 1) @ q.conj().T
+    return x.transpose(1, 2, 0).reshape(c * c, -1)
+
+
+def _mode_channels(cutoff: int, rates, dt: float, drive, steps, basis: np.ndarray):
     """Yield Phi(s dt) @ basis for one cavity at each record step s of steps (ascending, >= 1).
 
     Phi is the cutoff^2 x cutoff^2 matrix acting on rho.ravel() of one
     cavity with the given rates, and basis has cutoff^2 rows (see
-    _run_cycle).  d_alphas[k] is the displacement of step k + 1, or None for
-    a drive-free run (see the module docstring).
+    _run_cycle).  drive pairs each Strang step's end point of
+    _boundaries(steps) with its displacement, or is None for a drive-free
+    run (see the module docstring).
     """
-    if d_alphas is None:
+    if drive is None:
         phi, done = basis, 0
         for step in steps:
             phi, done = _factor(cutoff, rates, (step - done) * dt) @ phi, step
             yield phi
         return
     vals, vecs = _displacement_eigensystem(cutoff)
-    to_fock = np.kron(vecs, vecs.conj())  # vec(Q X Q^dag) = to_fock @ vec(X)
-    half = _factor(cutoff, rates, 0.5 * dt)
-    close = half @ to_fock  # E(dt/2), then back to the Fock basis
-    into = to_fock.conj().T @ half  # E(dt/2) into the eigenbasis: the first half step
-    full = into @ close  # E(dt) in the eigenbasis
     freqs = (vals[:, None] - vals[None, :]).reshape(-1, 1)
-    psi, done = into @ basis, 0
-    for step in steps:
-        for k in range(done, step):
-            if k:
-                psi = full @ psi
-            psi = np.exp(-1j * d_alphas[k] * freqs) * psi
-        done = step
-        yield close @ psi
+    records = set(steps)
+
+    def half(k):  # E(k dt / 2) in the eigenbasis
+        return _factor(cutoff, rates, 0.5 * k * dt, True)
+
+    psi, done, size = _rotate(vecs.conj().T, basis), 0, 0
+    for bound, d_alpha in drive:
+        # the previous step's closing half merged with this step's opening half
+        psi = half(size + bound - done) @ psi
+        psi = np.exp(-1j * d_alpha * freqs) * psi
+        done, size = bound, bound - done
+        if bound in records:
+            yield _rotate(vecs, half(size) @ psi)
 
 
 def _primary_states(space: HilbertSpace, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -406,9 +446,11 @@ def _run_cycle(
 
     from .drive import mean_displacement
 
-    d_alphas = None
+    drive = None
     if signal and g:
-        d_alphas = drive_scale * np.diff(mean_displacement(g, tau_dm, np.arange(n_steps + 1) * dt))
+        bounds = _boundaries(steps)
+        amps = mean_displacement(g, tau_dm, np.array([0] + bounds) * dt)
+        drive = list(zip(bounds, drive_scale * np.diff(amps)))
     rho0, tensor = rho, rho.reshape((c,) * (2 * n))
     engines, bases = [], []
     for rates, modes in groups.items():
@@ -417,7 +459,7 @@ def _run_cycle(
         spans = [_span(np.moveaxis(tensor, (mode, n + mode), (0, 1)).reshape(c * c, -1))
                  for mode in modes]
         basis, _ = _span(np.hstack([u * s for u, s in spans]))
-        engines.append(_mode_channels(c, rates, dt, d_alphas, steps, basis))
+        engines.append(_mode_channels(c, rates, dt, drive, steps, basis))
         bases.append((modes, basis.conj().T))
     record(0)
     for step, *blocks in zip(steps, *engines):

@@ -37,6 +37,7 @@ from .gates import EDPlan, apply_plan, make_plan
 from .lindblad import (
     NoiseModel,
     TransformedRates,
+    _factor,
     _mean_pair_rates,
     _primary_states,
     _run_cycle,
@@ -50,16 +51,24 @@ from .parallel import pool_map
 from .sensitivity import thermal_occupation
 
 FULL_BACKEND_MAX_MODES = 3
-FULL_BACKEND_MAX_DIM = 4096
-# A full-backend run holds about this many dim x dim complex matrices at its
-# peak (state, channel-application temporaries, rho0 and readout; tracemalloc
-# gave 5.1 with ideal gates and 7.4 with lossy ones at N=3, cutoff 7; at
-# N=2 the one-mode channel matrices are cutoff^4 = dim^2 entries each and
-# add up to 10 more); a forced full backend whose estimate exceeds
-# FULL_BACKEND_MAX_BYTES is refused.  With 8 the bound admits exactly the
-# dimensions up to FULL_BACKEND_MAX_DIM that the auto choice may pick.
+# A full-backend run holds at its peak about FULL_BACKEND_WORKING_COPIES
+# dim x dim complex matrices (state, channel-application temporaries, rho0
+# and readout; tracemalloc gave 5.2 with ideal gates and 7.4 with lossy ones
+# at N=3, cutoff 7) besides its one-mode channel matrices of cutoff^4
+# entries, dim^2 each at N=2: every entry of the _factor cache, plus
+# FULL_BACKEND_FACTOR_WORKING for the factor being built (5 at its peak) and
+# the engine's basis and vectors.
 FULL_BACKEND_WORKING_COPIES = 8
+FULL_BACKEND_FACTOR_WORKING = 8
 FULL_BACKEND_MAX_BYTES = 2 * 1024 ** 3
+
+
+def full_backend_bytes(n_cavities: int, cutoff: int, cached: int | None = None) -> int:
+    """Peak memory of a full-backend run, with cached factors in the cache (default: its capacity)."""
+    if cached is None:
+        cached = _factor.cache_info().maxsize
+    return 16 * (FULL_BACKEND_WORKING_COPIES * cutoff ** (2 * n_cavities)
+                 + (cached + FULL_BACKEND_FACTOR_WORKING) * cutoff ** 4)
 
 
 @dataclass(frozen=True)
@@ -152,8 +161,9 @@ class ProtocolConfig:
     def chosen_backend(self) -> str:
         if self.backend != "auto":
             return self.backend
-        dim = self.cutoff_eff ** self.n_cavities
-        if self.n_cavities <= FULL_BACKEND_MAX_MODES and dim <= FULL_BACKEND_MAX_DIM:
+        n = self.n_cavities
+        fits = full_backend_bytes(n, self.cutoff_eff) <= FULL_BACKEND_MAX_BYTES
+        if n <= FULL_BACKEND_MAX_MODES and fits:
             return "full"
         return "effective"
 
@@ -234,8 +244,8 @@ def simulate_populations(config: ProtocolConfig, tau_grid) -> tuple[np.ndarray, 
     windows prepare the state, and the target projector is pulled back once
     through the adjoint of the inverse windows, so each record reads the
     post-inverse population directly.  The full backend raises
-    DimensionCeilingExceeded, before allocating anything, when the run's
-    density matrices would exceed FULL_BACKEND_MAX_BYTES.  The t = 0 record
+    DimensionCeilingExceeded, before allocating anything, when
+    full_backend_bytes exceeds FULL_BACKEND_MAX_BYTES.  The t = 0 record
     of each run is dropped from the returned series; the grid starts later.
     """
     grid = np.asarray(tau_grid, dtype=float)
@@ -243,13 +253,12 @@ def simulate_populations(config: ProtocolConfig, tau_grid) -> tuple[np.ndarray, 
         raise InvalidArgument("tau grid must be positive and strictly increasing")
     n, plan, backend = config.n_cavities, config.plan(), config.chosen_backend()
     if backend == "full":
-        dim = config.cutoff_eff ** n
-        need = dim * dim * 16 * FULL_BACKEND_WORKING_COPIES
+        need = full_backend_bytes(n, config.cutoff_eff)
         if need > FULL_BACKEND_MAX_BYTES:
             raise DimensionCeilingExceeded(
-                f"the full backend at dimension {dim} would need about {need / 2 ** 30:.3g} GiB "
-                f"of density matrices, over its {FULL_BACKEND_MAX_BYTES / 2 ** 30:g} GiB limit; "
-                "use the effective backend"
+                f"the full backend at dimension {config.cutoff_eff ** n} would need about "
+                f"{need / 2 ** 30:.3g} GiB of working matrices, over its "
+                f"{FULL_BACKEND_MAX_BYTES / 2 ** 30:g} GiB limit; use the effective backend"
             )
         space = HilbertSpace(n, config.cutoff_eff)
         noise, drive_scale = config.noise_model(), 1.0

@@ -123,26 +123,37 @@ def window_channel(space, noise, spec, duration):
     return scipy_expm(duration * gen)
 
 
-def strang_states(space, noise, rho0, dt, d_alphas, steps):
+def strang_states(space, noise, rho0, dt, d_alphas, bounds, steps):
     """{step: rho} at the listed steps of the dense N-mode Strang integration.
 
-    Each step is E(dt/2) Ad(D(d_alpha)^{(x)N}) E(dt/2) with E(t) = expm(t L)
-    of the dense Liouvillian (scipy), or E(dt) alone when d_alphas is None.
+    bounds are the Strang steps' end points in dt steps (ascending), and
+    every listed step is one of them.  The step ending at bounds[j] spans h
+    = (bounds[j] - bounds[j-1]) dt and is E(h/2) Ad(D(d_alphas[j])^{(x)N})
+    E(h/2) with E(t) = expm(t L) of the dense Liouvillian and D(alpha) =
+    expm(alpha (a^dag - a)) (both scipy), or E(h) alone when d_alphas is None.
     """
     from scipy.linalg import expm as scipy_expm
 
-    gen = liouvillian(space, noise)
-    half, full = scipy_expm(0.5 * dt * gen), scipy_expm(dt * gen)
-    v, out = rho0.ravel(), {}
-    for step in range(1, max(steps) + 1):
+    gen, factors = liouvillian(space, noise), {}
+
+    def factor(t):
+        if t not in factors:
+            factors[t] = scipy_expm(t * gen)
+        return factors[t]
+
+    a = single_mode_ladder(space.cutoff)
+    v, done, out = rho0.ravel(), 0, {}
+    for j, bound in enumerate(bounds):
+        h = (bound - done) * dt
         if d_alphas is None:
-            v = full @ v
+            v = factor(h) @ v
         else:
-            d = np.eye(space.dim)
-            for mode in range(space.n_modes):
-                d = displacement(space, mode, d_alphas[step - 1]) @ d
-            r = (half @ v).reshape(space.dim, space.dim)
-            v = half @ (d @ r @ d.conj().T).ravel()
-        if step in steps:
-            out[step] = v.reshape(space.dim, space.dim)
+            d = np.eye(1)
+            for _ in range(space.n_modes):
+                d = np.kron(d, scipy_expm(d_alphas[j] * (a.conj().T - a)))
+            r = (factor(0.5 * h) @ v).reshape(space.dim, space.dim)
+            v = factor(0.5 * h) @ (d @ r @ d.conj().T).ravel()
+        if bound in steps:
+            out[bound] = v.reshape(space.dim, space.dim)
+        done = bound
     return out

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from fockscan.linalg import expm, hermiticity_defect, max_abs, unitarity_defect
+from fockscan.linalg import expm, max_abs, unitarity_defect
 
 
 @pytest.mark.parametrize("dim,scale", [(4, 0.3), (16, 2.0), (40, 8.0), (25, 30.0)])
@@ -37,5 +37,3 @@ def test_expm_rejects_bad_input():
 def test_norm_helpers():
     m = np.array([[1.0, 2.0], [3.0, 4.0]])
     assert max_abs(m) == 4.0
-    assert hermiticity_defect(m) == 1.0
-    assert hermiticity_defect(m + m.T) == 0.0

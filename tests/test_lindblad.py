@@ -362,7 +362,7 @@ def engine_cases(draw):
     populate = draw(st.sampled_from(["signal", "background"]))
     m = draw(st.integers(0, cutoff - 2))
     g = draw(st.floats(1e3, 5e4))
-    n_steps = draw(st.integers(1, 40))
+    n_steps = draw(st.integers(1, 300))
     records = sorted(set(draw(st.lists(st.integers(1, n_steps), max_size=6))) | {n_steps})
     lossy = draw(st.sampled_from([0.0, 1e-9, 1.0]))
     seed = draw(st.integers(0, 2 ** 32 - 1))
@@ -393,10 +393,10 @@ class TestStrangEngine:
                               dt=dt, rho0=rho0 if lossy else None,
                               readout=obs if lossy else None,
                               record_times=[s * dt for s in records], leak_tol=math.inf)
-        d_alphas = None
+        bounds, d_alphas = lindblad._boundaries(records), None
         if populate == "signal":
-            d_alphas = np.diff(mean_displacement(g, TAU_DM, np.arange(records[-1] + 1) * dt))
-        oracle = strang_states(space, run_noise, rho0, dt, d_alphas, set(records))
+            d_alphas = np.diff(mean_displacement(g, TAU_DM, np.array([0] + bounds) * dt))
+        oracle = strang_states(space, run_noise, rho0, dt, d_alphas, bounds, set(records))
         assert list(res.times) == [s * dt for s in [0] + records]
         for k, step in enumerate(records, start=1):
             want = float(np.real(np.vdot(obs, oracle[step])))
@@ -409,10 +409,49 @@ class TestStrangEngine:
         assert np.abs(res.final_state - final).max() <= 1e-10 * np.abs(final).max()
 
     def test_second_order_in_dt(self):
+        # one record at the end, so every Strang step spans STRIDE steps: tau/k
         sp = HilbertSpace(1, 5)
         pops = [propagate_cycle(sp, 1, reference_noise(1), 1e3, TAU_DM, 2 * TAU_DM, "signal",
-                                dt=TAU_DM / k).population[-1] for k in (10, 20, 40)]
+                                dt=TAU_DM / (k * lindblad.STRIDE),
+                                record_times=[2 * TAU_DM]).population[-1] for k in (10, 20, 40)]
         assert abs(pops[0] - pops[1]) / abs(pops[1] - pops[2]) >= 3.5
+
+
+class TestStride:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(1, 2000), min_size=1, max_size=12, unique=True))
+    def test_boundaries_rule(self, records):
+        records = sorted(records)
+        bounds = lindblad._boundaries(records)
+        assert set(records) <= set(bounds) and bounds[-1] == records[-1]
+        for start, end in zip([0] + records, records):
+            sizes = np.diff([start] + [b for b in bounds if start < b <= end])
+            assert sizes.sum() == end - start
+            assert 1 <= sizes.min() and sizes.max() <= lindblad.STRIDE
+            assert sizes.max() - sizes.min() <= 1
+            assert len(sizes) == math.ceil((end - start) / lindblad.STRIDE)
+
+    @pytest.mark.parametrize("n,m", [(1, m) for m in range(6)] + [(2, 0), (2, 1)])
+    @pytest.mark.parametrize("populate", ["signal", "background"])
+    def test_matches_per_step_oracle(self, n, m, populate):
+        # the strided engine against one dense Strang step per dt, over the
+        # default grid to 40 tau_dm at cutoff m + 4
+        space, noise = HilbertSpace(n, m + 4), reference_noise(n)
+        plan = make_plan("binary", n)
+        grid = np.linspace(0.2, 40.0, 60) * TAU_DM
+        res = propagate_cycle(space, m, noise, G_DRIVE, TAU_DM, grid[-1], populate, ed=plan,
+                              record_times=grid)
+        records = [int(round(t / res.dt)) for t in grid]
+        psi0, target = (apply_plan(v, plan, space) for v in lindblad._primary_states(space, m))
+        bounds, d_alphas = range(1, res.n_steps + 1), None
+        if populate == "signal":
+            noise = noise.heating_off()
+            d_alphas = np.diff(mean_displacement(G_DRIVE, TAU_DM,
+                                                 np.arange(res.n_steps + 1) * res.dt))
+        oracle = strang_states(space, noise, projector(psi0), res.dt, d_alphas, bounds,
+                               set(records))
+        want = np.array([np.vdot(target, oracle[s] @ target).real for s in records])
+        assert np.all(np.abs(res.population[1:] - want) <= 1e-5 * np.abs(want))
 
 
 class TestContinuousLimit:

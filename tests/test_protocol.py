@@ -1,16 +1,20 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from fockscan.errors import InvalidArgument
+from fockscan import lindblad
+from fockscan.errors import DimensionCeilingExceeded, InvalidArgument
 from fockscan.fock import HilbertSpace
 from fockscan.gates import make_plan
 from fockscan.lindblad import NoiseModel, propagate_cycle, transformed_rates
 from fockscan.protocol import (
+    FULL_BACKEND_MAX_BYTES,
     CalibrationResult,
     ProtocolConfig,
     default_tau_grid,
+    full_backend_bytes,
     ideal_reference,
     optimal_tau_int,
     run_cycle,
@@ -19,6 +23,7 @@ from fockscan.protocol import (
     snr_from_counts,
     snr_sweep,
     spam_background,
+    simulate_populations,
     spectator_calibration,
 )
 
@@ -63,6 +68,46 @@ class TestConfig:
             canonical_config(n_cavities=0)
         with pytest.raises(InvalidArgument):
             canonical_config(backend="magic")
+
+
+class TestFullBackendMemory:
+    def test_auto_picks_effective_over_the_estimate(self):
+        for n in range(1, 5):
+            for cutoff in range(2, 41):
+                cfg = canonical_config(n_cavities=n, cutoff=cutoff, ed_scheme="linear")
+                fits = n <= 3 and full_backend_bytes(n, cutoff) <= FULL_BACKEND_MAX_BYTES
+                assert cfg.chosen_backend() == ("full" if fits else "effective")
+        # the cutoff^4 channel matrices decide N=2 at cutoff 36 (dim 1296)
+        # and N=3 at cutoff 16 (dim 4096)
+        assert canonical_config(cutoff=35).chosen_backend() == "full"
+        assert canonical_config(cutoff=36).chosen_backend() == "effective"
+        assert canonical_config(n_cavities=3, cutoff=16,
+                                ed_scheme="linear").chosen_backend() == "effective"
+
+    def test_forced_full_over_the_estimate_is_refused(self):
+        cfg = canonical_config(cutoff=36, backend="full")
+        with pytest.raises(DimensionCeilingExceeded, match="dimension 1296"):
+            simulate_populations(cfg, [cfg.tau_dm])
+
+    @pytest.mark.parametrize("n,cutoff", [(2, 12), (2, 16), (3, 7)])
+    @pytest.mark.parametrize("f_bs", [1.0, 0.99])
+    def test_peak_within_the_estimate(self, n, cutoff, f_bs):
+        # the estimate with the factors this run cached in place of the
+        # cache's capacity, which a run from an empty cache does not fill
+        cfg = canonical_config(n_cavities=n, cutoff=cutoff, bs_fidelity=f_bs, backend="full",
+                               ed_scheme="linear" if n == 3 else "binary")
+        if f_bs < 1:  # the calibration runs at cutoff 3, outside the estimate
+            lindblad.calibrate_bs_multiplier(f_bs, cfg.g_bs,
+                                             *lindblad._mean_pair_rates(cfg.noise_model()),
+                                             elevate_heating=cfg.elevate_bs_heating)
+        lindblad._factor.cache_clear()
+        tracemalloc.start()
+        try:
+            simulate_populations(cfg, np.array([0.2, 1.0]) * cfg.tau_dm)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= full_backend_bytes(n, cutoff, lindblad._factor.cache_info().currsize)
 
 
 class TestSnrFromCounts:
