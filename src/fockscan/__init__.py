@@ -32,10 +32,8 @@ from .lindblad import (
     transformed_rates,
 )
 from .protocol import (
-    CycleResult,
     ProtocolConfig,
     optimal_tau_int,
-    run_cycle,
     scan_rate_grid,
     semiclassical_rates,
     snr_from_counts,
@@ -54,14 +52,14 @@ from .sensitivity import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BeamsplitterSpec", "CavityGeometry", "CycleResult", "DMParams", "EDPlan",
+    "BeamsplitterSpec", "CavityGeometry", "DMParams", "EDPlan",
     "HilbertSpace", "NoiseModel", "PhysicalConstants", "ProtocolConfig",
     "SensitivityParams", "TransformedRates", "calibrate_bs_multiplier",
     "cavity_volume_tm010", "coupling_g", "effective_propagate_cycle",
     "exclusion_epsilon", "form_factor_tm010", "lossy_ed_apply", "make_plan",
     "mc_population", "mean_displacement", "mean_population_detuned", "number_state",
     "optimal_tau_int",
-    "propagate_cycle", "reach_band", "run_cycle", "scan_rate", "scan_rate_grid",
+    "propagate_cycle", "reach_band", "scan_rate", "scan_rate_grid",
     "semiclassical_rates", "snr_from_counts", "snr_sweep", "spam_background",
     "spectator_calibration", "thermal_occupation", "transformed_rates", "verify_ed",
 ]

@@ -52,6 +52,7 @@ from .protocol import (
     optimal_tau_int,
     scan_rate_grid,
     simulate_populations,
+    snr_from_counts,
     snr_sweep,
 )
 from .sensitivity import exclusion_epsilon, reach_band
@@ -156,12 +157,9 @@ def cmd_simulate_cycle(doc, args, out_dir: Path) -> int:
     require_sections(doc, ["protocol", "cycle"], "simulate-cycle")
     cfg = build_protocol_config(doc, backend=args.backend, seed=args.seed)
     tau_int = doc["cycle"]["tau_int_taudm"] * cfg.tau_dm
-    cfg = replace(cfg, tau_int=tau_int)
     grid = np.linspace(tau_int / 120.0, tau_int, 120)
     times, n_s, n_b, diag = simulate_populations(cfg, grid)
     tau_cycle = cfg.tau_cycle(float(times[-1]))
-    from .protocol import snr_from_counts
-
     result = {
         "n_s": float(n_s[-1]),
         "n_b": float(n_b[-1]),
@@ -180,14 +178,11 @@ def cmd_simulate_cycle(doc, args, out_dir: Path) -> int:
     head = _header(doc, args, "simulate-cycle", backend=diag["backend"], dt_s=_fmt(diag["dt"]))
     _write_json(out_dir / "cycle.json", head, {"cycle": result})
     for populate, series in (("signal", n_s), ("background", n_b)):
-        ser = diag.get(f"series_{populate}", {})
-        tr = ser.get("trace", np.zeros_like(times))
-        lk = ser.get("leakage", np.zeros_like(times))
-        k = min(len(times), len(tr))
+        ser = diag[f"series_{populate}"]
         _write_csv(
             out_dir / f"cycle_{populate}.csv", head,
             ["t_s", "population", "trace_error", "leakage"],
-            zip(times[:k], series[:k], tr[:k], lk[:k]),
+            zip(times, series, ser["trace"], ser["leakage"]),
         )
     return 0
 
@@ -211,7 +206,7 @@ def cmd_snr_sweep(doc, args, out_dir: Path) -> int:
     sweeps = pool_map(_sweep_one, [(c, lo, hi, points) for c in configs], args.jobs)
 
     head = _header(doc, args, "snr-sweep",
-                   backend=sweeps[0].backend, dt_s=_fmt(sweeps[0].diagnostics.get("dt", 0.0)))
+                   backend=sweeps[0].backend, dt_s=_fmt(sweeps[0].diagnostics["dt"]))
     rows = []
     summary = {}
     for m, c, sw in zip(m_list, configs, sweeps):
@@ -226,15 +221,10 @@ def cmd_snr_sweep(doc, args, out_dir: Path) -> int:
             "snr_max": sw.snr_max,
             "tau_opt_closed_form_over_taudm": opt.tau_opt / cfg.tau_dm,
             "backend": sw.backend,
-            "dt_s": sw.diagnostics.get("dt"),
-            "trace_defect": max(
-                sw.diagnostics.get("trace_defect_signal", 0.0),
-                sw.diagnostics.get("trace_defect_background", 0.0),
-            ),
-            "leakage": max(
-                sw.diagnostics.get("leakage_signal", 0.0),
-                sw.diagnostics.get("leakage_background", 0.0),
-            ),
+            "dt_s": sw.diagnostics["dt"],
+            "trace_defect": max(sw.diagnostics["trace_defect_signal"],
+                                sw.diagnostics["trace_defect_background"]),
+            "leakage": max(sw.diagnostics["leakage_signal"], sw.diagnostics["leakage_background"]),
         }
     _write_csv(
         out_dir / "snr_sweep.csv", head,

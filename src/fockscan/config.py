@@ -222,7 +222,6 @@ def build_protocol_config(doc: dict, backend: str | None = None, seed: int | Non
         ed_scheme=proto.get("ed_scheme", "binary"),
         bs_fidelity=proto.get("bs_fidelity", 1.0),
         g_bs=TWO_PI * proto.get("bs_rate_hz", 1e6),
-        zeta_snr=proto.get("zeta_snr", 1.62),
         dephasing_ratio=proto.get("dephasing_ratio", 0.1),
         q_dm=dm.get("q_dm", 1e6),
         epsilon=dm.get("epsilon", 1e-16),

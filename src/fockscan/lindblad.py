@@ -66,16 +66,20 @@ Both backends are this one machinery run on different inputs:
   collective drive concentrated on the primary mode, scaled by sqrt(N).
 
 propagate_cycle and effective_propagate_cycle only build their space,
-noise model, drive scale and |m>, |m+1> states; _run_cycle does the rest.
+noise model, drive scale, initial state and readout; _run_cycle does the
+rest.  They are the only callers of _run_cycle, so every run the CLI makes
+reaches the engine through one of them.
 
 Beamsplitter infidelity is modelled by lossy windows: each window evolves
 under elevated noise, with its splitter Hamiltonian or none, for a given
-duration.  The full model has one window per splitter, in which the two
-coupled cavities carry rates raised by a common multiplier, calibrated so a
-single photon survives a full swap with the requested probability.  The
-effective model has one window per layer of the binary tree on its one
-mode: every occupied cavity sits inside an elevated pair during each layer,
-so the averaged rates are the base rates times the multiplier.
+duration.  Elevation raises decay and dephasing by a common multiplier,
+calibrated so a single photon survives a full swap with the requested
+probability; heating keeps its base rate.  The full model has one window per
+splitter, in which the two coupled cavities carry the elevated rates
+(lossy_ed_apply).  The effective model has one window per layer of the
+binary tree on its one mode (effective_lossy_window): every occupied cavity
+sits inside an elevated pair during each layer, so the averaged rates are
+the base rates, decay and dephasing times the multiplier.
 
 A window's channels commute with each other and with the splitter on every
 cavity outside its pair, so each such cavity takes its exact factor
@@ -140,16 +144,15 @@ class NoiseModel:
     def heating_off(self) -> "NoiseModel":
         return NoiseModel((0.0,) * self.n_cavities, self.gamma_down, self.gamma_phi)
 
-    def elevated(self, multiplier: float, modes, elevate_heating: bool = True) -> "NoiseModel":
-        """Scale the rates of the listed cavities by a common multiplier."""
+    def elevated(self, multiplier: float, modes) -> "NoiseModel":
+        """Scale the decay and dephasing rates of the listed cavities by a common multiplier.
+
+        Heating keeps its base rate: a splitter window elevates only the loss channels.
+        """
         modes = set(modes)
-        up = tuple(
-            g * multiplier if (i in modes and elevate_heating) else g
-            for i, g in enumerate(self.gamma_up)
-        )
         down = tuple(g * multiplier if i in modes else g for i, g in enumerate(self.gamma_down))
         phi = tuple(g * multiplier if i in modes else g for i, g in enumerate(self.gamma_phi))
-        return NoiseModel(up, down, phi)
+        return NoiseModel(self.gamma_up, down, phi)
 
 
 @dataclass(frozen=True)
@@ -381,27 +384,25 @@ def _run_cycle(
     space: HilbertSpace,
     noise: NoiseModel,
     drive_scale: float,
-    psi0: np.ndarray,
-    target: np.ndarray,
+    rho0: np.ndarray,
+    readout: np.ndarray,
     g: float,
     tau_dm: float,
     tau_int: float,
     populate: str,
     dt: float | None = None,
-    rho0: np.ndarray | None = None,
-    record_every: int | None = None,
     leak_tol: float = DEFAULT_LEAK_TOL,
-    record_times=None,
-    readout: np.ndarray | None = None,
+    record_times=(),
 ) -> PropagationResult:
     """One populate run of either backend: (x)_i Phi_i applied to rho0 at each record step.
 
-    Starts from rho0 (default |psi0><psi0|) and reads readout at every
-    record: a state vector t (default target) as <t|rho|t>, or a Hermitian
-    observable O (a matrix) as Re Tr(O rho).  Signal runs drive with heating
-    disabled; background runs heat with the drive off.  drive_scale
-    multiplies every displacement increment.  One _mode_channels run serves
-    every cavity with the same rates; n_steps is the number of dt steps.
+    Reads readout at t = 0, at each of record_times (rounded to whole dt
+    steps) inside the run, and at its end: a state vector t as <t|rho|t>, or
+    a Hermitian observable O (a matrix) as Re Tr(O rho).  Signal runs drive
+    with heating disabled; background runs heat with the drive off.
+    drive_scale multiplies every displacement increment.  One _mode_channels
+    run serves every cavity with the same rates; n_steps is the number of dt
+    steps.
     """
     if populate not in ("signal", "background"):
         raise InvalidArgument("populate must be 'signal' or 'background'")
@@ -417,15 +418,9 @@ def _run_cycle(
         dt = default_dt(tau_dm, total_rate)
     _check_stability(dt, total_rate)
     n_steps = max(1, int(round(tau_int / dt))) if tau_int > 0 else 0
-    if record_times is not None:
-        record_steps = {int(round(t / dt)) for t in np.asarray(record_times, dtype=float)}
-    else:
-        every = record_every if record_every is not None else max(1, n_steps // 800)
-        record_steps = range(every, n_steps, every)
+    record_steps = {int(round(t / dt)) for t in np.asarray(record_times, dtype=float)}
     steps = sorted({s for s in record_steps if 0 < s < n_steps} | {n_steps}) if n_steps else []
-    if readout is None:
-        readout = target
-    rho = rho0.copy() if rho0 is not None else np.outer(psi0, psi0.conj())
+    rho = rho0.copy()
     times, pops, traces, leaks = [], [], [], []
 
     def record(step):
@@ -491,9 +486,8 @@ def propagate_cycle(
     ed: EDPlan | None = None,
     dt: float | None = None,
     rho0: np.ndarray | None = None,
-    record_every: int | None = None,
     leak_tol: float = DEFAULT_LEAK_TOL,
-    record_times=None,
+    record_times=(),
     readout: np.ndarray | None = None,
 ) -> PropagationResult:
     """Integration-window propagation of the full tensor-product model.
@@ -504,7 +498,8 @@ def propagate_cycle(
     U_ED |m+1,0,...,0>.  A supplied readout (a Hermitian observable, e.g.
     the target projector pulled back through a lossy inverse gate) is read
     instead.  Signal runs drive with heating disabled; background runs heat
-    with the drive off.
+    with the drive off.  Records are taken at t = 0, at record_times and at
+    tau_int (see _run_cycle).
     """
     if m < 0 or m + 1 >= space.cutoff:
         raise InvalidArgument("need fock_m >= 0 and cutoff > m+1")
@@ -513,8 +508,9 @@ def propagate_cycle(
         psi0 = apply_plan(psi0, ed, space)
         target = apply_plan(target, ed, space)
     return _run_cycle(
-        space, noise, 1.0, psi0, target, g, tau_dm, tau_int, populate, dt,
-        rho0, record_every, leak_tol, record_times, readout,
+        space, noise, 1.0, np.outer(psi0, psi0.conj()) if rho0 is None else rho0,
+        target if readout is None else readout, g, tau_dm, tau_int, populate, dt,
+        leak_tol, record_times,
     )
 
 
@@ -543,9 +539,8 @@ def effective_propagate_cycle(
     populate: str,
     dt: float | None = None,
     cutoff: int | None = None,
-    record_every: int | None = None,
     leak_tol: float = DEFAULT_LEAK_TOL,
-    record_times=None,
+    record_times=(),
     rho0: np.ndarray | None = None,
     readout: np.ndarray | None = None,
 ) -> PropagationResult:
@@ -554,14 +549,16 @@ def effective_propagate_cycle(
     The collective drive concentrates on the primary mode as sqrt(N) x
     delta_alpha; the DM-induced downward transitions are inherent in the
     displacement steps.  Valid for any N; cross-validated against the full
-    backend at N = 2.  A supplied readout observable replaces the |m+1>
-    projector, as in propagate_cycle.
+    backend at N = 2.  A supplied rho0 replaces |m><m| and a supplied
+    readout observable the |m+1> projector, as in propagate_cycle.
     """
     space = HilbertSpace(1, cutoff if cutoff is not None else m + 4)
     psi0, target = _primary_states(space, m)
     return _run_cycle(
-        space, effective_noise_model(rates), math.sqrt(n_cavities), psi0, target, g,
-        tau_dm, tau_int, populate, dt, rho0, record_every, leak_tol, record_times, readout,
+        space, effective_noise_model(rates), math.sqrt(n_cavities),
+        np.outer(psi0, psi0.conj()) if rho0 is None else rho0,
+        target if readout is None else readout, g, tau_dm, tau_int, populate, dt,
+        leak_tol, record_times,
     )
 
 
@@ -622,12 +619,10 @@ def swap_fidelity(
     gamma_up: float,
     gamma_down: float,
     gamma_phi: float,
-    elevate_heating: bool = True,
 ) -> float:
     """P(single photon entering mode a exits mode b) after a theta = pi/2 swap, at cutoff 3."""
     space = HilbertSpace(2, 3)
-    noise = NoiseModel.uniform(2, gamma_up, gamma_down, gamma_phi).elevated(
-        multiplier, (0, 1), elevate_heating)
+    noise = NoiseModel.uniform(2, gamma_up, gamma_down, gamma_phi).elevated(multiplier, (0, 1))
     spec = BeamsplitterSpec(0, 1, math.pi / 2, math.pi / 2)
     psi = number_state(space, [1, 0])
     rho = _run_windows(np.outer(psi, psi.conj()), space, [(noise, spec, spec.theta / g_bs)])
@@ -642,13 +637,13 @@ def calibrate_bs_multiplier(
     gamma_up: float,
     gamma_down: float,
     gamma_phi: float,
-    elevate_heating: bool = True,
 ) -> float:
-    """Common rate multiplier whose pi/2 single-photon swap fidelity equals f_bs.
+    """Common decay and dephasing multiplier whose pi/2 single-photon swap fidelity equals f_bs.
 
-    The bisection is a pure function of its float and bool arguments, so the
-    result is cached per exact argument tuple (a raised FidelityUnreachable
-    is not cached).  Callers pass the mean pair rates from _mean_pair_rates,
+    Heating stays at gamma_up in the window (see NoiseModel.elevated).  The
+    bisection is a pure function of its float arguments, so the result is
+    cached per exact argument tuple (a raised FidelityUnreachable is not
+    cached).  Callers pass the mean pair rates from _mean_pair_rates,
     whose fsum means are bit-identical for uniform rates at any cavity
     count, so every N of a uniform array shares one calibration.
     """
@@ -658,8 +653,7 @@ def calibrate_bs_multiplier(
         raise InvalidArgument("g_bs must be positive")
 
     def fid(mult):
-        return swap_fidelity(mult, g_bs, gamma_up, gamma_down, gamma_phi,
-                             elevate_heating=elevate_heating)
+        return swap_fidelity(mult, g_bs, gamma_up, gamma_down, gamma_phi)
 
     base = fid(1.0)
     if f_bs >= base:
@@ -691,15 +685,16 @@ def lossy_ed_apply(
     base_noise: NoiseModel,
     inverse: bool = False,
     multiplier: float | None = None,
-    elevate_heating: bool = True,
     adjoint: bool = False,
 ) -> np.ndarray:
     """Apply the distribution gate as a lossy channel to a density matrix on space.
 
     Each splitter runs for theta/g_bs under its Hamiltonian while the two
-    coupled cavities carry rates elevated by the calibrated multiplier; the
-    other cavities keep their base rates.  f_bs = 1 reduces to the ideal
-    unitary conjugation.
+    coupled cavities carry decay and dephasing elevated by the multiplier
+    and their base heating; the other cavities keep their base rates.  The
+    multiplier defaults to the one calibrate_bs_multiplier finds for the
+    mean rates of base_noise.  f_bs = 1 reduces to the ideal unitary
+    conjugation.
 
     With adjoint, rho holds a Hermitian observable O and the result is the
     Heisenberg-picture image G^dag(O) of the same gate G (see _run_windows).
@@ -709,11 +704,9 @@ def lossy_ed_apply(
     if f_bs >= 1.0:
         return apply_plan_rho(rho, plan, space, inverse != adjoint)
     if multiplier is None:
-        multiplier = calibrate_bs_multiplier(f_bs, g_bs, *_mean_pair_rates(base_noise),
-                                             elevate_heating=elevate_heating)
+        multiplier = calibrate_bs_multiplier(f_bs, g_bs, *_mean_pair_rates(base_noise))
     windows = [
-        (base_noise.elevated(multiplier, (spec.mode_a, spec.mode_b), elevate_heating),
-         spec, spec.theta / g_bs)
+        (base_noise.elevated(multiplier, (spec.mode_a, spec.mode_b)), spec, spec.theta / g_bs)
         for spec in plan.sequence
     ]
     return _run_windows(rho, space, windows, inverse, adjoint)
@@ -735,15 +728,14 @@ def effective_lossy_window(
     multiplier: float,
     duration: float,
     heating_on: bool,
-    elevate_heating: bool = True,
     adjoint: bool = False,
 ) -> np.ndarray:
     """Reduced-model beamsplitter window: elevated transformed rates, no drive.
 
     One layer of the binary tree on the effective mode (see the module
-    docstring).  With adjoint, rho is an observable and the window's adjoint
-    map is applied.
+    docstring); heating is the averaged rate, or off.  With adjoint, rho is
+    an observable and the window's adjoint map is applied.
     """
-    noise = effective_noise_model(rates).elevated(multiplier, (0,), elevate_heating)
+    noise = effective_noise_model(rates).elevated(multiplier, (0,))
     window = (noise if heating_on else noise.heating_off(), None, duration)
     return _run_windows(rho, HilbertSpace(1, rho.shape[0]), [window], adjoint=adjoint)

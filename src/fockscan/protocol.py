@@ -33,17 +33,17 @@ from .drive import (
 )
 from .errors import DimensionCeilingExceeded, InvalidArgument
 from .fock import HilbertSpace
-from .gates import EDPlan, apply_plan, make_plan
+from .gates import EDPlan, make_plan
 from .lindblad import (
     NoiseModel,
     TransformedRates,
     _factor,
     _mean_pair_rates,
     _primary_states,
-    _run_cycle,
-    _run_windows,
     calibrate_bs_multiplier,
-    effective_noise_model,
+    effective_lossy_window,
+    effective_propagate_cycle,
+    lossy_ed_apply,
     propagate_cycle,
     transformed_rates,
 )
@@ -80,14 +80,11 @@ class ProtocolConfig:
     omega: float                       # cavity = DM angular frequency, rad/s
     temp_cavity: float = 0.05          # K
     q_cavity: float = 1e8
-    tau_int: float = 0.0               # s; per-cycle integration time
     tau_tot: float = 1.0               # s; total exposure
     tau_spam: float = 20e-6            # s; state-prep and measurement cost
     ed_scheme: str = "binary"
     bs_fidelity: float = 1.0           # single-photon swap fidelity; 1 = ideal
     g_bs: float = 2.0 * math.pi * 1e6  # beamsplitter rate, rad/s
-    elevate_bs_heating: bool = False   # drive-induced elevation hits decay/dephasing
-    zeta_snr: float = 1.62
     q_dm: float = 1e6
     epsilon: float = 1e-16
     rho_dm: float = rho_dm_si(0.45)
@@ -104,7 +101,7 @@ class ProtocolConfig:
             raise InvalidArgument("need n_cavities >= 1 and fock_m >= 0")
         if self.backend not in ("auto", "full", "effective"):
             raise InvalidArgument(f"unknown backend {self.backend!r}")
-        if min(self.tau_int, self.tau_tot, self.tau_spam) < 0 or self.tau_tot == 0:
+        if min(self.tau_tot, self.tau_spam) < 0 or self.tau_tot == 0:
             raise InvalidArgument("times must be non-negative and tau_tot positive")
 
     # -- derived quantities -------------------------------------------------
@@ -154,9 +151,8 @@ class ProtocolConfig:
     def tau_ed(self) -> float:
         return self.plan().duration(self.g_bs)
 
-    def tau_cycle(self, tau_int: float | None = None) -> float:
-        t = self.tau_int if tau_int is None else tau_int
-        return t + 2.0 * self.tau_ed() + self.tau_spam
+    def tau_cycle(self, tau_int: float) -> float:
+        return tau_int + 2.0 * self.tau_ed() + self.tau_spam
 
     def chosen_backend(self) -> str:
         if self.backend != "auto":
@@ -169,17 +165,6 @@ class ProtocolConfig:
 
     def rates(self) -> TransformedRates:
         return transformed_rates(self.n_cavities, self.noise_model(), self.fock_m)
-
-
-@dataclass(frozen=True)
-class CycleResult:
-    n_s: float
-    n_b: float
-    r_s: float
-    r_b: float
-    snr: float
-    tau_cycle: float
-    diagnostics: dict
 
 
 def snr_from_counts(n_s: float, n_b: float, tau_cycle: float, tau_tot: float) -> float:
@@ -238,20 +223,21 @@ def _interp_peak(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
 def simulate_populations(config: ProtocolConfig, tau_grid) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
     """(actual times, n_s, n_b, diagnostics) at the requested integration times.
 
-    A set-up block per backend gives the space, noise model, drive scale
-    and lossy-window pieces (one per splitter, or one per layer on the
-    effective mode); the runs are shared.  With a lossy gate the forward
-    windows prepare the state, and the target projector is pulled back once
-    through the adjoint of the inverse windows, so each record reads the
-    post-inverse population directly.  The full backend raises
-    DimensionCeilingExceeded, before allocating anything, when
+    Each populate runs through propagate_cycle (full backend) or
+    effective_propagate_cycle (effective backend).  With a lossy gate the
+    forward gate prepares the state, and the target projector is pulled back
+    once through the adjoint of the inverse gate, so each record reads the
+    post-inverse population directly: lossy_ed_apply on the full backend,
+    one effective_lossy_window per plan layer on the effective one, both at
+    the multiplier calibrated for the mean cavity rates.  The full backend
+    raises DimensionCeilingExceeded, before allocating anything, when
     full_backend_bytes exceeds FULL_BACKEND_MAX_BYTES.  The t = 0 record
     of each run is dropped from the returned series; the grid starts later.
     """
     grid = np.asarray(tau_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0 or np.any(np.diff(grid) <= 0) or grid[0] <= 0:
         raise InvalidArgument("tau grid must be positive and strictly increasing")
-    n, plan, backend = config.n_cavities, config.plan(), config.chosen_backend()
+    n, m, plan, backend = config.n_cavities, config.fock_m, config.plan(), config.chosen_backend()
     if backend == "full":
         need = full_backend_bytes(n, config.cutoff_eff)
         if need > FULL_BACKEND_MAX_BYTES:
@@ -260,41 +246,41 @@ def simulate_populations(config: ProtocolConfig, tau_grid) -> tuple[np.ndarray, 
                 f"{need / 2 ** 30:.3g} GiB of working matrices, over its "
                 f"{FULL_BACKEND_MAX_BYTES / 2 ** 30:g} GiB limit; use the effective backend"
             )
-        space = HilbertSpace(n, config.cutoff_eff)
-        noise, drive_scale = config.noise_model(), 1.0
-        pieces = [((s.mode_a, s.mode_b), s, s.theta / config.g_bs) for s in plan.sequence]
-    else:
-        space = HilbertSpace(1, config.cutoff_eff)
-        noise, drive_scale = effective_noise_model(config.rates()), math.sqrt(n)
-        pieces = [((0,), None, max(s.theta for s in layer) / config.g_bs) for layer in plan.layers]
-
-    psi0, target = _primary_states(space, config.fock_m)
+    space = HilbertSpace(n if backend == "full" else 1, config.cutoff_eff)
+    noise, rates, g = config.noise_model(), config.rates(), config.coupling()
     diag: dict = {"backend": backend}
-    lossy = config.bs_fidelity < 1.0 and bool(pieces)
+    lossy = config.bs_fidelity < 1.0 and bool(plan.sequence)
     if lossy:
-        multiplier = calibrate_bs_multiplier(
-            config.bs_fidelity, config.g_bs, *_mean_pair_rates(config.noise_model()),
-            elevate_heating=config.elevate_bs_heating,
-        )
-        diag["bs_multiplier"] = multiplier
-    elif backend == "full":
-        psi0, target = apply_plan(psi0, plan, space), apply_plan(target, plan, space)
+        multiplier = diag["bs_multiplier"] = calibrate_bs_multiplier(
+            config.bs_fidelity, config.g_bs, *_mean_pair_rates(noise))
+        psi0, target = _primary_states(space, m)
 
     out = {}
     for populate in ("signal", "background"):
         rho0 = readout = None
-        if lossy:
-            run_noise = noise.heating_off() if populate == "signal" else noise
-            windows = [(run_noise.elevated(multiplier, modes, config.elevate_bs_heating), spec, dur)
-                       for modes, spec, dur in pieces]
-            rho0 = _run_windows(np.outer(psi0, psi0.conj()), space, windows)
-            readout = _run_windows(np.outer(target, target.conj()), space, windows,
-                                   inverse=True, adjoint=True)
-        res = out[populate] = _run_cycle(
-            space, noise, drive_scale, psi0, target, config.coupling(), config.tau_dm,
-            float(grid[-1]), populate, dt=config.dt, rho0=rho0, record_times=grid,
-            readout=readout,
-        )
+        if lossy and backend == "full":
+            gate = dict(space=space, plan=plan, f_bs=config.bs_fidelity, g_bs=config.g_bs,
+                        base_noise=noise.heating_off() if populate == "signal" else noise,
+                        multiplier=multiplier)
+            rho0 = lossy_ed_apply(np.outer(psi0, psi0.conj()), **gate)
+            readout = lossy_ed_apply(np.outer(target, target.conj()), inverse=True, adjoint=True,
+                                     **gate)
+        elif lossy:
+            rho0, readout = np.outer(psi0, psi0.conj()), np.outer(target, target.conj())
+            for layer in plan.layers:
+                window = (rates, multiplier, max(s.theta for s in layer) / config.g_bs,
+                          populate == "background")
+                rho0 = effective_lossy_window(rho0, *window)
+                readout = effective_lossy_window(readout, *window, adjoint=True)
+        if backend == "full":
+            res = propagate_cycle(space, m, noise, g, config.tau_dm, float(grid[-1]), populate,
+                                  ed=plan, dt=config.dt, rho0=rho0, readout=readout,
+                                  record_times=grid)
+        else:
+            res = effective_propagate_cycle(n, m, rates, g, config.tau_dm, float(grid[-1]),
+                                            populate, dt=config.dt, cutoff=config.cutoff_eff,
+                                            rho0=rho0, readout=readout, record_times=grid)
+        out[populate] = res
         diag[f"trace_defect_{populate}"] = float(res.trace_defect.max())
         diag[f"leakage_{populate}"] = float(res.leakage.max())
         diag[f"series_{populate}"] = {
@@ -332,23 +318,7 @@ def snr_sweep(config: ProtocolConfig, tau_grid) -> SweepResult:
     return SweepResult(
         tau_int=times, n_s=n_s, n_b=n_b, snr=snr,
         tau_opt=tau_opt, snr_max=snr_max,
-        backend=diag.get("backend", "?"), diagnostics=diag,
-    )
-
-
-def run_cycle(config: ProtocolConfig) -> CycleResult:
-    """Simulate one full cycle at config.tau_int."""
-    if config.tau_int <= 0:
-        raise InvalidArgument("config.tau_int must be positive")
-    times, n_s, n_b, diag = simulate_populations(config, [config.tau_int])
-    tau_cycle = config.tau_cycle(float(times[-1]))
-    ns, nb = float(n_s[-1]), float(n_b[-1])
-    return CycleResult(
-        n_s=ns, n_b=nb,
-        r_s=ns / tau_cycle, r_b=nb / tau_cycle,
-        snr=snr_from_counts(ns, nb, tau_cycle, config.tau_tot),
-        tau_cycle=tau_cycle,
-        diagnostics=diag,
+        backend=diag["backend"], diagnostics=diag,
     )
 
 
@@ -588,10 +558,7 @@ def spectator_calibration(
     plan = make_plan(ed_scheme, n_cavities)
     if dt is None:
         dt = tau / 400.0
-    res = propagate_cycle(
-        space, m, noise, 0.0, tau, tau, "background", ed=plan, dt=dt,
-        record_every=10 ** 9,
-    )
+    res = propagate_cycle(space, m, noise, 0.0, tau, tau, "background", ed=plan, dt=dt)
     rho = apply_plan_rho(res.final_state, plan, space, inverse=True)
     diag = np.diag(rho).real
     occ = occ_table(space)

@@ -65,8 +65,7 @@ class TestNoiseModel:
         assert nm.heating_off().gamma_up == (0.0, 0.0, 0.0)
         el = nm.elevated(10.0, (1,))
         assert el.gamma_down == (2.0, 20.0, 2.0)
-        el2 = nm.elevated(10.0, (0,), elevate_heating=False)
-        assert el2.gamma_up == (1.0, 1.0, 1.0)
+        assert el.gamma_up == (1.0, 1.0, 1.0)
 
 
 class TestTransformedRates:
@@ -191,8 +190,9 @@ class TestPropagateCycle:
     def test_frozen_when_no_drive_no_noise(self):
         sp = HilbertSpace(2, 4)
         noise = NoiseModel.uniform(2, 0.0, 0.0, 0.0)
+        dt = TAU_DM / 100
         res = propagate_cycle(sp, 1, noise, 0.0, TAU_DM, 2 * TAU_DM, "signal",
-                              ed=linear_plan(2), dt=TAU_DM / 100)
+                              ed=linear_plan(2), dt=dt, record_times=np.arange(1, 200) * dt)
         assert np.allclose(res.population, res.population[0], atol=1e-12)
         assert res.trace_defect.max() < 1e-12
 
@@ -217,25 +217,28 @@ class TestPropagateCycle:
         # n_b ~ (m+1) bar_gamma_up t at early times (linear fit within 1%)
         m = 5
         sp = HilbertSpace(2, m + 4)
+        dt = TAU_DM / 400
         res = propagate_cycle(sp, m, reference_noise(2), 0.0, TAU_DM, 0.15 * TAU_DM,
-                              "background", ed=linear_plan(2), dt=TAU_DM / 400,
-                              record_every=1)
+                              "background", ed=linear_plan(2), dt=dt,
+                              record_times=np.arange(1, 60) * dt)
         slope = np.polyfit(res.times[1:], res.population[1:], 1)[0]
         assert slope == pytest.approx((m + 1) * GAMMA_UP, rel=1e-2)
 
     def test_trace_and_leak_budgets_over_full_cycle(self):
         sp = HilbertSpace(2, 9)
         res = propagate_cycle(sp, 5, reference_noise(2), G_DRIVE, TAU_DM, 20 * TAU_DM,
-                              "signal", ed=make_plan("binary", 2))
+                              "signal", ed=make_plan("binary", 2),
+                              record_times=np.arange(1, 800) * (20 * TAU_DM / 800))
         assert res.trace_defect.max() < 1e-6
         assert res.leakage.max() < 1e-6
 
     def test_truncation_leak_raises(self):
         sp = HilbertSpace(1, 3)
         noise = NoiseModel.uniform(1, 0.0, 0.0, 0.0)
+        dt = TAU_DM / 200
         with pytest.raises(TruncationLeak):
             propagate_cycle(sp, 0, noise, 5e4, TAU_DM, 10 * TAU_DM, "signal",
-                            ed=linear_plan(1), dt=TAU_DM / 200)
+                            ed=linear_plan(1), dt=dt, record_times=np.arange(2, 2000, 2) * dt)
 
     def test_populate_mode_validation(self):
         sp = HilbertSpace(1, 4)
@@ -283,26 +286,26 @@ def drive_only_cases(draw):
     cutoff = draw(st.integers(3, 6))
     n_steps = draw(st.integers(1, 600))
     every = draw(st.one_of(st.none(), st.integers(1, 200)))
-    steps = None if every is not None else set(
+    steps = set(range(every, n_steps, every)) if every is not None else set(
         draw(st.lists(st.integers(1, n_steps), min_size=0, max_size=40)))
     g = draw(st.floats(1.0, 5e3))
     seed = draw(st.integers(0, 2 ** 32 - 1))
-    return HilbertSpace(n, cutoff), drive_amp, n_steps, every, steps, g, seed
+    return HilbertSpace(n, cutoff), drive_amp, n_steps, steps, g, seed
 
 
-class TestDriveOnlyClosedForm:
+class TestDriveOnlyRuns:
     @settings(max_examples=40, deadline=None)
     @given(drive_only_cases())
     def test_matches_stepping_loop(self, case):
-        space, drive_amp, n_steps, every, steps, g, seed = case
+        space, drive_amp, n_steps, steps, g, seed = case
         rng = np.random.default_rng(seed)
         psi = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
         psi /= np.linalg.norm(psi)
         rho0 = np.outer(psi, psi.conj())
         readout = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
         dt = TAU_DM / 200
-        run = dict(dt=dt, rho0=rho0, readout=readout, record_every=every, leak_tol=math.inf,
-                   record_times=None if steps is None else [s * dt for s in steps])
+        run = dict(dt=dt, rho0=rho0, readout=readout, leak_tol=math.inf,
+                   record_times=[s * dt for s in steps])
         if drive_amp == 1.0:
             noise = NoiseModel.uniform(space.n_modes, 0.0, 0.0, 0.0)
             res = propagate_cycle(space, 0, noise, g, TAU_DM, n_steps * dt, "signal", **run)
@@ -313,8 +316,7 @@ class TestDriveOnlyClosedForm:
         rho, times, pops, traces, leaks = (res.final_state, res.times, res.population,
                                            res.trace_defect, res.leakage)
         assert res.n_steps == n_steps
-        wanted = ({s for s in range(1, n_steps + 1) if s % every == 0} if every is not None
-                  else set(steps)) | {n_steps}
+        wanted = steps | {n_steps}
         oracle = stepping_loop(space, rho0, drive_amp, g, TAU_DM, n_steps, dt, wanted)
         assert list(times) == [s * dt for s in sorted(oracle)]
         for k, step in enumerate(sorted(oracle)):
@@ -340,9 +342,9 @@ class TestDriveOnlyClosedForm:
         assert first > 13
         with pytest.raises(TruncationLeak, match=f"at t = {first * dt:.3g} s"):
             propagate_cycle(sp, 0, noise, 1e3, TAU_DM, n_steps * dt, "signal",
-                            ed=linear_plan(1), dt=dt, record_every=13)
+                            ed=linear_plan(1), dt=dt, record_times=np.arange(13, n_steps, 13) * dt)
 
-    def test_reports_nominal_steps_and_skips_the_loop(self):
+    def test_reports_nominal_steps_and_one_record_per_grid_point(self):
         sp = HilbertSpace(2, 4)
         noise = NoiseModel.uniform(2, GAMMA_UP, 0.0, 0.0)
         grid = np.linspace(0.2, 40.0, 60) * TAU_DM
@@ -455,7 +457,7 @@ class TestStride:
 
 
 class TestContinuousLimit:
-    def test_dlme_matches_adaptive_master_equation(self):
+    def test_strang_engine_matches_adaptive_master_equation(self):
         # independent oracle: scipy's adaptive integration of the continuous
         # master equation with the same drive and collapse channels
         from scipy.integrate import solve_ivp
@@ -641,17 +643,14 @@ class TestBeamsplitterInfidelity:
         means = {_mean_pair_rates(reference_noise(n)) for n in (1, 2, 4, 8)}
         assert means == {(GAMMA_UP, GAMMA_DOWN, GAMMA_PHI)}
 
-    def test_lossy_gate_calibrates_with_its_heating_flag(self):
+    def test_lossy_gate_calibrates_for_its_mean_rates(self):
         sp = HilbertSpace(2, 3)
         rho = projector(number_state(sp, [1, 0]))
         noise = reference_noise(2)
         plan = linear_plan(2)
-        own = calibrate_bs_multiplier(0.99, G_BS, *_mean_pair_rates(noise),
-                                      elevate_heating=False)
-        assert own != calibrate_bs_multiplier(0.99, G_BS, *_mean_pair_rates(noise))
-        auto = lossy_ed_apply(rho, sp, plan, 0.99, G_BS, noise, elevate_heating=False)
-        given_mult = lossy_ed_apply(rho, sp, plan, 0.99, G_BS, noise, multiplier=own,
-                                    elevate_heating=False)
+        own = calibrate_bs_multiplier(0.99, G_BS, *_mean_pair_rates(noise))
+        auto = lossy_ed_apply(rho, sp, plan, 0.99, G_BS, noise)
+        given_mult = lossy_ed_apply(rho, sp, plan, 0.99, G_BS, noise, multiplier=own)
         assert auto.tobytes() == given_mult.tobytes()
 
     def test_distributed_fock_state_fidelity_below_single_photon(self):
@@ -678,24 +677,23 @@ def pullback_cases(draw):
     cutoff = draw(st.integers(2, 3) if n == 4 else st.integers(2, 4))
     scheme = draw(st.sampled_from(["linear", "binary"]))
     f_bs = draw(st.one_of(st.just(1.0), st.floats(0.9, 0.999)))
-    elevate = draw(st.booleans())
     inverse = draw(st.booleans())
     occ = [draw(st.integers(0, cutoff - 1)) for _ in range(n)]
     seed = draw(st.integers(0, 2 ** 32 - 1))
-    return HilbertSpace(n, cutoff), scheme, f_bs, elevate, inverse, occ, seed
+    return HilbertSpace(n, cutoff), scheme, f_bs, inverse, occ, seed
 
 
 class TestHeisenbergReadout:
     @settings(max_examples=30, deadline=None)
     @given(pullback_cases())
     def test_pulled_back_projector_matches_forward_gate(self, case):
-        space, scheme, f_bs, elevate, inverse, occ, seed = case
+        space, scheme, f_bs, inverse, occ, seed = case
         rng = np.random.default_rng(seed)
         rho = random_hermitian(rng, space.dim)
         target = number_state(space, occ)
         plan = make_plan(scheme, space.n_modes)
         gate = dict(f_bs=f_bs, g_bs=G_BS, base_noise=reference_noise(space.n_modes),
-                    inverse=inverse, elevate_heating=elevate)
+                    inverse=inverse)
         forward = lossy_ed_apply(rho, space, plan, **gate)
         want = float(np.real(np.vdot(target, forward @ target)))
         obs = lossy_ed_apply(projector(target), space, plan, adjoint=True, **gate)
@@ -703,26 +701,24 @@ class TestHeisenbergReadout:
         assert abs(got - want) <= 1e-12 * max(abs(want), 1.0)
 
     @settings(max_examples=30, deadline=None)
-    @given(st.integers(2, 6), st.floats(1.0, 500.0), st.booleans(), st.booleans(),
-           st.integers(0, 2 ** 32 - 1))
-    def test_effective_window_adjoint(self, cutoff, multiplier, heating_on, elevate, seed):
+    @given(st.integers(2, 6), st.floats(1.0, 500.0), st.booleans(), st.integers(0, 2 ** 32 - 1))
+    def test_effective_window_adjoint(self, cutoff, multiplier, heating_on, seed):
         rng = np.random.default_rng(seed)
         rho = random_hermitian(rng, cutoff)
         obs = random_hermitian(rng, cutoff)
         window = dict(rates=transformed_rates(8, reference_noise(8), 1), multiplier=multiplier,
-                      duration=math.pi / 4 / G_BS, heating_on=heating_on,
-                      elevate_heating=elevate)
+                      duration=math.pi / 4 / G_BS, heating_on=heating_on)
         want = float(np.real(np.vdot(obs, effective_lossy_window(rho, **window))))
         got = float(np.real(np.vdot(effective_lossy_window(obs, adjoint=True, **window), rho)))
         assert abs(got - want) <= 1e-12 * max(abs(want), 1.0)
 
 
-def dense_gate(space, plan, noise, multiplier, elevate, inverse):
+def dense_gate(space, plan, noise, multiplier, inverse):
     """The lossy gate as one dim^2 x dim^2 matrix: a window_channel per splitter, in run order."""
     gate = np.eye(space.dim ** 2)
     for spec in (plan.sequence[::-1] if inverse else plan.sequence):
         run = replace(spec, theta=-spec.theta) if inverse else spec
-        window = noise.elevated(multiplier, (spec.mode_a, spec.mode_b), elevate)
+        window = noise.elevated(multiplier, (spec.mode_a, spec.mode_b))
         gate = window_channel(space, window, run, spec.theta / G_BS) @ gate
     return gate
 
@@ -734,10 +730,9 @@ def window_cases(draw):
     cutoff = draw(st.integers(2, 3) if n == 3 else st.integers(2, 4))
     scheme = draw(st.sampled_from(["linear"] if n == 3 else ["linear", "binary"]))
     f_bs = draw(st.floats(0.9, 0.999))
-    elevate = draw(st.booleans())
     heating_on = draw(st.booleans())
     seed = draw(st.integers(0, 2 ** 32 - 1))
-    return HilbertSpace(n, cutoff), scheme, f_bs, elevate, heating_on, seed
+    return HilbertSpace(n, cutoff), scheme, f_bs, heating_on, seed
 
 
 # The pair's Strang steps err by O(h^2); 64 substeps reach at most 1.6e-6 at
@@ -749,35 +744,33 @@ class TestWindowOracle:
     @settings(max_examples=20, deadline=None)
     @given(window_cases())
     def test_lossy_gate_matches_exact_windows(self, case):
-        space, scheme, f_bs, elevate, _, seed = case
+        space, scheme, f_bs, _, seed = case
         rho = random_density(np.random.default_rng(seed), space.dim)
         noise = reference_noise(space.n_modes)
         plan = make_plan(scheme, space.n_modes)
-        mult = calibrate_bs_multiplier(f_bs, G_BS, *_mean_pair_rates(noise),
-                                       elevate_heating=elevate)
+        mult = calibrate_bs_multiplier(f_bs, G_BS, *_mean_pair_rates(noise))
         for inverse in (False, True):
-            gate = dense_gate(space, plan, noise, mult, elevate, inverse)
+            gate = dense_gate(space, plan, noise, mult, inverse)
             for adjoint, oracle in ((False, gate), (True, gate.conj().T)):
                 want = (oracle @ rho.ravel()).reshape(rho.shape)
                 got = lossy_ed_apply(rho, space, plan, f_bs, G_BS, noise, inverse=inverse,
-                                     multiplier=mult, elevate_heating=elevate, adjoint=adjoint)
+                                     multiplier=mult, adjoint=adjoint)
                 assert np.abs(got - want).max() <= STRANG_WINDOW_TOL * np.abs(want).max()
 
     @settings(max_examples=30, deadline=None)
     @given(window_cases())
     def test_effective_window_is_exact(self, case):
-        space, _, f_bs, elevate, heating_on, seed = case
+        space, _, f_bs, heating_on, seed = case
         one = HilbertSpace(1, space.cutoff)
         rho = random_density(np.random.default_rng(seed), one.dim)
         rates = transformed_rates(space.n_modes, reference_noise(space.n_modes), 1)
-        mult = calibrate_bs_multiplier(f_bs, G_BS, GAMMA_UP, GAMMA_DOWN, GAMMA_PHI,
-                                       elevate_heating=elevate)
-        noise = effective_noise_model(rates).elevated(mult, (0,), elevate)
+        mult = calibrate_bs_multiplier(f_bs, G_BS, GAMMA_UP, GAMMA_DOWN, GAMMA_PHI)
+        noise = effective_noise_model(rates).elevated(mult, (0,))
         duration = math.pi / 4 / G_BS
         exact = window_channel(one, noise if heating_on else noise.heating_off(), None, duration)
         for adjoint, oracle in ((False, exact), (True, exact.conj().T)):
             want = (oracle @ rho.ravel()).reshape(rho.shape)
-            got = effective_lossy_window(rho, rates, mult, duration, heating_on, elevate, adjoint)
+            got = effective_lossy_window(rho, rates, mult, duration, heating_on, adjoint)
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
@@ -796,12 +789,11 @@ def invariant_cases(draw, n_modes=st.integers(1, 2)):
 
 @st.composite
 def lossy_invariant_cases(draw):
-    """An invariant case on two cavities, with a lossy gate: scheme, f_bs, heating flag."""
+    """An invariant case on two cavities, with a lossy gate: scheme and f_bs."""
     cycle = draw(invariant_cases(st.just(2)))
     scheme = draw(st.sampled_from(["linear", "binary"]))
     f_bs = draw(st.floats(0.9, 0.999))
-    elevate = draw(st.booleans())
-    return cycle, scheme, f_bs, elevate
+    return cycle, scheme, f_bs
 
 
 def records_of_run(case, rho0=None):
@@ -814,7 +806,8 @@ def records_of_run(case, rho0=None):
     states = []
     for k in records:
         res = propagate_cycle(space, m, noise, g, TAU_DM, k * dt, populate, ed=plan,
-                              dt=dt, rho0=rho0, leak_tol=math.inf)
+                              dt=dt, rho0=rho0, leak_tol=math.inf,
+                              record_times=np.arange(1, k) * dt)
         assert res.n_steps == k and res.trace_defect.max() <= 1e-12
         states.append(res.final_state)
     return states
@@ -841,11 +834,10 @@ class TestStateInvariants:
     def test_positivity_through_lossy_gates(self, case):
         # the forward gate's output, every record of a run from it, and the
         # inverse gate's output on the last record
-        cycle, scheme, f_bs, elevate = case
+        cycle, scheme, f_bs = case
         space, m = cycle[0], cycle[1]
         plan = make_plan(scheme, space.n_modes)
-        gate = dict(f_bs=f_bs, g_bs=G_BS, base_noise=reference_noise(space.n_modes),
-                    elevate_heating=elevate)
+        gate = dict(f_bs=f_bs, g_bs=G_BS, base_noise=reference_noise(space.n_modes))
         psi0, _ = lindblad._primary_states(space, m)
         rho0 = lossy_ed_apply(projector(psi0), space, plan, **gate)
         states = records_of_run(cycle, rho0)

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fockscan import lindblad
+from fockscan import lindblad, protocol
 from fockscan.errors import DimensionCeilingExceeded, InvalidArgument
 from fockscan.fock import HilbertSpace
 from fockscan.gates import make_plan
@@ -17,7 +17,6 @@ from fockscan.protocol import (
     full_backend_bytes,
     ideal_reference,
     optimal_tau_int,
-    run_cycle,
     semiclassical_rates,
     semiclassical_rates_approx,
     snr_from_counts,
@@ -41,6 +40,13 @@ def canonical_config(**kw):
     return ProtocolConfig(**base)
 
 
+def one_cycle(cfg, tau_int):
+    """(n_s, n_b, SNR) of one simulated cycle at tau_int."""
+    times, n_s, n_b, _ = simulate_populations(cfg, [tau_int])
+    ns, nb = float(n_s[-1]), float(n_b[-1])
+    return ns, nb, snr_from_counts(ns, nb, cfg.tau_cycle(float(times[-1])), cfg.tau_tot)
+
+
 class TestConfig:
     def test_noise_derivation_detailed_balance(self):
         cfg = canonical_config()
@@ -60,8 +66,8 @@ class TestConfig:
         assert canonical_config(backend="effective").chosen_backend() == "effective"
 
     def test_tau_cycle_assembly(self):
-        cfg = canonical_config(tau_spam=2e-5, tau_int=1e-4)
-        assert cfg.tau_cycle() == pytest.approx(1e-4 + 2 * cfg.tau_ed() + 2e-5)
+        cfg = canonical_config(tau_spam=2e-5)
+        assert cfg.tau_cycle(1e-4) == pytest.approx(1e-4 + 2 * cfg.tau_ed() + 2e-5)
 
     def test_validation(self):
         with pytest.raises(InvalidArgument):
@@ -98,8 +104,7 @@ class TestFullBackendMemory:
                                ed_scheme="linear" if n == 3 else "binary")
         if f_bs < 1:  # the calibration runs at cutoff 3, outside the estimate
             lindblad.calibrate_bs_multiplier(f_bs, cfg.g_bs,
-                                             *lindblad._mean_pair_rates(cfg.noise_model()),
-                                             elevate_heating=cfg.elevate_bs_heating)
+                                             *lindblad._mean_pair_rates(cfg.noise_model()))
         lindblad._factor.cache_clear()
         tracemalloc.start()
         try:
@@ -148,23 +153,50 @@ class TestSnrFromCounts:
 
 class TestRunCycle:
     def test_zero_coupling_zero_snr(self):
-        cfg = canonical_config(coupling_override=0.0, tau_int=5 * canonical_config().tau_dm)
-        res = run_cycle(cfg)
-        assert res.n_s == pytest.approx(0.0, abs=1e-15)
-        assert res.snr == 0.0
+        cfg = canonical_config(coupling_override=0.0)
+        n_s, _, snr = one_cycle(cfg, 5 * cfg.tau_dm)
+        assert n_s == pytest.approx(0.0, abs=1e-15)
+        assert snr == 0.0
 
     def test_snr_scales_as_sqrt_tau_tot(self):
         tau = canonical_config().tau_dm
-        a = run_cycle(canonical_config(tau_int=5 * tau, tau_tot=1.0))
-        b = run_cycle(canonical_config(tau_int=5 * tau, tau_tot=2.0))
-        assert b.snr / a.snr == pytest.approx(math.sqrt(2), rel=1e-6)
+        a = one_cycle(canonical_config(tau_tot=1.0), 5 * tau)[2]
+        b = one_cycle(canonical_config(tau_tot=2.0), 5 * tau)[2]
+        assert b / a == pytest.approx(math.sqrt(2), rel=1e-6)
 
     def test_probabilities_in_range(self):
-        cfg = canonical_config(fock_m=2, tau_int=5 * canonical_config().tau_dm)
-        res = run_cycle(cfg)
-        assert 0 <= res.n_s <= 1 and 0 <= res.n_b <= 1
-        assert res.snr > 0
-        assert res.r_s == pytest.approx(res.n_s / res.tau_cycle)
+        cfg = canonical_config(fock_m=2)
+        n_s, n_b, snr = one_cycle(cfg, 5 * cfg.tau_dm)
+        assert 0 <= n_s <= 1 and 0 <= n_b <= 1
+        assert snr > 0
+
+
+class TestOneRoadToTheEngine:
+    ROAD = ("propagate_cycle", "effective_propagate_cycle", "lossy_ed_apply",
+            "effective_lossy_window")
+
+    @pytest.mark.parametrize("kw,calls", [
+        (dict(n_cavities=2, backend="full"), dict(propagate_cycle=2, lossy_ed_apply=4)),
+        # two binary layers, each run forward and adjoint for both populates
+        (dict(n_cavities=4, backend="effective"),
+         dict(effective_propagate_cycle=2, effective_lossy_window=8)),
+    ])
+    def test_lossy_runs_go_through_the_public_backend_functions(self, monkeypatch, kw, calls):
+        cfg = canonical_config(fock_m=1, bs_fidelity=0.99, **kw)
+        grid = np.array([0.5, 1.0]) * cfg.tau_dm
+        want = simulate_populations(cfg, grid)
+        seen = dict.fromkeys(self.ROAD, 0)
+        for name in self.ROAD:
+            def counted(*args, _name=name, _real=getattr(protocol, name), **kwargs):
+                seen[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(protocol, name, counted)
+        got = simulate_populations(cfg, grid)
+        assert seen == {**dict.fromkeys(self.ROAD, 0), **calls}
+        for a, b in zip(want[:3], got[:3]):
+            assert a.tobytes() == b.tobytes()
+        for key in ("trace_defect_signal", "leakage_background", "dt", "bs_multiplier"):
+            assert want[3][key] == got[3][key]
 
 
 class TestSweep:
@@ -335,15 +367,15 @@ class TestSpectatorCalibration:
 class TestLossyCycleOrdering:
     def test_bs_infidelity_reduces_snr(self):
         tau = canonical_config().tau_dm
-        ideal = run_cycle(canonical_config(fock_m=2, tau_int=5 * tau))
-        lossy = run_cycle(canonical_config(fock_m=2, tau_int=5 * tau, bs_fidelity=0.99))
-        assert lossy.snr < ideal.snr
+        ideal = one_cycle(canonical_config(fock_m=2), 5 * tau)[2]
+        lossy = one_cycle(canonical_config(fock_m=2, bs_fidelity=0.99), 5 * tau)[2]
+        assert lossy < ideal
 
     def test_longer_integration_dilutes_bs_penalty(self):
         tau = canonical_config().tau_dm
         ratios = []
         for t in (2 * tau, 10 * tau):
-            lossy = run_cycle(canonical_config(fock_m=2, tau_int=t, bs_fidelity=0.99))
-            ideal = run_cycle(canonical_config(fock_m=2, tau_int=t))
-            ratios.append(lossy.snr / ideal.snr)
+            lossy = one_cycle(canonical_config(fock_m=2, bs_fidelity=0.99), t)[2]
+            ideal = one_cycle(canonical_config(fock_m=2), t)[2]
+            ratios.append(lossy / ideal)
         assert ratios[1] > ratios[0]
