@@ -4,6 +4,17 @@ Configs are YAML documents with unit-suffixed field names; every frequency
 or rate given in Hz is converted to angular units (rad/s) here, once, at
 the boundary.  Unknown keys are rejected by the schema so typos fail loudly
 instead of silently falling back to defaults.
+
+`SCHEMA` is a JSON Schema (draft 2020-12) that uses only the keywords
+`type`, `enum`, `minimum`, `maximum`, `exclusiveMinimum`, `minItems`,
+`items`, `properties`, `additionalProperties: false` and `required`.  A
+small checker here applies them: it lists every violation in the order
+the `jsonschema` package reports them, with the same messages, and picks
+the one that `jsonschema.exceptions.best_match` would (the shallowest
+path, then the last path in sort order).  The one departure is that
+`integer` means a Python int that is not a bool, so 1.0 is not an
+integer.  The tests check the checker against `jsonschema`, which is a
+test dependency only.
 """
 from __future__ import annotations
 
@@ -12,7 +23,6 @@ import json
 import math
 from pathlib import Path
 
-import jsonschema
 import yaml
 
 from .drive import rho_dm_si
@@ -141,10 +151,61 @@ SCHEMA = {
     },
 }
 
-# Built once: `jsonschema.validate` would check SCHEMA against its metaschema
-# on every call (about 100 times the cost of validating a config).  The
-# schema itself is checked by the tests.
-_VALIDATOR = jsonschema.validators.validator_for(SCHEMA)(SCHEMA)
+_IS_TYPE = {
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    "number": lambda x: isinstance(x, (int, float)) and not isinstance(x, bool),
+    "integer": lambda x: isinstance(x, int) and not isinstance(x, bool),
+}
+
+
+def _violations(value, schema, path=()):
+    """(path, message) of each way value breaks schema, in jsonschema's order."""
+    number = _IS_TYPE["number"](value)
+    for keyword, bound in schema.items():
+        message = None
+        if keyword == "type" and not _IS_TYPE[bound](value):
+            message = f"{value!r} is not of type {bound!r}"
+        elif keyword == "enum" and value not in bound:
+            message = f"{value!r} is not one of {bound!r}"
+        elif keyword == "minimum" and number and value < bound:
+            message = f"{value!r} is less than the minimum of {bound!r}"
+        elif keyword == "maximum" and number and value > bound:
+            message = f"{value!r} is greater than the maximum of {bound!r}"
+        elif keyword == "exclusiveMinimum" and number and value <= bound:
+            message = f"{value!r} is less than or equal to the minimum of {bound!r}"
+        elif keyword == "minItems" and isinstance(value, list) and len(value) < bound:
+            message = f"{value!r} {'should be non-empty' if bound == 1 else 'is too short'}"
+        elif keyword == "items" and isinstance(value, list):
+            for index, item in enumerate(value):
+                yield from _violations(item, bound, path + (index,))
+        elif keyword == "properties" and isinstance(value, dict):
+            for name, subschema in bound.items():
+                if name in value:
+                    yield from _violations(value[name], subschema, path + (name,))
+        elif keyword == "additionalProperties" and isinstance(value, dict):
+            extras = sorted({key for key in value if key not in schema["properties"]}, key=str)
+            if extras:
+                verb = "was" if len(extras) == 1 else "were"
+                names = ", ".join(map(repr, extras))
+                message = f"Additional properties are not allowed ({names} {verb} unexpected)"
+        elif keyword == "required" and isinstance(value, dict):
+            for name in bound:
+                if name not in value:
+                    yield path, f"{name!r} is a required property"
+        if message is not None:
+            yield path, message
+
+
+def _best_violation(doc):
+    """The (path, message) that jsonschema's best_match would report for doc, or None.
+
+    That is the first violation at the shallowest path, and among those the
+    last path in sort order.  best_match breaks further ties by keyword and
+    by whether the value has its field's type, but here every path has one
+    subschema, so those ties never separate two violations.
+    """
+    return max(_violations(doc, SCHEMA), key=lambda v: (-len(v[0]), v[0]), default=None)
 
 
 def load_config(path) -> dict:
@@ -166,9 +227,10 @@ def load_config(path) -> dict:
     where = _non_finite_path(doc)
     if where is not None:
         raise ConfigError(f"config validation failed: a number is not finite (at {where})")
-    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(doc))
+    error = _best_violation(doc)
     if error is not None:
-        raise ConfigError(f"config validation failed: {error.message} (at {list(error.path)})")
+        where, message = error
+        raise ConfigError(f"config validation failed: {message} (at {list(where)})")
     return doc
 
 

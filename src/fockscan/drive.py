@@ -205,59 +205,79 @@ def mc_population(
 
 
 def _mc_chunk(g, tau_dm, delta, t_grid, lo, hi, seed):
-    """|alpha(t)|^2 for trajectories lo..hi-1, one rng substream per trajectory."""
+    """|alpha(t)|^2 for trajectories lo..hi-1, one rng substream per trajectory.
+
+    Trajectory k draws from default_rng([seed, k]) alone and in a fixed
+    order: a block of exponential gaps, further blocks while their sum falls
+    short of t_max, then one uniform phase per renewal piece.  Everything
+    else runs over the whole chunk: the first blocks are cumulated as one
+    array, and trajectories with equal piece counts are integrated as one
+    (trajectories, points, pieces) array.  Each trajectory's row is bit for
+    bit what it would be on its own.
+    """
     t_max = float(t_grid[-1])
-    out = np.empty((hi - lo, t_grid.size))
-    for row, traj in enumerate(range(lo, hi)):
-        rng = np.random.default_rng([seed, traj])
-        starts, phases = _renewal_pieces(rng, tau_dm, t_max)
-        out[row] = _piecewise_population(g, delta, t_grid, starts, phases)
+    rngs = [np.random.default_rng([seed, traj]) for traj in range(lo, hi)]
+    expect = t_max / tau_dm
+    block = int(expect + 10.0 * math.sqrt(expect + 1.0) + 10)
+    gaps = np.stack([rng.exponential(tau_dm, size=block) for rng in rngs])
+    starts = np.zeros((len(rngs), block + 1))
+    np.cumsum(gaps, axis=1, out=starts[:, 1:])
+    # starts ascend, so counting those below t_max is searchsorted(starts, t_max)
+    keep = np.count_nonzero(starts < t_max, axis=1) + 1
+    longer = {}
+    for row in np.flatnonzero(gaps.sum(axis=1) < t_max):
+        longer[row] = _longer_starts(rngs[row], tau_dm, t_max, gaps[row], block)
+        keep[row] = longer[row].size
+    phases = [rng.uniform(0.0, 2.0 * math.pi, size=k - 1) for rng, k in zip(rngs, keep)]
+    out = np.empty((len(rngs), t_grid.size))
+    for k in np.unique(keep):
+        rows = np.flatnonzero(keep == k)
+        out[rows] = _piecewise_population(
+            g, delta, t_grid,
+            np.stack([longer[r] if r in longer else starts[r, :k] for r in rows]),
+            np.stack([phases[r] for r in rows]),
+        )
     return out
 
 
-def _renewal_pieces(rng, tau_dm, t_max):
-    """Renewal times (piece starts) covering [0, t_max] and per-piece phases."""
-    expect = t_max / tau_dm
-    block = int(expect + 10.0 * math.sqrt(expect + 1.0) + 10)
-    gaps = rng.exponential(tau_dm, size=block)
+def _longer_starts(rng, tau_dm, t_max, gaps, block):
+    """Piece starts covering [0, t_max] when the first block of gaps falls short of it."""
     total = gaps.sum()
     while total < t_max:
-        extra = rng.exponential(tau_dm, size=block)
-        gaps = np.concatenate([gaps, extra])
+        gaps = np.concatenate([gaps, rng.exponential(tau_dm, size=block)])
         total = gaps.sum()
     starts = np.concatenate([[0.0], np.cumsum(gaps)])
-    keep = int(np.searchsorted(starts, t_max)) + 1
-    starts = starts[:keep]
-    phases = rng.uniform(0.0, 2.0 * math.pi, size=keep - 1)
-    return starts, phases
+    return starts[:int(np.searchsorted(starts, t_max)) + 1]
 
 
 def _piecewise_population(g, delta, t_grid, starts, phases):
     """|alpha(t)|^2 on the grid, each phase piece integrated in closed form.
 
-    All grid points are clipped against all pieces at once, as a (points,
-    pieces) array, and every amplitude is bit for bit the one a loop over the
-    grid gives:
+    starts (..., pieces + 1) and phases (..., pieces) give one trajectory
+    per leading index; the result is (..., points).  All grid points are
+    clipped against all pieces at once, as a (..., points, pieces) array,
+    and every amplitude is bit for bit the one a loop over the grid gives:
 
     - the phase factors are repeated to the segments' shape, so the complex
       product runs numpy's contiguous loop, as each 1-D product of the loop
       did (with one operand broadcast, numpy may pick a loop whose complex
       product rounds differently, e.g. without FMA);
     - each row sums in the same pairwise order as a 1-D sum of that row;
-    - the last step, abs(amp) ** 2, stays a scalar operation per point:
-      numpy's vectorised complex abs and power differ from the scalar ones
-      in the last bit on about a third of the points, on some CPUs.
+    - |amp|^2 is libm's hypot of the parts, squared through `_pow`: that is
+      what the scalar abs(amp) ** 2 computes, while numpy's vectorised
+      complex abs, and hypot * hypot, differ from it in the last bit on
+      some points, on some CPUs.
 
     A subnormal detuning counts as zero: e^{i delta t} is 1 + i delta t to
     double precision, and dividing by delta would overflow to inf * 0 = nan.
     """
     t = t_grid[:, None]
-    hi = np.minimum(starts[1:], t)
-    lo = np.minimum(starts[:-1], t)
+    hi = np.minimum(starts[..., None, 1:], t)
+    lo = np.minimum(starts[..., None, :-1], t)
     if abs(delta) < np.finfo(float).tiny:
         segs = (hi - lo).astype(complex)
     else:
         segs = (np.exp(1j * delta * hi) - np.exp(1j * delta * lo)) / (1j * delta)
-    phase_fac = np.exp(1j * phases)[None, :].repeat(t_grid.size, axis=0)
-    sums = (phase_fac * segs).sum(axis=1)
-    return np.array([abs(-1j * g * s) ** 2 for s in sums])
+    phase_fac = np.exp(1j * phases)[..., None, :].repeat(t_grid.size, axis=-2)
+    amp = -1j * g * (phase_fac * segs).sum(axis=-1)
+    return _pow(np.hypot(amp.real, amp.imag).ravel(), 2).reshape(amp.shape)

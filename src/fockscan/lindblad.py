@@ -504,13 +504,13 @@ def propagate_cycle(
     if m < 0 or m + 1 >= space.cutoff:
         raise InvalidArgument("need fock_m >= 0 and cutoff > m+1")
     psi0, target = _primary_states(space, m)
-    if ed is not None:
-        psi0 = apply_plan(psi0, ed, space)
-        target = apply_plan(target, ed, space)
+    if rho0 is None:
+        psi0 = psi0 if ed is None else apply_plan(psi0, ed, space)
+        rho0 = np.outer(psi0, psi0.conj())
+    if readout is None:
+        readout = target if ed is None else apply_plan(target, ed, space)
     return _run_cycle(
-        space, noise, 1.0, np.outer(psi0, psi0.conj()) if rho0 is None else rho0,
-        target if readout is None else readout, g, tau_dm, tau_int, populate, dt,
-        leak_tol, record_times,
+        space, noise, 1.0, rho0, readout, g, tau_dm, tau_int, populate, dt, leak_tol, record_times,
     )
 
 

@@ -1,3 +1,4 @@
+import copy
 import importlib.util
 import json
 import math
@@ -11,6 +12,8 @@ import jsonschema
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fockscan.cli import main
 from fockscan.config import (
@@ -24,6 +27,7 @@ from fockscan.errors import ConfigError
 HERE = Path(__file__).parent
 GOLDEN = HERE / "golden"
 SAMPLE = Path(__file__).parents[1] / "src" / "fockscan" / "configs"
+PERFBENCH = Path(__file__).parents[1] / "perfbench" / "configs"
 
 
 def run_cli(args):
@@ -96,6 +100,104 @@ class TestConfigLoading:
         a = {"x": 1, "y": {"b": 2, "a": 3}}
         b = {"y": {"a": 3, "b": 2}, "x": 1}
         assert config_hash(a) == config_hash(b)
+
+
+def _property_names(schema):
+    """Every property name a schema mentions, at any depth."""
+    props = schema.get("properties", {})
+    names = set(props)
+    for sub in props.values():
+        names |= _property_names(sub)
+    if "items" in schema:
+        names |= _property_names(schema["items"])
+    return names
+
+
+# JSON Schema's `integer` admits 1.0; the config checker does not
+ORACLE = jsonschema.validators.extend(
+    jsonschema.Draft202012Validator,
+    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
+        "integer", lambda checker, x: isinstance(x, int) and not isinstance(x, bool)),
+)(SCHEMA)
+BASE_DOCS = [yaml.safe_load(p.read_text())
+             for folder in (SAMPLE, GOLDEN / "configs", PERFBENCH) for p in sorted(folder.glob("*.yaml"))]
+KEYS = st.one_of(
+    st.sampled_from(sorted(_property_names(SCHEMA)) + ["bogus", "Seed", ""]),
+    st.integers(-2, 2), st.booleans(), st.none(), st.just(1.5),
+)
+SCALARS = st.one_of(
+    st.booleans(), st.none(),
+    st.integers(-3, 3), st.sampled_from([2 ** 64 - 1, 2 ** 64, -(2 ** 70)]),
+    st.floats(-10.0, 10.0), st.sampled_from([0.0, -0.0, 1.0, 2.0, 3.0, 12.0, 1e300, -1e-300]),
+    st.sampled_from(["auto", "full", "effective", "linear", "binary", "Binary", "five", ""]),
+)
+VALUES = st.one_of(
+    SCALARS,
+    st.just([]),
+    st.lists(SCALARS, max_size=3),
+    st.dictionaries(KEYS, SCALARS, max_size=2),
+)
+
+
+def _paths(node, path=()):
+    """Every key path into a loaded YAML document, the root first."""
+    yield path
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        children = ()
+    for key, child in children:
+        yield from _paths(child, path + (key,))
+
+
+@st.composite
+def mutated_configs(draw):
+    """A sample, golden or benchmark config with values replaced, keys added or deleted, lists emptied."""
+    doc = copy.deepcopy(draw(st.sampled_from(BASE_DOCS)))
+    for _ in range(draw(st.integers(1, 4))):
+        path = draw(st.sampled_from(list(_paths(doc))))
+        node = doc
+        for key in path:
+            node = node[key]
+        action = draw(st.sampled_from(["replace", "add", "delete", "empty"]))
+        if action == "replace" and path:
+            parent = doc
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]] = draw(VALUES)
+        elif action == "add" and isinstance(node, dict):
+            node.update(draw(st.dictionaries(KEYS, VALUES, min_size=1, max_size=3)))
+        elif action == "delete" and isinstance(node, dict) and node:
+            del node[draw(st.sampled_from(list(node)))]
+        elif action == "empty" and isinstance(node, list):
+            node.clear()
+    return doc
+
+
+class TestSchemaChecker:
+    @settings(max_examples=400, deadline=None)
+    @given(doc=mutated_configs())
+    def test_matches_jsonschema_best_match(self, tmp_path_factory, doc):
+        path = tmp_path_factory.mktemp("oracle") / "doc.yaml"
+        path.write_text(yaml.safe_dump(doc, sort_keys=False))
+        loaded = yaml.safe_load(path.read_text())
+        expected = jsonschema.exceptions.best_match(ORACLE.iter_errors(loaded))
+        if expected is None:
+            assert load_config(path) == loaded
+        else:
+            with pytest.raises(ConfigError) as got:
+                load_config(path)
+            assert str(got.value) == (
+                f"config validation failed: {expected.message} (at {list(expected.path)})")
+
+    def test_cli_import_leaves_jsonschema_out(self):
+        code = ("import sys, fockscan.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'jsonschema'))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=dict(os.environ), check=True)
+        assert proc.stdout.strip() == "[]"
 
 
 class TestExitCodes:
@@ -212,6 +314,33 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error: config validation failed")
         assert f"(at {where})" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command,config,where", [
+        ("snr-sweep", "sweep.yaml", ["sweep", "points"]),
+        ("validate-gates", "gates.yaml", ["gates", "max_fock"]),
+        ("validate-gates", "gates.yaml", ["gates", "cutoff"]),
+        ("mc-dm", "mc.yaml", ["mc", "n_traj"]),
+        ("scan-rate", "scan.yaml", ["sweep", "n_cavities_list", 1]),
+        ("exclusion", "exclusion.yaml", ["sensitivity", "freq_points"]),
+        ("reach", "reach.yaml", ["sensitivity", "n_cavities"]),
+        ("simulate-cycle", "cycle.yaml", ["protocol", "fock_m"]),
+        ("simulate-cycle", "cycle.yaml", ["protocol", "n_cavities"]),
+    ])
+    def test_integer_field_written_as_float_exits_two(self, tmp_path, capsys, command, config,
+                                                      where):
+        # JSON Schema's integer admits 1.0, which then ended in a TypeError
+        doc = yaml.safe_load((GOLDEN / "configs" / config).read_text())
+        node = doc
+        for key in where[:-1]:
+            node = node[key]
+        node[where[-1]] = value = float(node[where[-1]])
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(yaml.safe_dump(doc))
+        assert run_cli([command, "--config", bad, "--out", tmp_path / "out", "--jobs", 1]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: config validation failed: {value!r} is not of type 'integer'"
+            f" (at {where})\n")
         assert not (tmp_path / "out").exists()
 
     def test_non_utf8_config_exits_two(self, tmp_path, capsys):

@@ -190,6 +190,65 @@ def loop_population(g, delta, t_grid, starts, phases):
     return out
 
 
+def loop_mc_samples(g, tau_dm, delta, t_grid, n_traj, seed, make_rng=np.random.default_rng):
+    """Monte Carlo samples trajectory by trajectory: renewal pieces, then `loop_population`."""
+    t_max = float(t_grid[-1])
+    expect = t_max / tau_dm
+    block = int(expect + 10.0 * math.sqrt(expect + 1.0) + 10)
+    rows = []
+    for traj in range(n_traj):
+        rng = make_rng([seed, traj])
+        gaps = rng.exponential(tau_dm, size=block)
+        while gaps.sum() < t_max:
+            gaps = np.concatenate([gaps, rng.exponential(tau_dm, size=block)])
+        starts = np.concatenate([[0.0], np.cumsum(gaps)])
+        starts = starts[:int(np.searchsorted(starts, t_max)) + 1]
+        phases = rng.uniform(0.0, 2.0 * math.pi, size=starts.size - 1)
+        rows.append(loop_population(g, delta, t_grid, starts, phases))
+    return np.array(rows)
+
+
+class ShortFirstBlock:
+    """An odd trajectory's generator whose first exponential block is shrunk to fall short."""
+
+    def __init__(self, seed, make_rng):
+        self._rng = make_rng(seed)
+        self._shrink = seed[1] % 2 == 1
+
+    def exponential(self, scale, size):
+        gaps = self._rng.exponential(scale, size)
+        if self._shrink:
+            self._shrink = False
+            return gaps * 1e-2
+        return gaps
+
+    def uniform(self, low, high, size):
+        return self._rng.uniform(low, high, size)
+
+
+class TestChunkedMonteCarlo:
+    grid = np.linspace(0.25, 12.0, 17)
+
+    def assert_matches_loop(self, delta, seed, make_rng=np.random.default_rng):
+        samples = loop_mc_samples(73.6, TAU, delta, self.grid, 300, seed, make_rng)
+        res = mc_population(73.6, TAU, delta, self.grid, 300, seed, _chunk=128)
+        assert np.array_equal(res.mean, samples.mean(axis=0))
+        assert np.array_equal(res.stderr, samples.std(axis=0, ddof=1) / math.sqrt(300))
+
+    @pytest.mark.parametrize("delta", [0.0, 5e-324, -2.225073858507203e-309, 0.7, -2.0, 13.0])
+    def test_matches_per_trajectory_loop(self, delta):
+        self.assert_matches_loop(delta, seed=7)
+
+    def test_short_first_block_draws_more(self, monkeypatch):
+        real = np.random.default_rng
+
+        def short(seed):
+            return ShortFirstBlock(seed, real)
+
+        monkeypatch.setattr(np.random, "default_rng", short)
+        self.assert_matches_loop(0.4, seed=8, make_rng=short)
+
+
 class TestPiecewisePopulation:
     @settings(max_examples=80, deadline=None)
     @given(

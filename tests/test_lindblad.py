@@ -115,7 +115,7 @@ def exact_channel(space, rho, noise, dt):
     return (expm(dt * liouvillian(space, noise)) @ rho.ravel()).reshape(rho.shape)
 
 
-class TestDlmeStep:
+class TestOneBackgroundStep:
     def test_pure_decay_first_order(self):
         sp = HilbertSpace(1, 3)
         rho = projector(number_state(sp, [1]))
