@@ -120,7 +120,8 @@ ORACLE = jsonschema.validators.extend(
         "integer", lambda checker, x: isinstance(x, int) and not isinstance(x, bool)),
 )(SCHEMA)
 BASE_DOCS = [yaml.safe_load(p.read_text())
-             for folder in (SAMPLE, GOLDEN / "configs", PERFBENCH) for p in sorted(folder.glob("*.yaml"))]
+             for folder in (SAMPLE, GOLDEN / "configs", PERFBENCH)
+             for p in sorted(folder.glob("*.yaml"))]
 KEYS = st.one_of(
     st.sampled_from(sorted(_property_names(SCHEMA)) + ["bogus", "Seed", ""]),
     st.integers(-2, 2), st.booleans(), st.none(), st.just(1.5),
@@ -154,7 +155,7 @@ def _paths(node, path=()):
 
 @st.composite
 def mutated_configs(draw):
-    """A sample, golden or benchmark config with values replaced, keys added or deleted, lists emptied."""
+    """A sample, golden or benchmark config with values replaced, keys added or deleted."""
     doc = copy.deepcopy(draw(st.sampled_from(BASE_DOCS)))
     for _ in range(draw(st.integers(1, 4))):
         path = draw(st.sampled_from(list(_paths(doc))))

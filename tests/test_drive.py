@@ -6,6 +6,7 @@ import scipy.constants as const
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fockscan import drive
 from fockscan.drive import (
     CavityGeometry,
     _piecewise_population,
@@ -238,6 +239,14 @@ class TestChunkedMonteCarlo:
     @pytest.mark.parametrize("delta", [0.0, 5e-324, -2.225073858507203e-309, 0.7, -2.0, 13.0])
     def test_matches_per_trajectory_loop(self, delta):
         self.assert_matches_loop(delta, seed=7)
+
+    def test_small_batches_match_loop(self, monkeypatch):
+        monkeypatch.setattr(drive, "_BATCH_ELEMENTS", 500)
+        self.assert_matches_loop(-0.3, seed=9)
+
+    def test_grid_ending_at_zero_has_no_pieces(self):
+        res = mc_population(73.6, TAU, 0.0, [0.0], 20, seed=7)
+        assert np.array_equal(res.mean, [0.0])
 
     def test_short_first_block_draws_more(self, monkeypatch):
         real = np.random.default_rng
