@@ -207,8 +207,8 @@ def mc_population(
 # Trajectories are integrated together up to this many (point, piece start)
 # entries, so each complex temporary stays under 128 KiB, the size from which
 # glibc's malloc maps fresh pages for every array: unbounded batches of equal
-# piece counts page-faulted 125 000 times in one cold 10^4-trajectory run and
-# gave back most of their gain.
+# piece counts page-faulted about 125 000 times in one cold 10^4-trajectory
+# run and gave back most of their gain.
 _BATCH_ELEMENTS = 8192
 
 
