@@ -12,7 +12,6 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 from .drive import (
     CavityGeometry,
     DMParams,
-    PhysicalConstants,
     cavity_volume_tm010,
     coupling_g,
     form_factor_tm010,
@@ -53,7 +52,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BeamsplitterSpec", "CavityGeometry", "DMParams", "EDPlan",
-    "HilbertSpace", "NoiseModel", "PhysicalConstants", "ProtocolConfig",
+    "HilbertSpace", "NoiseModel", "ProtocolConfig",
     "SensitivityParams", "TransformedRates", "calibrate_bs_multiplier",
     "cavity_volume_tm010", "coupling_g", "effective_propagate_cycle",
     "exclusion_epsilon", "form_factor_tm010", "lossy_ed_apply", "make_plan",

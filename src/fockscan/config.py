@@ -3,7 +3,10 @@
 Configs are YAML documents with unit-suffixed field names; every frequency
 or rate given in Hz is converted to angular units (rad/s) here, once, at
 the boundary.  Unknown keys are rejected by the schema so typos fail loudly
-instead of silently falling back to defaults.
+instead of silently falling back to defaults.  Every accepted key is read,
+except `protocol.zeta_snr`: the SNR target of the sensitivity projections is
+`sensitivity.zeta_snr`, and the protocol key stays accepted, and ignored,
+only so that configs written for earlier versions still load.
 
 `SCHEMA` is a JSON Schema (draft 2020-12) that uses only the keywords
 `type`, `enum`, `minimum`, `maximum`, `exclusiveMinimum`, `minItems`,
@@ -32,7 +35,6 @@ from .sensitivity import SensitivityParams
 
 TWO_PI = 2.0 * math.pi
 
-_NUM = {"type": "number"}
 _POS = {"type": "number", "exclusiveMinimum": 0}
 _INT = {"type": "integer", "minimum": 0}
 
@@ -71,7 +73,6 @@ SCHEMA = {
                 "rho_dm_gev_cm3": _POS,
                 "q_dm": _POS,
                 "coupling_rad_s": _POS,
-                "detuning_linewidths": _NUM,
             },
         },
         "sweep": {
@@ -100,7 +101,7 @@ SCHEMA = {
                 "n_traj": {"type": "integer", "minimum": 1},
                 "t_max_taudm": _POS,
                 "points": {"type": "integer", "minimum": 2},
-                "detuning_linewidths": _NUM,
+                "detuning_linewidths": {"type": "number"},
             },
         },
         "sensitivity": {
@@ -264,7 +265,10 @@ def require_sections(doc: dict, names, command: str):
 
 
 def build_protocol_config(doc: dict, backend: str | None = None, seed: int | None = None) -> ProtocolConfig:
-    """Assemble a ProtocolConfig from the 'protocol' (+ 'dm') sections."""
+    """Assemble a ProtocolConfig from the 'protocol' (+ 'dm') sections.
+
+    backend and seed, when given, override the config's top-level keys.
+    """
     proto = doc.get("protocol")
     if proto is None:
         raise ConfigError("config is missing the 'protocol' section")
@@ -293,6 +297,8 @@ def build_protocol_config(doc: dict, backend: str | None = None, seed: int | Non
     )
     if backend:
         kwargs["backend"] = backend
+    elif "backend" in doc:
+        kwargs["backend"] = doc["backend"]
     if seed is not None:
         kwargs["seed"] = seed
     elif "seed" in doc:

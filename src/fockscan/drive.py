@@ -12,7 +12,9 @@ oscillatory terms; mc_population cross-checks that closed form against a
 direct Monte Carlo integration of the phase-noisy equation of motion.
 
 All frequencies and rates in this package are angular (rad/s).  The CLI and
-config layer accept Hz fields and convert once, at the boundary.
+config layer accept Hz fields and convert once, at the boundary.  The SI
+constants are fixed module values (HBAR, K_B, C_LIGHT, JOULE_PER_GEV), not
+parameters.
 """
 from __future__ import annotations
 
@@ -29,22 +31,16 @@ from .parallel import pool_map
 _BESSEL_J0_ROOT = 2.4048  # first zero of J0, fixed to the 5 digits used throughout
 
 
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """SI constants, fixed here once (CODATA/SI-exact values)."""
-
-    hbar: float = 1.054571817e-34   # J s
-    k_b: float = 1.380649e-23       # J/K (exact)
-    c: float = 2.99792458e8         # m/s (exact)
-    joule_per_gev: float = 1.602176634e-10  # J/GeV (exact)
+# SI constants (CODATA/SI-exact values)
+HBAR = 1.054571817e-34          # J s
+K_B = 1.380649e-23              # J/K (exact)
+C_LIGHT = 2.99792458e8          # m/s (exact)
+JOULE_PER_GEV = 1.602176634e-10  # J/GeV (exact)
 
 
-CONSTANTS = PhysicalConstants()
-
-
-def rho_dm_si(rho_gev_cm3: float, constants: PhysicalConstants = CONSTANTS) -> float:
+def rho_dm_si(rho_gev_cm3: float) -> float:
     """Convert an energy density in GeV/cm^3 to J/m^3."""
-    return rho_gev_cm3 * constants.joule_per_gev * 1e6
+    return rho_gev_cm3 * JOULE_PER_GEV * 1e6
 
 
 @dataclass(frozen=True)
@@ -55,14 +51,12 @@ class DMParams:
     rho_dm    -- local energy density, J/m^3
     omega_dm  -- dark-photon angular frequency, rad/s
     q_dm      -- coherence quality factor (tau_dm = q_dm / omega_dm)
-    delta     -- cavity-DM detuning, rad/s (any sign)
     """
 
     epsilon: float
     rho_dm: float
     omega_dm: float
     q_dm: float = 1e6
-    delta: float = 0.0
 
     def __post_init__(self):
         for name in ("epsilon", "rho_dm", "omega_dm", "q_dm"):
@@ -87,15 +81,15 @@ class CavityGeometry:
             raise InvalidArgument("form factor must lie in (0, 1]")
 
 
-def coupling_g(dm: DMParams, cav: CavityGeometry, constants: PhysicalConstants = CONSTANTS) -> float:
+def coupling_g(dm: DMParams, cav: CavityGeometry) -> float:
     """DM-cavity coupling g = epsilon sqrt(2 G rho V omega / hbar), in rad/s."""
-    return _coupling(dm.epsilon, cav.form_factor_g, dm.rho_dm, cav.volume, cav.omega, constants)
+    return _coupling(dm.epsilon, cav.form_factor_g, dm.rho_dm, cav.volume, cav.omega)
 
 
-def _coupling(epsilon, form_factor_g, rho_dm, volume, omega, constants):
+def _coupling(epsilon, form_factor_g, rho_dm, volume, omega):
     """`coupling_g` from plain numbers; elementwise over arrays of volume and omega."""
     sqrt = np.sqrt if isinstance(omega, np.ndarray) else math.sqrt
-    return epsilon * sqrt(2.0 * form_factor_g * rho_dm * volume * omega / constants.hbar)
+    return epsilon * sqrt(2.0 * form_factor_g * rho_dm * volume * omega / HBAR)
 
 
 def _pow(x, p):
@@ -116,14 +110,14 @@ def form_factor_tm010() -> float:
     return (1.0 / 3.0) * (2.0 / _BESSEL_J0_ROOT) ** 2
 
 
-def cavity_volume_tm010(omega, constants: PhysicalConstants = CONSTANTS):
+def cavity_volume_tm010(omega):
     """Volume of the height = 4a TM010 cylinder resonant at omega: 4 pi (j01 c)^3 / omega^3.
 
     Elementwise over an array of omega.
     """
     if np.any(np.less_equal(omega, 0)):
         raise InvalidArgument("omega must be positive")
-    return 4.0 * math.pi * (_BESSEL_J0_ROOT * constants.c) ** 3 / _pow(omega, 3)
+    return 4.0 * math.pi * (_BESSEL_J0_ROOT * C_LIGHT) ** 3 / _pow(omega, 3)
 
 
 def mean_displacement(g: float, tau_dm: float, tau_int) -> np.ndarray | float:

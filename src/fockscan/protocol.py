@@ -196,10 +196,6 @@ class SweepResult:
     backend: str
     diagnostics: dict
 
-    def rows(self, tau_dm: float):
-        for t, ns, nb, s in zip(self.tau_int, self.n_s, self.n_b, self.snr):
-            yield {"tau_int_over_taudm": t / tau_dm, "snr": s, "n_s": ns, "n_b": nb}
-
 
 def _interp_peak(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     """Quadratic interpolation around the discrete argmax (edge-safe)."""
@@ -437,18 +433,10 @@ def semiclassical_rates_approx(
 class OptimalTauInt:
     tau_opt: float          # maximiser of the closed-form-rate SNR
     tau_analytic: float     # stationary point of the exponential approximation
-    snr_max_estimate: float
 
 
 def optimal_tau_int(
-    g: float,
-    tau_dm: float,
-    n_cavities: int,
-    m: int,
-    rates: TransformedRates,
-    tau_tot: float = 1.0,
-    tau_overhead: float = 0.0,
-    bracket: tuple[float, float] = (0.2, 100.0),
+    tau_dm: float, m: int, rates: TransformedRates, tau_overhead: float = 0.0
 ) -> OptimalTauInt:
     """A-priori optimal integration time for the diffusive-buildup SNR model.
 
@@ -460,7 +448,8 @@ def optimal_tau_int(
     which approaches tau_dm when (m+1) gamma tau_dm >> 1 and diverges as
     gamma -> 0.  tau_opt refines it by golden-section maximisation of the
     same objective with the cycle-overhead duty factor sqrt(t / (t +
-    overhead)) restored; with zero overhead the two coincide.
+    overhead)) restored, over the fixed interval (1, 100] tau_dm (the
+    objective is zero up to tau_dm); with zero overhead the two coincide.
     """
     gamma = rates.gamma_down_eff
     if gamma > 0:
@@ -475,9 +464,8 @@ def optimal_tau_int(
         duty = math.sqrt(t / (t + tau_overhead)) if tau_overhead > 0 else 1.0
         return math.exp(-0.5 * (m + 1) * gamma * t) * (1.0 - tau_dm / t) * duty
 
-    lo, hi = max(bracket[0], 1.0 + 1e-9) * tau_dm, bracket[1] * tau_dm
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
+    a, b = (1.0 + 1e-9) * tau_dm, 100.0 * tau_dm
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
     fc, fd = objective(c), objective(d)
@@ -492,17 +480,7 @@ def optimal_tau_int(
             a, c, fc = c, d, fd
             d = a + inv_phi * (b - a)
             fd = objective(d)
-    t_star = 0.5 * (a + b)
-    r_s, r_b = semiclassical_rates(g, tau_dm, n_cavities, m, rates, t_star)
-    snr_est = (
-        r_s * math.sqrt(t_star * tau_tot / (r_b * (t_star + tau_overhead)))
-        if r_b > 0 else math.inf
-    )
-    return OptimalTauInt(
-        tau_opt=float(t_star),
-        tau_analytic=float(tau_analytic),
-        snr_max_estimate=float(snr_est),
-    )
+    return OptimalTauInt(tau_opt=float(0.5 * (a + b)), tau_analytic=float(tau_analytic))
 
 
 def spam_background(p_e: float, e_ge: float, n_repeat: int, tau_cycle: float, r_b: float) -> float:

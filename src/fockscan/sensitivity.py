@@ -18,10 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .drive import (
-    CONSTANTS,
+    C_LIGHT,
+    HBAR,
+    K_B,
     CavityGeometry,
     DMParams,
-    PhysicalConstants,
     _coupling,
     _pow,
     cavity_volume_tm010,
@@ -57,7 +58,7 @@ class SensitivityParams:
             raise InvalidArgument("eta must lie in (0, 1]")
 
 
-def thermal_occupation(omega, temp: float, constants: PhysicalConstants = CONSTANTS):
+def thermal_occupation(omega, temp: float):
     """Bose-Einstein occupation (exp(hbar w / k T) - 1)^-1, underflow-safe.
 
     Elementwise over an array of omega, through the same scalar exp and
@@ -67,7 +68,7 @@ def thermal_occupation(omega, temp: float, constants: PhysicalConstants = CONSTA
         raise InvalidArgument("temperature must be positive")
     if np.any(np.less_equal(omega, 0)):
         raise InvalidArgument("omega must be positive")
-    x = constants.hbar * omega / (constants.k_b * temp)
+    x = HBAR * omega / (K_B * temp)
     if isinstance(x, np.ndarray):
         return np.fromiter(map(_bose, x.tolist()), float, count=x.size)
     return _bose(x)
@@ -85,15 +86,9 @@ class ScanRateResult:
     rate: float           # DM bandwidth per second, rad/s per s
     rate_hz_per_s: float  # same in Hz/s
     tau_tot_step: float   # exposure per tuning step, s
-    n_th: float
-    coupling: float       # g at the target mixing, rad/s
 
 
-def scan_rate(
-    params: SensitivityParams,
-    geometry: CavityGeometry,
-    constants: PhysicalConstants = CONSTANTS,
-) -> ScanRateResult:
+def scan_rate(params: SensitivityParams, geometry: CavityGeometry) -> ScanRateResult:
     """Scan rate at the target mixing, plus the per-step exposure.
 
     tau_tot = zeta^2 w n_th / (4 eta^2 g^4 tau_dm^2 Q_cav N^2 (m+1)),
@@ -101,22 +96,18 @@ def scan_rate(
          = 16 eta^2 eps^4 G^2 rho^2 V^2 Q_dm Q_cav N^2 (m+1) / (hbar^2 zeta^2 n_th).
     """
     omega = geometry.omega
-    n_th = thermal_occupation(omega, params.temp_cavity, constants)
+    n_th = thermal_occupation(omega, params.temp_cavity)
     DMParams(epsilon=params.target_epsilon, rho_dm=params.rho_dm, omega_dm=omega, q_dm=params.q_dm)
-    tau_tot, rate_si, g = _exposure(
-        params, omega, geometry.volume, geometry.form_factor_g, n_th, constants
-    )
+    tau_tot, rate_si = _exposure(params, omega, geometry.volume, geometry.form_factor_g, n_th)
     return ScanRateResult(
         rate=rate_si,
         rate_hz_per_s=rate_si / (2.0 * math.pi),
         tau_tot_step=tau_tot,
-        n_th=n_th,
-        coupling=g,
     )
 
 
-def _exposure(params, omega, volume, form_factor_g, n_th, constants):
-    """(tau_tot, SI scan rate, coupling g) of one tuning step, after the unit audit.
+def _exposure(params, omega, volume, form_factor_g, n_th):
+    """(tau_tot, SI scan rate) of one tuning step, after the unit audit.
 
     The one implementation of `scan_rate`'s formulas.  Given arrays (one
     entry per step) it applies the same float operations in the same order,
@@ -127,8 +118,8 @@ def _exposure(params, omega, volume, form_factor_g, n_th, constants):
     exposure would be zero), and ArithmeticError if the SI and natural-unit
     routes disagree on any step.
     """
-    _require_warm(n_th, omega, params.temp_cavity, constants)
-    g = _coupling(params.target_epsilon, form_factor_g, params.rho_dm, volume, omega, constants)
+    _require_warm(n_th, omega, params.temp_cavity)
+    g = _coupling(params.target_epsilon, form_factor_g, params.rho_dm, volume, omega)
     tau_dm = params.q_dm / omega
     tau_tot = (
         params.zeta_snr ** 2 * omega * n_th
@@ -138,8 +129,8 @@ def _exposure(params, omega, volume, form_factor_g, n_th, constants):
     rate_si = (omega / params.q_dm) / tau_tot
 
     # independent route: natural units (hbar = c = 1, rad/s as the energy unit)
-    rho_nat = params.rho_dm * constants.c ** 3 / constants.hbar   # (rad/s)^4
-    vol_nat = volume / constants.c ** 3                           # (s/rad)^3
+    rho_nat = params.rho_dm * C_LIGHT ** 3 / HBAR   # (rad/s)^4
+    vol_nat = volume / C_LIGHT ** 3                 # (s/rad)^3
     rate_nat = (
         16.0 * params.eta ** 2 * params.target_epsilon ** 4 * form_factor_g ** 2
         * rho_nat ** 2 * _pow(vol_nat, 2) * params.q_dm * params.q_cav
@@ -150,10 +141,10 @@ def _exposure(params, omega, volume, form_factor_g, n_th, constants):
         raise ArithmeticError(
             f"unit audit failed: SI route {rate_si!r} vs natural route {rate_nat!r}"
         )
-    return tau_tot, rate_si, g
+    return tau_tot, rate_si
 
 
-def _require_warm(n_th, omega, temp: float, constants: PhysicalConstants) -> None:
+def _require_warm(n_th, omega, temp: float) -> None:
     """Raise InvalidArgument if the thermal occupation underflowed to 0 at any omega.
 
     That happens for hbar w / k T > 745: the cavity is too cold for the model.
@@ -161,7 +152,7 @@ def _require_warm(n_th, omega, temp: float, constants: PhysicalConstants) -> Non
     cold = np.flatnonzero(np.equal(n_th, 0.0))
     if cold.size:
         w = float(np.ravel(omega)[cold[0]])
-        x = constants.hbar * w / (constants.k_b * temp)
+        x = HBAR * w / (K_B * temp)
         raise InvalidArgument(
             f"cavity temperature {temp:g} K is too cold at "
             f"{w / (2.0 * math.pi):g} Hz: hbar w / k T = {x:.4g} underflows the "
@@ -169,12 +160,7 @@ def _require_warm(n_th, omega, temp: float, constants: PhysicalConstants) -> Non
         )
 
 
-def exclusion_epsilon(
-    omega: float,
-    params: SensitivityParams,
-    tau_tot: float,
-    constants: PhysicalConstants = CONSTANTS,
-) -> float:
+def exclusion_epsilon(omega: float, params: SensitivityParams, tau_tot: float) -> float:
     """Kinetic mixing excluded after exposure tau_tot at frequency omega.
 
     eps(w) = [ n_th zeta^2 w hbar^2 /
@@ -184,19 +170,19 @@ def exclusion_epsilon(
     """
     if tau_tot <= 0 or omega <= 0:
         raise InvalidArgument("omega and tau_tot must be positive")
-    volume = cavity_volume_tm010(omega, constants)
+    volume = cavity_volume_tm010(omega)
     g_form = form_factor_tm010()
-    n_th = thermal_occupation(omega, params.temp_cavity, constants)
-    _require_warm(n_th, omega, params.temp_cavity, constants)
+    n_th = thermal_occupation(omega, params.temp_cavity)
+    _require_warm(n_th, omega, params.temp_cavity)
     eps4_si = (
-        n_th * params.zeta_snr ** 2 * omega * constants.hbar ** 2
+        n_th * params.zeta_snr ** 2 * omega * HBAR ** 2
         / (16.0 * params.eta ** 2 * g_form ** 2 * params.rho_dm ** 2
            * params.q_dm ** 2 * params.q_cav * volume ** 2 * tau_tot
            * (params.fock_m + 1) * params.n_cavities ** 2)
     )
     # independent route in natural units
-    rho_nat = params.rho_dm * constants.c ** 3 / constants.hbar
-    vol_nat = volume / constants.c ** 3
+    rho_nat = params.rho_dm * C_LIGHT ** 3 / HBAR
+    vol_nat = volume / C_LIGHT ** 3
     eps4_nat = (
         n_th * params.zeta_snr ** 2 * omega
         / (16.0 * params.eta ** 2 * g_form ** 2 * rho_nat ** 2 * vol_nat ** 2
@@ -233,7 +219,6 @@ def reach_band(
     time_budget: float,
     params: SensitivityParams,
     omega_start: float,
-    constants: PhysicalConstants = CONSTANTS,
     max_steps: int = 2_000_000,
 ) -> ReachBand:
     """Accumulate tuning steps of width 1/tau_dm until the budget is spent.
@@ -275,9 +260,9 @@ def reach_band(
     n_steps, spent, tau_tot = 0, 0.0, math.inf
     omegas = np.array([omega_start] if max_steps > 0 else [])
     while omegas.size:
-        taus = _chunk_exposures(work, omegas, g_form, constants) if n_steps else None
+        taus = _chunk_exposures(work, omegas, g_form) if n_steps else None
         if taus is None:
-            taus = _replay(work, omegas, spent, time_budget, g_form, constants)
+            taus = _replay(work, omegas, spent, time_budget, g_form)
         cum = np.add.accumulate(np.r_[spent, taus])[1:]
         over = np.flatnonzero(cum > time_budget)
         stop = int(over[0]) if over.size else taus.size
@@ -306,7 +291,7 @@ def reach_band(
     )
 
 
-def _chunk_exposures(params, omegas, g_form, constants):
+def _chunk_exposures(params, omegas, g_form):
     """tau_tot of every step in `omegas`, or None if the loop could raise on one of them.
 
     Python float arithmetic raises only where numpy flags division by zero,
@@ -316,23 +301,22 @@ def _chunk_exposures(params, omegas, g_form, constants):
     """
     try:
         with np.errstate(divide="raise", over="raise", invalid="raise"):
-            volumes = cavity_volume_tm010(omegas, constants)
+            volumes = cavity_volume_tm010(omegas)
             if not np.all(volumes > 0):
                 return None
-            n_th = thermal_occupation(omegas, params.temp_cavity, constants)
-            return _exposure(params, omegas, volumes, g_form, n_th, constants)[0]
+            n_th = thermal_occupation(omegas, params.temp_cavity)
+            return _exposure(params, omegas, volumes, g_form, n_th)[0]
     except (ArithmeticError, ValueError):
         return None
 
 
-def _replay(params, omegas, spent, time_budget, g_form, constants):
+def _replay(params, omegas, spent, time_budget, g_form):
     """The per-step loop over one chunk: tau_tot up to and including the step that ends the band."""
     taus = []
     for omega in omegas.tolist():
-        geometry = CavityGeometry(
-            omega=omega, volume=cavity_volume_tm010(omega, constants), form_factor_g=g_form
-        )
-        taus.append(scan_rate(params, geometry, constants).tau_tot_step)
+        geometry = CavityGeometry(omega=omega, volume=cavity_volume_tm010(omega),
+                                  form_factor_g=g_form)
+        taus.append(scan_rate(params, geometry).tau_tot_step)
         if spent + taus[-1] > time_budget:
             break
         spent += taus[-1]

@@ -163,7 +163,7 @@ def test_criterion_06_snr_curve_reproduction():
         cfg = reference_config(fock_m=m)
         grid = default_tau_grid(cfg.tau_dm, 0.2, 40.0, 60)
         sw = snr_sweep(cfg, grid)
-        opt = optimal_tau_int(73.6, cfg.tau_dm, 2, m, cfg.rates(),
+        opt = optimal_tau_int(cfg.tau_dm, m, cfg.rates(),
                               tau_overhead=2 * cfg.tau_ed() + cfg.tau_spam)
         argmaxes.append(sw.tau_opt)
         closed.append(opt.tau_opt)

@@ -102,6 +102,70 @@ class TestConfigLoading:
         assert config_hash(a) == config_hash(b)
 
 
+# Another valid value for every config key that build_protocol_config reads
+OTHER_VALUES = {
+    ("seed",): 12,
+    ("backend",): "effective",
+    ("protocol", "n_cavities"): 2,
+    ("protocol", "fock_m"): 1,
+    ("protocol", "freq_hz"): 6.0e9,
+    ("protocol", "temp_cavity_mk"): 40.0,
+    ("protocol", "q_cavity"): 1.0e7,   # in place of decay_time_s: the two are exclusive
+    ("protocol", "decay_time_s"): 1.0e-3,
+    ("protocol", "tau_tot_s"): 2.0,
+    ("protocol", "tau_spam_s"): 1.0e-5,
+    ("protocol", "ed_scheme"): "linear",
+    ("protocol", "bs_fidelity"): 0.99,
+    ("protocol", "bs_rate_hz"): 2.0e6,
+    ("protocol", "dephasing_ratio"): 0.2,
+    ("protocol", "cutoff"): 6,
+    ("dm", "epsilon"): 1e-15,
+    ("dm", "rho_dm_gev_cm3"): 0.3,
+    ("dm", "q_dm"): 2.0e6,
+    ("dm", "coupling_rad_s"): 50.0,
+}
+# Accepted and ignored, so that older configs still load: the projections
+# take their SNR target from sensitivity.zeta_snr.
+IGNORED_KEYS = {("protocol", "zeta_snr")}
+
+
+class TestEveryKeyIsRead:
+    def test_every_accepted_key_is_listed(self):
+        props = SCHEMA["properties"]
+        leaves = {("seed",), ("backend",)} | {
+            (section, key) for section in ("protocol", "dm") for key in props[section]["properties"]
+        }
+        assert set(OTHER_VALUES) | IGNORED_KEYS == leaves
+        assert not set(OTHER_VALUES) & IGNORED_KEYS
+
+    @pytest.mark.parametrize("where", sorted(OTHER_VALUES), ids=".".join)
+    def test_changing_a_key_changes_the_config(self, tmp_path, where):
+        base = GOLDEN / "configs" / "sweep.yaml"
+        doc = yaml.safe_load(base.read_text())
+        node = doc
+        for key in where[:-1]:
+            node = node[key]
+        assert node.get(where[-1]) != OTHER_VALUES[where]
+        node[where[-1]] = OTHER_VALUES[where]
+        if where == ("protocol", "q_cavity"):
+            del node["decay_time_s"]
+        path = tmp_path / "changed.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        assert build_protocol_config(load_config(path)) != build_protocol_config(load_config(base))
+
+    @pytest.mark.parametrize("flags,backend", [([], "effective"), (["--backend", "full"], "full")])
+    def test_backend_key_and_flag(self, tmp_path, monkeypatch, flags, backend):
+        # auto would take the full backend for this two-cavity config
+        monkeypatch.delenv("FOCKSCAN_BACKEND", raising=False)
+        doc = yaml.safe_load((GOLDEN / "configs" / "cycle.yaml").read_text())
+        doc["backend"] = "effective"
+        path = tmp_path / "effective.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        out = tmp_path / "out"
+        assert run_cli(["simulate-cycle", "--config", path, "--out", out, "--jobs", 1, *flags]) == 0
+        assert json.loads((out / "cycle.json").read_text())["cycle"]["backend"] == backend
+
+
 def _property_names(schema):
     """Every property name a schema mentions, at any depth."""
     props = schema.get("properties", {})
@@ -229,6 +293,17 @@ class TestExitCodes:
         bad = tmp_path / "empty.yaml"
         bad.write_text(yaml.safe_dump(doc))
         assert run_cli(["snr-sweep", "--config", bad, "--out", tmp_path]) == 2
+
+    def test_dm_detuning_key_exits_two(self, tmp_path, capsys):
+        # the Monte Carlo detuning is mc.detuning_linewidths; dm has no such key
+        doc = yaml.safe_load((GOLDEN / "configs" / "mc.yaml").read_text())
+        doc["dm"]["detuning_linewidths"] = 2.0
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(yaml.safe_dump(doc))
+        assert run_cli(["mc-dm", "--config", bad, "--out", tmp_path / "out", "--jobs", 1]) == 2
+        assert capsys.readouterr().err == (
+            "config error: config validation failed: Additional properties are not allowed "
+            "('detuning_linewidths' was unexpected) (at ['dm'])\n")
 
     def test_insufficient_grid_coverage_exits_two(self, tmp_path):
         doc = yaml.safe_load((GOLDEN / "configs" / "sweep.yaml").read_text())

@@ -298,12 +298,12 @@ class TestOptimalTauInt:
 
     def test_strong_depletion_limit(self):
         rates = transformed_rates(2, NoiseModel.uniform(2, 1e-3, 1e7, 0.0), 5)
-        opt = optimal_tau_int(73.6, self.cfg.tau_dm, 2, 5, rates)
+        opt = optimal_tau_int(self.cfg.tau_dm, 5, rates)
         assert opt.tau_analytic == pytest.approx(self.cfg.tau_dm, rel=1e-2)
 
     def test_lossless_divergence(self):
         rates = transformed_rates(2, NoiseModel.uniform(2, 1e-3, 0.0, 0.0), 0)
-        opt = optimal_tau_int(73.6, self.cfg.tau_dm, 2, 0, rates)
+        opt = optimal_tau_int(self.cfg.tau_dm, 0, rates)
         assert opt.tau_analytic == math.inf
 
     def test_inverse_sqrt_scaling_near_lossless(self):
@@ -311,7 +311,7 @@ class TestOptimalTauInt:
         vals = []
         for gamma in (1.0, 4.0):
             rates = transformed_rates(2, NoiseModel.uniform(2, 1e-3, gamma, 0.0), 0)
-            vals.append(optimal_tau_int(73.6, tau, 2, 0, rates).tau_analytic)
+            vals.append(optimal_tau_int(tau, 0, rates).tau_analytic)
         assert vals[0] / vals[1] == pytest.approx(2.0, rel=1e-2)
 
     @pytest.mark.parametrize("m", [0, 2, 4, 6, 8, 10])
@@ -319,7 +319,7 @@ class TestOptimalTauInt:
         cfg = canonical_config(fock_m=m)
         grid = default_tau_grid(cfg.tau_dm, 0.2, 40.0, 50)
         sw = snr_sweep(cfg, grid)
-        opt = optimal_tau_int(73.6, cfg.tau_dm, 2, m, cfg.rates(),
+        opt = optimal_tau_int(cfg.tau_dm, m, cfg.rates(),
                               tau_overhead=2 * cfg.tau_ed() + cfg.tau_spam)
         assert abs(opt.tau_opt - sw.tau_opt) / sw.tau_opt < 0.20
 

@@ -294,5 +294,4 @@ class TestReachBandChunked:
             reach_band(1e-16, 30.0, make_params(), OMEGA7)
         # the chunked steps are audited too: a chunk that fails it is replayed
         omegas = OMEGA7 * np.cumprod(np.full(16, 1.0 + 1e-6))
-        assert sensitivity._chunk_exposures(make_params(), omegas, form_factor_tm010(),
-                                            sensitivity.CONSTANTS) is None
+        assert sensitivity._chunk_exposures(make_params(), omegas, form_factor_tm010()) is None
