@@ -6,7 +6,8 @@ block (config hash, version, seed, backend, dt) sufficient to re-run the
 job, and identical (config, seed, version) always reproduce identical bytes.
 
 Exit codes: 0 ok, 1 gate verification failed, 2 configuration error,
-3 numerical guard tripped.
+3 numerical guard tripped (including a numpy overflow or invalid operation,
+such as one that makes a NaN).
 
 Flags can also be set through environment variables FOCKSCAN_CONFIG,
 FOCKSCAN_SEED, FOCKSCAN_JOBS, FOCKSCAN_OUT, FOCKSCAN_BACKEND.
@@ -32,6 +33,7 @@ from .config import (
     config_hash,
     load_config,
     require_sections,
+    run_seed,
 )
 from .drive import mc_population, mean_population_detuned
 from .errors import (
@@ -100,7 +102,7 @@ def _header(doc, args, command, **extra) -> dict:
         "version": __version__,
         "command": command,
         "config_hash": config_hash(doc),
-        "seed": args.seed if args.seed is not None else doc.get("seed", 0),
+        "seed": run_seed(doc, args.seed),
         "convention": MODE_NOTE,
     }
     head.update(extra)
@@ -382,7 +384,9 @@ def main(argv=None) -> int:
         doc = load_config(args.config)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        return COMMANDS[args.command](doc, args, out_dir)
+        # an overflow or NaN in numpy raises FloatingPointError and exits 3
+        with np.errstate(over="raise", invalid="raise"):
+            return COMMANDS[args.command](doc, args, out_dir)
     except (ConfigError, InvalidArgument, UnsupportedCavityCount) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -299,11 +299,12 @@ def build_protocol_config(doc: dict, backend: str | None = None, seed: int | Non
         kwargs["backend"] = backend
     elif "backend" in doc:
         kwargs["backend"] = doc["backend"]
-    if seed is not None:
-        kwargs["seed"] = seed
-    elif "seed" in doc:
-        kwargs["seed"] = doc["seed"]
-    return ProtocolConfig(**kwargs)
+    return ProtocolConfig(**kwargs, seed=run_seed(doc, seed))
+
+
+def run_seed(doc: dict, seed: int | None = None) -> int:
+    """The run's seed: `seed` (the flag or FOCKSCAN_SEED) if given, else the config's, else 0."""
+    return seed if seed is not None else doc.get("seed", 0)
 
 
 def build_sensitivity_params(doc: dict, n_cavities=None, fock_m=None, temp_k=None) -> SensitivityParams:

@@ -9,7 +9,14 @@ resonance the ensemble-averaged displacement after an integration time t is
 ballistic (g t) for t << tau_dm and diffusive (g sqrt(2 tau_dm t)) for
 t >> tau_dm.  With detuning delta the mean photon number picks up decaying
 oscillatory terms; mc_population cross-checks that closed form against a
-direct Monte Carlo integration of the phase-noisy equation of motion.
+direct Monte Carlo integration of the phase-noisy equation of motion.  Its
+trajectory k draws from the stream of np.random.default_rng([seed, k]);
+the streams are seeded a chunk of trajectories at a time, and each
+trajectory's phase pieces are summed as prefix sums.
+
+Powers of values that vary per element (omega^3, g^4, ...) are written as
+products: those are correctly rounded, so an array and a float give the
+same bits on every CPU (see _overflow_checked).
 
 All frequencies and rates in this package are angular (rad/s).  The CLI and
 config layer accept Hz fields and convert once, at the boundary.  The SI
@@ -19,9 +26,7 @@ parameters.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -92,17 +97,18 @@ def _coupling(epsilon, form_factor_g, rho_dm, volume, omega):
     return epsilon * sqrt(2.0 * form_factor_g * rho_dm * volume * omega / HBAR)
 
 
-def _pow(x, p):
-    """x ** p, elementwise on an array, always through Python's float power.
+def _overflow_checked(power, base):
+    """power, a product of base with itself, raising OverflowError if a float overflowed.
 
-    numpy's vectorised power is not libm's pow on every CPU (SIMD loops
-    differ from it in the last bit on a few percent of inputs), so an array
-    goes through the same scalar operation a float does and its results do
-    not depend on the machine.
+    Powers are written as products (x*x, x*x*x, (x*x)*(x*x)): IEEE products
+    are correctly rounded, so numpy's array products give every CPU the
+    floats that Python's give.  Python's x ** p raises OverflowError where
+    the product silently gives inf, so a float is checked here; an array is
+    left to numpy's floating-point error state.
     """
-    if isinstance(x, np.ndarray):
-        return np.fromiter(map(operator.pow, x.tolist(), repeat(p)), float, count=x.size)
-    return x ** p
+    if not isinstance(power, np.ndarray) and math.isinf(power) and math.isfinite(base):
+        raise OverflowError(f"power of {base!r} overflows")
+    return power
 
 
 def form_factor_tm010() -> float:
@@ -117,7 +123,8 @@ def cavity_volume_tm010(omega):
     """
     if np.any(np.less_equal(omega, 0)):
         raise InvalidArgument("omega must be positive")
-    return 4.0 * math.pi * (_BESSEL_J0_ROOT * C_LIGHT) ** 3 / _pow(omega, 3)
+    omega3 = _overflow_checked(omega * omega * omega, omega)
+    return 4.0 * math.pi * (_BESSEL_J0_ROOT * C_LIGHT) ** 3 / omega3
 
 
 def mean_displacement(g: float, tau_dm: float, tau_int) -> np.ndarray | float:
@@ -175,13 +182,18 @@ def mc_population(
     correlation e^{-|t-t'|/tau_dm} assumed by the closed form (a fixed
     resampling interval would undercount the diffusive growth by 2x).
 
-    Results are reproducible from (seed, trajectory index) alone: each
-    trajectory draws from its own substream, so neither chunking nor worker
-    scheduling changes the output.
+    Results are reproducible from (seed, trajectory index) alone:
+    trajectory k draws from the stream of np.random.default_rng([seed, k]),
+    so neither chunking nor worker scheduling changes the output.  The
+    streams are seeded for a chunk of trajectories at once, and each
+    trajectory's pieces are summed as prefix sums, so a trajectory costs
+    O(points + pieces) array work and no Python work per element.
     """
     t = np.asarray(t_grid, dtype=float)
     if n_traj < 1:
         raise InvalidArgument("n_traj must be >= 1")
+    if seed < 0:
+        raise InvalidArgument("seed must be >= 0")
     if t.ndim != 1 or t.size == 0 or np.any(np.diff(t) <= 0) or t[0] < 0:
         raise InvalidArgument("t_grid must be non-empty and strictly increasing")
 
@@ -198,92 +210,185 @@ def mc_population(
     return McResult(t_grid=t, mean=mean, stderr=stderr, n_traj=n_traj, seed=seed)
 
 
-# Trajectories are integrated together up to this many (point, piece start)
-# entries, so each complex temporary stays under 128 KiB, the size from which
-# glibc's malloc maps fresh pages for every array: unbounded batches of equal
-# piece counts page-faulted about 125 000 times in one cold 10^4-trajectory
-# run and gave back most of their gain.
-_BATCH_ELEMENTS = 8192
+# numpy's SeedSequence: uint32 hash constants and pool size
+_SS_INIT_A, _SS_MULT_A = 0x43B0D7E5, 0x931E8875
+_SS_INIT_B, _SS_MULT_B = 0x8B51F9DD, 0x58F38DED
+_SS_MIX_L, _SS_MIX_R = 0xCA01F9DD, 0x4973F715
+_SS_POOL = 4
+# PCG64's 128-bit LCG multiplier
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+_U32 = 0xFFFFFFFF
+_U128 = (1 << 128) - 1
+
+
+def _gap_block(expect: float) -> int:
+    """Exponential gaps a trajectory draws per block, given t_max / tau_dm renewals expected."""
+    return int(expect + 10.0 * math.sqrt(expect + 1.0) + 10)
 
 
 def _mc_chunk(g, tau_dm, delta, t_grid, lo, hi, seed):
     """|alpha(t)|^2 for trajectories lo..hi-1, one rng substream per trajectory.
 
-    Trajectory k draws from default_rng([seed, k]) alone and in a fixed
-    order: a block of exponential gaps, further blocks while their sum falls
-    short of t_max, then one uniform phase per renewal piece.  Everything
-    else runs over the whole chunk: the first blocks are cumulated as one
-    array, and trajectories with equal piece counts are integrated in
-    batches, as (trajectories, points, pieces) arrays of at most
-    _BATCH_ELEMENTS entries.  Each trajectory's row is bit for bit what it
-    would be on its own.
+    Trajectory k draws from the stream of default_rng([seed, k]) alone and
+    in a fixed order: a block of exponential gaps, further blocks while
+    their sum falls short of t_max, then one uniform phase per renewal
+    piece.  The streams' PCG64 states are computed for the whole chunk at
+    once (`_pcg64_states`), and one generator is set to each in turn to
+    fill that trajectory's rows; exponential(tau_dm) and uniform(0, 2 pi)
+    are tau_dm and 2 pi times the standard draws, so scaling afterwards
+    gives the same floats.  A row draws a full block of phases, and only
+    those up to the piece that holds t_max are read.  A trajectory whose
+    first block falls short redraws its sequence from its own state.  Each
+    row is bit for bit what the trajectory gives on its own.
     """
     t_max = float(t_grid[-1])
-    rngs = [np.random.default_rng([seed, traj]) for traj in range(lo, hi)]
-    expect = t_max / tau_dm
-    block = int(expect + 10.0 * math.sqrt(expect + 1.0) + 10)
-    gaps = np.stack([rng.exponential(tau_dm, size=block) for rng in rngs])
-    starts = np.zeros((len(rngs), block + 1))
+    block = _gap_block(t_max / tau_dm)
+    states = _pcg64_states(seed, lo, hi)
+    gen = np.random.Generator(np.random.PCG64(0))
+    gaps = np.empty((hi - lo, block))
+    phases = np.empty((hi - lo, block))
+    for state, gap_row, phase_row in zip(states, gaps, phases):
+        gen.bit_generator.state = state
+        gen.standard_exponential(out=gap_row)
+        gen.random(out=phase_row)
+    gaps *= tau_dm
+    phases *= 2.0 * math.pi
+    starts = np.zeros((hi - lo, block + 1))
     np.cumsum(gaps, axis=1, out=starts[:, 1:])
-    # starts ascend, so counting those below t_max is searchsorted(starts, t_max)
-    keep = np.count_nonzero(starts < t_max, axis=1) + 1
-    longer = {}
+    # pieces past the one that holds t_max are never read
+    used = min(block, max(1, int(np.count_nonzero(starts < t_max, axis=1).max())))
+    out = _piecewise_population(g, delta, t_grid, starts[:, :used + 1], phases[:, :used])
     for row in np.flatnonzero(gaps.sum(axis=1) < t_max):
-        longer[row] = _longer_starts(rngs[row], tau_dm, t_max, gaps[row], block)
-        keep[row] = longer[row].size
-    phases = [rng.uniform(0.0, 2.0 * math.pi, size=k - 1) for rng, k in zip(rngs, keep)]
-    out = np.empty((len(rngs), t_grid.size))
-    for k in np.unique(keep):
-        same = np.flatnonzero(keep == k)
-        step = max(1, _BATCH_ELEMENTS // (t_grid.size * k))
-        for first in range(0, same.size, step):
-            rows = same[first:first + step]
-            out[rows] = _piecewise_population(
-                g, delta, t_grid,
-                np.stack([longer[r] if r in longer else starts[r, :k] for r in rows]),
-                np.stack([phases[r] for r in rows]),
-            )
+        gen.bit_generator.state = states[row]
+        out[row] = _piecewise_population(
+            g, delta, t_grid, *_longer_pieces(gen, tau_dm, t_max, block))[0]
     return out
 
 
-def _longer_starts(rng, tau_dm, t_max, gaps, block):
-    """Piece starts covering [0, t_max] when the first block of gaps falls short of it."""
-    total = gaps.sum()
-    while total < t_max:
-        gaps = np.concatenate([gaps, rng.exponential(tau_dm, size=block)])
-        total = gaps.sum()
+def _pcg64_states(seed, lo, hi):
+    """The bit-generator state of default_rng([seed, k]) for k = lo..hi-1.
+
+    SeedSequence's hash mixing runs on arrays, one entry per trajectory: its
+    entropy is the uint32 words of seed, then those of k (one word below
+    2^32, two from there), mixed into a pool of 4 words, from which 8 words
+    make PCG64's (initstate, initseq).  PCG64 then seeds its 128-bit LCG:
+    inc = 2 initseq + 1, state = ((inc + initstate) M + inc) mod 2^128.
+    """
+    seed_words = _uint32_words(seed)
+    states = []
+    for first, stop in ((lo, min(hi, 1 << 32)), (max(lo, 1 << 32), hi)):
+        if first >= stop:
+            continue
+        k = np.arange(first, stop, dtype=np.uint64)
+        entropy = [np.full(k.size, w, dtype=np.uint32) for w in seed_words]
+        entropy.append((k & np.uint64(_U32)).astype(np.uint32))
+        if first >= 1 << 32:
+            entropy.append((k >> np.uint64(32)).astype(np.uint32))
+        words = np.stack(_seed_sequence_state(entropy, k.size), axis=1).astype(np.uint64)
+        seeds = words[:, 0::2] | (words[:, 1::2] << np.uint64(32))
+        for s_hi, s_lo, i_hi, i_lo in seeds.tolist():
+            inc = ((i_hi << 64 | i_lo) << 1 | 1) & _U128
+            state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _U128
+            states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                           "has_uint32": 0, "uinteger": 0})
+    return states
+
+
+def _uint32_words(x: int) -> list[int]:
+    """x as little-endian uint32 words, as SeedSequence splits an int (0 is one word)."""
+    words = [x & _U32]
+    while x >> 32:
+        x >>= 32
+        words.append(x & _U32)
+    return words
+
+
+def _seed_sequence_state(entropy, n):
+    """SeedSequence(entropy).generate_state(4, uint64) as 8 uint32 arrays of length n.
+
+    entropy is a list of uint32 arrays, word i of every sequence in
+    entropy[i].  The hash constants do not depend on the data, so they are
+    Python ints, and numpy's uint32 arithmetic wraps as the C code does.
+    """
+    const = _SS_INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * _SS_MULT_A & _U32
+        value = value * np.uint32(const)
+        return value ^ (value >> np.uint32(16))
+
+    def mix(x, y):
+        result = np.uint32(_SS_MIX_L) * x - np.uint32(_SS_MIX_R) * y
+        return result ^ (result >> np.uint32(16))
+
+    zero = np.zeros(n, dtype=np.uint32)
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_SS_POOL)]
+    for src in range(_SS_POOL):
+        for dst in range(_SS_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(_SS_POOL, len(entropy)):
+        for dst in range(_SS_POOL):
+            pool[dst] = mix(pool[dst], hashmix(entropy[src]))
+    const = _SS_INIT_B
+    out = []
+    for i in range(8):
+        value = pool[i % _SS_POOL] ^ np.uint32(const)
+        const = const * _SS_MULT_B & _U32
+        value = value * np.uint32(const)
+        out.append(value ^ (value >> np.uint32(16)))
+    return out
+
+
+def _longer_pieces(gen, tau_dm, t_max, block):
+    """(starts, phases), one row each, of a trajectory whose first block of gaps falls short of t_max.
+
+    gen stands at the start of the trajectory's stream; it draws blocks of
+    gaps until their sum reaches t_max, then one phase per gap.
+    """
+    gaps = tau_dm * gen.standard_exponential(block)
+    while gaps.sum() < t_max:
+        gaps = np.concatenate([gaps, tau_dm * gen.standard_exponential(block)])
     starts = np.concatenate([[0.0], np.cumsum(gaps)])
-    return starts[:int(np.searchsorted(starts, t_max)) + 1]
+    phases = 2.0 * math.pi * gen.random(gaps.size)
+    return starts[None], phases[None]
 
 
 def _piecewise_population(g, delta, t_grid, starts, phases):
     """|alpha(t)|^2 on the grid, each phase piece integrated in closed form.
 
-    starts (..., pieces + 1) and phases (..., pieces) give one trajectory
-    per leading index; the result is (..., points).  All grid points are
-    clipped against all pieces at once, as a (..., points, pieces) array,
-    and every amplitude is bit for bit the one a loop over the grid gives:
-
-    - the phase factors are repeated to the segments' shape, so the complex
-      product runs numpy's contiguous loop, as each 1-D product of the loop
-      did (with one operand broadcast, numpy may pick a loop whose complex
-      product rounds differently, e.g. without FMA);
-    - each row sums in the same pairwise order as a 1-D sum of that row;
-    - |amp|^2 is libm's hypot of the parts, squared through `_pow`: that is
-      what the scalar abs(amp) ** 2 computes, while numpy's vectorised
-      complex abs, and hypot * hypot, differ from it in the last bit on
-      some points, on some CPUs.
+    One trajectory per row: starts (n, pieces + 1), from 0 and ascending,
+    and phases (n, pieces); the result is (n, points).  Piece j contributes
+    e^{i phi_j} seg_j(t), seg_j(t) the integral of e^{i delta u} from s_j
+    to min(t, s_{j+1}).  The terms of the full pieces are cumulated in
+    piece order, C_p = sum_{j<p}, so a point t in piece p reads
+    C_p + e^{i phi_p} seg_p(t): a row costs O(points + pieces).  A point
+    past the last piece's end sees every piece in full.  The population is
+    g^2 (re^2 + im^2) of that sum.
 
     A subnormal detuning counts as zero: e^{i delta t} is 1 + i delta t to
     double precision, and dividing by delta would overflow to inf * 0 = nan.
     """
-    t = t_grid[:, None]
-    hi = np.minimum(starts[..., None, 1:], t)
-    lo = np.minimum(starts[..., None, :-1], t)
+    n, pieces = phases.shape
+    rows = np.arange(n)[:, None]
+    # piece of each point: the inner starts s_1..s_{pieces-1} at or below it
+    first_point = np.searchsorted(t_grid, starts[:, 1:-1], side="left")
+    first_point += (t_grid.size + 1) * rows
+    hist = np.bincount(first_point.ravel(), minlength=n * (t_grid.size + 1))
+    piece = np.cumsum(hist.reshape(n, -1)[:, :-1], axis=1)
+    past = t_grid > starts[:, -1:]
+    phase_fac = np.exp(1j * phases)
     if abs(delta) < np.finfo(float).tiny:
-        segs = (hi - lo).astype(complex)
+        full = np.diff(starts, axis=1)
+        part = np.where(past, starts[:, -1:], t_grid) - starts[rows, piece]
     else:
-        segs = (np.exp(1j * delta * hi) - np.exp(1j * delta * lo)) / (1j * delta)
-    phase_fac = np.exp(1j * phases)[..., None, :].repeat(t_grid.size, axis=-2)
-    amp = -1j * g * (phase_fac * segs).sum(axis=-1)
-    return _pow(np.hypot(amp.real, amp.imag).ravel(), 2).reshape(amp.shape)
+        edge = np.exp(1j * delta * starts)
+        full = np.diff(edge, axis=1) / (1j * delta)
+        part = (np.where(past, edge[:, -1:], np.exp(1j * delta * t_grid))
+                - edge[rows, piece]) / (1j * delta)
+    cum = np.zeros((n, pieces), dtype=complex)
+    np.cumsum(phase_fac[:, :-1] * full[:, :-1], axis=1, out=cum[:, 1:])
+    amp = cum[rows, piece] + phase_fac[rows, piece] * part
+    return (g * g) * (amp.real * amp.real + amp.imag * amp.imag)

@@ -33,7 +33,7 @@ from .drive import (
 )
 from .errors import DimensionCeilingExceeded, InvalidArgument
 from .fock import HilbertSpace
-from .gates import EDPlan, make_plan
+from .gates import EDPlan, apply_plan, make_plan
 from .lindblad import (
     NoiseModel,
     TransformedRates,
@@ -225,10 +225,12 @@ def simulate_populations(config: ProtocolConfig, tau_grid) -> tuple[np.ndarray, 
     once through the adjoint of the inverse gate, so each record reads the
     post-inverse population directly: lossy_ed_apply on the full backend,
     one effective_lossy_window per plan layer on the effective one, both at
-    the multiplier calibrated for the mean cavity rates.  The full backend
-    raises DimensionCeilingExceeded, before allocating anything, when
-    full_backend_bytes exceeds FULL_BACKEND_MAX_BYTES.  The t = 0 record
-    of each run is dropped from the returned series; the grid starts later.
+    the multiplier calibrated for the mean cavity rates.  With ideal gates
+    the full backend distributes |m> and |m+1> once, for both populates.
+    The full backend raises DimensionCeilingExceeded, before allocating
+    anything, when full_backend_bytes exceeds FULL_BACKEND_MAX_BYTES.  The
+    t = 0 record of each run is dropped from the returned series; the grid
+    starts later.
     """
     grid = np.asarray(tau_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0 or np.any(np.diff(grid) <= 0) or grid[0] <= 0:
@@ -246,14 +248,17 @@ def simulate_populations(config: ProtocolConfig, tau_grid) -> tuple[np.ndarray, 
     noise, rates, g = config.noise_model(), config.rates(), config.coupling()
     diag: dict = {"backend": backend}
     lossy = config.bs_fidelity < 1.0 and bool(plan.sequence)
+    psi0, target = _primary_states(space, m)
+    rho0 = readout = None
     if lossy:
         multiplier = diag["bs_multiplier"] = calibrate_bs_multiplier(
             config.bs_fidelity, config.g_bs, *_mean_pair_rates(noise))
-        psi0, target = _primary_states(space, m)
+    elif backend == "full":
+        psi = apply_plan(psi0, plan, space)
+        rho0, readout = np.outer(psi, psi.conj()), apply_plan(target, plan, space)
 
     out = {}
     for populate in ("signal", "background"):
-        rho0 = readout = None
         if lossy and backend == "full":
             gate = dict(space=space, plan=plan, f_bs=config.bs_fidelity, g_bs=config.g_bs,
                         base_noise=noise.heating_off() if populate == "signal" else noise,

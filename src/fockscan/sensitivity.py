@@ -24,7 +24,7 @@ from .drive import (
     CavityGeometry,
     DMParams,
     _coupling,
-    _pow,
+    _overflow_checked,
     cavity_volume_tm010,
     form_factor_tm010,
 )
@@ -111,8 +111,9 @@ def _exposure(params, omega, volume, form_factor_g, n_th):
 
     The one implementation of `scan_rate`'s formulas.  Given arrays (one
     entry per step) it applies the same float operations in the same order,
-    elementwise, with every power through `_pow`; a step-invariant left
-    prefix of a product is then simply evaluated once.  Raises
+    elementwise, with every per-step power written as a product (see
+    `drive._overflow_checked`); a step-invariant left prefix of a product
+    is then simply evaluated once.  Raises
     InvalidArgument if the thermal occupation underflows to 0 on any step
     (hbar w / k T > 745: the cavity is too cold for the model, and the
     exposure would be zero), and ArithmeticError if the SI and natural-unit
@@ -121,9 +122,11 @@ def _exposure(params, omega, volume, form_factor_g, n_th):
     _require_warm(n_th, omega, params.temp_cavity)
     g = _coupling(params.target_epsilon, form_factor_g, params.rho_dm, volume, omega)
     tau_dm = params.q_dm / omega
+    g4 = _overflow_checked((g * g) * (g * g), g)
+    tau_dm2 = _overflow_checked(tau_dm * tau_dm, tau_dm)
     tau_tot = (
         params.zeta_snr ** 2 * omega * n_th
-        / (4.0 * params.eta ** 2 * _pow(g, 4) * _pow(tau_dm, 2) * params.q_cav
+        / (4.0 * params.eta ** 2 * g4 * tau_dm2 * params.q_cav
            * params.n_cavities ** 2 * (params.fock_m + 1))
     )
     rate_si = (omega / params.q_dm) / tau_tot
@@ -131,9 +134,10 @@ def _exposure(params, omega, volume, form_factor_g, n_th):
     # independent route: natural units (hbar = c = 1, rad/s as the energy unit)
     rho_nat = params.rho_dm * C_LIGHT ** 3 / HBAR   # (rad/s)^4
     vol_nat = volume / C_LIGHT ** 3                 # (s/rad)^3
+    vol_nat2 = _overflow_checked(vol_nat * vol_nat, vol_nat)
     rate_nat = (
         16.0 * params.eta ** 2 * params.target_epsilon ** 4 * form_factor_g ** 2
-        * rho_nat ** 2 * _pow(vol_nat, 2) * params.q_dm * params.q_cav
+        * rho_nat ** 2 * vol_nat2 * params.q_dm * params.q_cav
         * params.n_cavities ** 2 * (params.fock_m + 1)
         / (params.zeta_snr ** 2 * n_th)
     )
@@ -235,7 +239,8 @@ def reach_band(
       the running time from a sequential `np.add.accumulate`, the same
       float products and sums as the loop's `omega *= r` and `spent += tau`;
     - `*`, `/` and sqrt are correctly rounded, so numpy's array operations
-      give the loop's floats, while every power, exp and expm1 goes through
+      give the loop's floats; the per-step powers are products (x*x,
+      x*x*x, (x*x)*(x*x)) in both, and only exp and expm1 go through
       Python's scalar operation per step (numpy's SIMD versions differ
       from libm in the last bit on some CPUs, which would make the output
       depend on the machine);
@@ -295,9 +300,10 @@ def _chunk_exposures(params, omegas, g_form):
     """tau_tot of every step in `omegas`, or None if the loop could raise on one of them.
 
     Python float arithmetic raises only where numpy flags division by zero,
-    overflow or an invalid operation, and the powers and exponentials here
-    are Python's own.  So a chunk that raises nothing here, and passes the
-    per-step checks and the audit, is one the loop completes.
+    overflow or an invalid operation (a power that overflows raises in the
+    loop, and flags overflow here), and the exponentials here are Python's
+    own.  So a chunk that raises nothing here, and passes the per-step
+    checks and the audit, is one the loop completes.
     """
     try:
         with np.errstate(divide="raise", over="raise", invalid="raise"):

@@ -15,6 +15,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fockscan import cli
 from fockscan.cli import main
 from fockscan.config import (
     SCHEMA,
@@ -22,6 +23,7 @@ from fockscan.config import (
     config_hash,
     load_config,
 )
+from fockscan.drive import mc_population
 from fockscan.errors import ConfigError
 
 HERE = Path(__file__).parent
@@ -294,6 +296,16 @@ class TestExitCodes:
         bad.write_text(yaml.safe_dump(doc))
         assert run_cli(["snr-sweep", "--config", bad, "--out", tmp_path]) == 2
 
+    def test_numpy_overflow_exits_three(self, tmp_path, capsys):
+        # populations near 1e292 overflow when the standard error squares them
+        doc = yaml.safe_load((GOLDEN / "configs" / "mc.yaml").read_text())
+        doc["dm"]["coupling_rad_s"] = 1e150
+        cfg = tmp_path / "huge.yaml"
+        cfg.write_text(yaml.safe_dump(doc))
+        assert run_cli(["mc-dm", "--config", cfg, "--out", tmp_path, "--jobs", 1]) == 3
+        assert "numerical guard: overflow encountered" in capsys.readouterr().err
+        assert not (tmp_path / "mc_dm.csv").exists()
+
     def test_dm_detuning_key_exits_two(self, tmp_path, capsys):
         # the Monte Carlo detuning is mc.detuning_linewidths; dm has no such key
         doc = yaml.safe_load((GOLDEN / "configs" / "mc.yaml").read_text())
@@ -491,6 +503,33 @@ class TestDeterminism:
         monkeypatch.delenv("FOCKSCAN_SEED")
         run_cli(["mc-dm", "--config", cfg, "--out", out2, "--seed", 99])
         assert (out1 / "mc_dm.csv").read_bytes() == (out2 / "mc_dm.csv").read_bytes()
+
+    @pytest.mark.parametrize("source,expected", [
+        ("flag", 33), ("env", 22), ("config", 11), ("default", 0),
+    ])
+    def test_header_names_the_seed_mc_used(self, tmp_path, monkeypatch, source, expected):
+        # precedence: --seed, then FOCKSCAN_SEED, then the config's seed, then 0
+        doc = yaml.safe_load((GOLDEN / "configs" / "mc.yaml").read_text())
+        doc["mc"]["n_traj"] = 5
+        if source == "default":
+            del doc["seed"]
+        cfg = tmp_path / "mc.yaml"
+        cfg.write_text(yaml.safe_dump(doc))
+        monkeypatch.delenv("FOCKSCAN_SEED", raising=False)
+        if source in ("flag", "env"):
+            monkeypatch.setenv("FOCKSCAN_SEED", "22")
+        used = []
+
+        def spy(*args, **kwargs):
+            used.append(args[5])
+            return mc_population(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "mc_population", spy)
+        flag = ["--seed", 33] if source == "flag" else []
+        assert run_cli(["mc-dm", "--config", cfg, "--out", tmp_path, "--jobs", 1, *flag]) == 0
+        header = (tmp_path / "mc_dm.csv").read_text().splitlines()
+        assert used == [expected]
+        assert f"# seed={expected}" in header
 
     def test_mc_parallel_jobs_identical(self, tmp_path):
         cfg = GOLDEN / "configs" / "mc.yaml"

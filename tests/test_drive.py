@@ -176,7 +176,7 @@ class TestMonteCarlo:
 
 
 def loop_population(g, delta, t_grid, starts, phases):
-    """`_piecewise_population` as a loop over the grid points, one 1-D sum per point."""
+    """|alpha(t)|^2 as a loop over the grid points, one 1-D sum over all pieces per point."""
     phase_fac = np.exp(1j * phases)
     out = np.empty(t_grid.size)
     for j, t in enumerate(t_grid):
@@ -191,14 +191,15 @@ def loop_population(g, delta, t_grid, starts, phases):
     return out
 
 
-def loop_mc_samples(g, tau_dm, delta, t_grid, n_traj, seed, make_rng=np.random.default_rng):
+def loop_mc_samples(g, tau_dm, delta, t_grid, n_traj, seed, block=None):
     """Monte Carlo samples trajectory by trajectory: renewal pieces, then `loop_population`."""
     t_max = float(t_grid[-1])
-    expect = t_max / tau_dm
-    block = int(expect + 10.0 * math.sqrt(expect + 1.0) + 10)
+    if block is None:
+        expect = t_max / tau_dm
+        block = int(expect + 10.0 * math.sqrt(expect + 1.0) + 10)
     rows = []
     for traj in range(n_traj):
-        rng = make_rng([seed, traj])
+        rng = np.random.default_rng([seed, traj])
         gaps = rng.exponential(tau_dm, size=block)
         while gaps.sum() < t_max:
             gaps = np.concatenate([gaps, rng.exponential(tau_dm, size=block)])
@@ -209,53 +210,81 @@ def loop_mc_samples(g, tau_dm, delta, t_grid, n_traj, seed, make_rng=np.random.d
     return np.array(rows)
 
 
-class ShortFirstBlock:
-    """An odd trajectory's generator whose first exponential block is shrunk to fall short."""
+def assert_close_samples(got, expected, g, t_grid):
+    """Equal up to the summation order: |dn| <= 1e-12 (g t)^2 at every sample."""
+    assert got.shape == expected.shape
+    assert np.all(np.abs(got - expected) <= 1e-12 * (g * t_grid) ** 2)
 
-    def __init__(self, seed, make_rng):
-        self._rng = make_rng(seed)
-        self._shrink = seed[1] % 2 == 1
 
-    def exponential(self, scale, size):
-        gaps = self._rng.exponential(scale, size)
-        if self._shrink:
-            self._shrink = False
-            return gaps * 1e-2
-        return gaps
-
-    def uniform(self, low, high, size):
-        return self._rng.uniform(low, high, size)
+def chunk_rows(g, delta, t_grid, n_traj, seed, size):
+    return np.concatenate([
+        drive._mc_chunk(g, TAU, delta, t_grid, lo, min(lo + size, n_traj), seed)
+        for lo in range(0, n_traj, size)
+    ])
 
 
 class TestChunkedMonteCarlo:
     grid = np.linspace(0.25, 12.0, 17)
 
-    def assert_matches_loop(self, delta, seed, make_rng=np.random.default_rng):
-        samples = loop_mc_samples(73.6, TAU, delta, self.grid, 300, seed, make_rng)
-        res = mc_population(73.6, TAU, delta, self.grid, 300, seed, _chunk=128)
-        assert np.array_equal(res.mean, samples.mean(axis=0))
-        assert np.array_equal(res.stderr, samples.std(axis=0, ddof=1) / math.sqrt(300))
+    def assert_matches_loop(self, delta, seed, block=None, size=128):
+        samples = loop_mc_samples(73.6, TAU, delta, self.grid, 300, seed, block)
+        assert_close_samples(chunk_rows(73.6, delta, self.grid, 300, seed, size), samples,
+                             73.6, self.grid)
+        res = mc_population(73.6, TAU, delta, self.grid, 300, seed, _chunk=size)
+        assert_close_samples(res.mean, samples.mean(axis=0), 73.6, self.grid)
+        assert_close_samples(res.stderr, samples.std(axis=0, ddof=1) / math.sqrt(300),
+                             73.6, self.grid)
 
     @pytest.mark.parametrize("delta", [0.0, 5e-324, -2.225073858507203e-309, 0.7, -2.0, 13.0])
     def test_matches_per_trajectory_loop(self, delta):
         self.assert_matches_loop(delta, seed=7)
 
-    def test_small_batches_match_loop(self, monkeypatch):
-        monkeypatch.setattr(drive, "_BATCH_ELEMENTS", 500)
-        self.assert_matches_loop(-0.3, seed=9)
+    def test_small_batches_match_loop(self):
+        self.assert_matches_loop(-0.3, seed=9, size=7)
+
+    def test_rows_do_not_depend_on_chunking_or_workers(self):
+        rows = chunk_rows(73.6, 0.4, self.grid, 600, 12, 512)
+        for size in (1, 7):
+            assert np.array_equal(chunk_rows(73.6, 0.4, self.grid, 600, 12, size), rows)
+        first = mc_population(73.6, TAU, 0.4, self.grid, 600, 12)
+        assert np.array_equal(first.mean, rows.mean(axis=0))
+        for size in (1, 7, 512):
+            for jobs in (1, 2):
+                res = mc_population(73.6, TAU, 0.4, self.grid, 600, 12, n_jobs=jobs, _chunk=size)
+                assert np.array_equal(res.mean, first.mean)
+                assert np.array_equal(res.stderr, first.stderr)
 
     def test_grid_ending_at_zero_has_no_pieces(self):
         res = mc_population(73.6, TAU, 0.0, [0.0], 20, seed=7)
         assert np.array_equal(res.mean, [0.0])
 
     def test_short_first_block_draws_more(self, monkeypatch):
-        real = np.random.default_rng
+        # blocks of 3 gaps (mean TAU each) fall short of t_max = 12 TAU on nearly every trajectory
+        monkeypatch.setattr(drive, "_gap_block", lambda expect: 3)
+        self.assert_matches_loop(0.4, seed=8, block=3)
 
-        def short(seed):
-            return ShortFirstBlock(seed, real)
+    def test_negative_seed_is_rejected(self):
+        with pytest.raises(InvalidArgument):
+            mc_population(1.0, TAU, 0.0, self.grid, 10, seed=-1)
 
-        monkeypatch.setattr(np.random, "default_rng", short)
-        self.assert_matches_loop(0.4, seed=8, make_rng=short)
+
+class TestStreamSeeding:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2 ** 64 - 1),
+        k=st.one_of(st.sampled_from([0, 2 ** 32 - 1, 2 ** 32]), st.integers(0, 2 ** 40)),
+    )
+    def test_state_equals_default_rng(self, seed, k):
+        expected = np.random.default_rng([seed, k]).bit_generator.state
+        assert drive._pcg64_states(seed, k, k + 1) == [expected]
+
+    @pytest.mark.parametrize("seed", [0, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1, 20260810])
+    def test_chunk_across_two_word_indices(self, seed):
+        # indices from 2^32 up take two uint32 words of entropy
+        lo = 2 ** 32 - 3
+        states = drive._pcg64_states(seed, lo, lo + 6)
+        assert states == [np.random.default_rng([seed, k]).bit_generator.state
+                          for k in range(lo, lo + 6)]
 
 
 class TestPiecewisePopulation:
@@ -269,20 +298,20 @@ class TestPiecewisePopulation:
         seed=st.integers(0, 2 ** 32 - 1),
     )
     def test_matches_per_point_loop(self, g, delta, n_pieces, n_points, reach, seed):
-        # reach > 1 puts grid points past the start of the last renewal
+        # reach > 1 puts grid points past the end of the last piece
         rng = np.random.default_rng(seed)
         starts = np.concatenate([[0.0], np.cumsum(rng.exponential(1.0, n_pieces))])
         phases = rng.uniform(0.0, 2.0 * math.pi, n_pieces)
         t_grid = np.unique(rng.uniform(0.0, reach * starts[-1], n_points))
-        got = _piecewise_population(g, delta, t_grid, starts, phases)
-        assert np.array_equal(got, loop_population(g, delta, t_grid, starts, phases))
+        got = _piecewise_population(g, delta, t_grid, starts[None], phases[None])[0]
+        assert_close_samples(got, loop_population(g, delta, t_grid, starts, phases), g, t_grid)
 
     @pytest.mark.parametrize("delta", [5e-324, -2.225073858507203e-309])
     def test_subnormal_detuning_is_resonant(self, delta):
         rng = np.random.default_rng(3)
-        starts = np.concatenate([[0.0], np.cumsum(rng.exponential(1.0, 20))])
-        phases = rng.uniform(0.0, 2.0 * math.pi, 20)
-        t_grid = np.linspace(0.0, 1.5 * starts[-1], 40)
+        starts = np.concatenate([[0.0], np.cumsum(rng.exponential(1.0, 20))])[None]
+        phases = rng.uniform(0.0, 2.0 * math.pi, 20)[None]
+        t_grid = np.linspace(0.0, 1.5 * starts[0, -1], 40)
         got = _piecewise_population(1.0, delta, t_grid, starts, phases)
         assert np.all(np.isfinite(got))
         assert np.array_equal(got, _piecewise_population(1.0, 0.0, t_grid, starts, phases))

@@ -295,3 +295,19 @@ class TestReachBandChunked:
         # the chunked steps are audited too: a chunk that fails it is replayed
         omegas = OMEGA7 * np.cumprod(np.full(16, 1.0 + 1e-6))
         assert sensitivity._chunk_exposures(make_params(), omegas, form_factor_tm010()) is None
+
+    def test_overflow_raises_in_scalar_and_chunk_paths(self):
+        # powers are products, which overflow to inf where Python's x ** p raised
+        # OverflowError; a float still raises it, an array flags numpy's overflow
+        ok, big = 1e102, 1e103  # omega^3 overflows from about 5.6e102
+        assert cavity_volume_tm010(np.array([ok]))[0] == cavity_volume_tm010(ok)
+        with pytest.raises(OverflowError):
+            cavity_volume_tm010(big)
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            cavity_volume_tm010(np.array([ok, big]))
+        # epsilon = 1e80 puts g near 9e97 at 7 GHz, so g^4 overflows
+        params = make_params(target_epsilon=1e80)
+        with pytest.raises(OverflowError):
+            scan_rate(params, geometry_at(OMEGA7))
+        assert sensitivity._chunk_exposures(params, np.full(4, OMEGA7), form_factor_tm010()) is None
+        assert isinstance(assert_same_band((1e80, 30.0, make_params(), OMEGA7)), OverflowError)
