@@ -7,7 +7,7 @@ import pytest
 from dense_model import displacement, ladder, number_operator
 from fockscan.errors import DimensionCeilingExceeded, InvalidArgument
 from fockscan.fock import HilbertSpace, number_state, occupations
-from fockscan.lindblad import _leakage_probs
+from fockscan.lindblad import _leakage_probs, _top_levels
 from fockscan.linalg import max_abs, unitarity_defect
 
 
@@ -17,7 +17,7 @@ def vacuum_state(space):
 
 def leakage(space, psi):
     """Top-level population of a state vector, through the propagator's leakage monitor."""
-    return _leakage_probs(np.abs(psi) ** 2, space)
+    return _leakage_probs(np.abs(psi) ** 2, _top_levels(space))
 
 
 class TestMakeSpace:
@@ -171,7 +171,8 @@ class TestLeakage:
     def test_density_matrix_input(self):
         sp = HilbertSpace(1, 3)
         psi = number_state(sp, [2])
-        assert _leakage_probs(np.diag(np.outer(psi, psi.conj())).real, sp) == 1.0
+        diag = np.diag(np.outer(psi, psi.conj())).real
+        assert _leakage_probs(diag, _top_levels(sp)) == 1.0
 
 
 class TestDensityMatrix:

@@ -185,6 +185,18 @@ class TestDissipator:
         want = decay.max()
         assert abs(lindblad._total_rate(noise, space.cutoff) - want) <= 1e-12 * max(want, 1.0)
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 6), st.integers(2, 6), st.integers(0, 2 ** 32 - 1))
+    def test_kron_helper_matches_numpy_bytes(self, n, k, seed):
+        # complex against complex and against the real identity, as _generator pairs them
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(2, n, n)) + 1j * rng.normal(size=(2, n, n))
+        b = rng.normal(size=(2, k, k)) - 1j * rng.normal(size=(2, k, k))
+        a[0, 0, 0] = b[0, -1, 0] = 0.0
+        for left, right in ((a, b), (a, np.stack([np.eye(k)] * 2)), (np.stack([np.eye(n)] * 2), b)):
+            want = np.stack([np.kron(x, y) for x, y in zip(left, right)])
+            assert lindblad._kron(left, right).tobytes() == want.tobytes()
+
 
 class TestPropagateCycle:
     def test_frozen_when_no_drive_no_noise(self):
@@ -325,8 +337,8 @@ class TestDriveOnlyRuns:
             assert abs(pops[k] - pop) <= 1e-10 * abs(pop)
             diag = np.diag(want).real
             assert abs(traces[k] - abs(diag.sum() - 1.0)) <= 1e-10
-            assert leaks[k] == pytest.approx(lindblad._leakage_probs(diag, space),
-                                             rel=1e-10, abs=1e-300)
+            leak = lindblad._leakage_probs(diag, lindblad._top_levels(space))
+            assert leaks[k] == pytest.approx(leak, rel=1e-10, abs=1e-300)
         final = oracle[n_steps]
         assert np.abs(rho - final).max() <= 1e-10 * np.abs(final).max()
 
@@ -337,8 +349,9 @@ class TestDriveOnlyRuns:
         rho0 = projector(number_state(sp, [0]))
         records = set(range(13, n_steps + 1, 13)) | {n_steps}
         oracle = stepping_loop(sp, rho0, 1.0, 1e3, TAU_DM, n_steps, dt, records)
-        first = min(s for s, r in oracle.items() if lindblad._leakage_probs(np.diag(r).real, sp)
-                    > lindblad.DEFAULT_LEAK_TOL)
+        tops = lindblad._top_levels(sp)
+        first = min(s for s, r in oracle.items()
+                    if lindblad._leakage_probs(np.diag(r).real, tops) > lindblad.DEFAULT_LEAK_TOL)
         assert first > 13
         with pytest.raises(TruncationLeak, match=f"at t = {first * dt:.3g} s"):
             propagate_cycle(sp, 0, noise, 1e3, TAU_DM, n_steps * dt, "signal",
@@ -405,7 +418,7 @@ class TestStrangEngine:
             assert abs(res.population[k] - want) <= 1e-10 * max(abs(want), 1e-3)
             diag = np.diag(oracle[step]).real
             assert abs(res.trace_defect[k] - abs(diag.sum() - 1.0)) <= 1e-12
-            leak = lindblad._leakage_probs(diag, space)
+            leak = lindblad._leakage_probs(diag, lindblad._top_levels(space))
             assert abs(res.leakage[k] - leak) <= 1e-10 * max(leak, 1e-3)
         final = oracle[records[-1]]
         assert np.abs(res.final_state - final).max() <= 1e-10 * np.abs(final).max()
@@ -454,6 +467,59 @@ class TestStride:
                                set(records))
         want = np.array([np.vdot(target, oracle[s] @ target).real for s in records])
         assert np.all(np.abs(res.population[1:] - want) <= 1e-5 * np.abs(want))
+
+
+def per_step_channels(cutoff, rates, dt, bounds, d_alphas, steps, basis):
+    """The driven loop one Strang step at a time, with its own phase exp and factor lookup.
+
+    The reference for lindblad._mode_channels: the same arithmetic, without
+    the per-interval phase table or the per-run factor dict.
+    """
+    vals, vecs = lindblad._displacement_eigensystem(cutoff)
+    freqs = (vals[:, None] - vals[None, :]).reshape(-1, 1)
+    records = set(steps)
+
+    def half(k):
+        return lindblad._factor(cutoff, rates, 0.5 * k * dt, True)
+
+    psi, done, size = lindblad._rotate(vecs.conj().T, basis), 0, 0
+    for bound, d_alpha in zip(bounds, d_alphas):
+        psi = half(size + bound - done) @ psi
+        psi = np.exp(-1j * d_alpha * freqs) * psi
+        done, size = bound, bound - done
+        if bound in records:
+            yield lindblad._rotate(vecs, half(size) @ psi)
+
+
+@st.composite
+def driven_loop_cases(draw):
+    cutoff = draw(st.integers(2, 6))
+    rates = tuple(draw(st.one_of(st.just(0.0), st.floats(1e2, 1e5))) for _ in range(3))
+    # gaps of one step, of multiples of STRIDE and of anything in between
+    gaps = draw(st.lists(st.one_of(st.just(1), st.integers(1, 4).map(lambda k: k * lindblad.STRIDE),
+                                   st.integers(2, 45)), min_size=1, max_size=8))
+    rank = draw(st.integers(1, cutoff * cutoff))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    return cutoff, rates, list(np.cumsum(gaps)), rank, seed
+
+
+class TestDrivenLoop:
+    @settings(max_examples=60, deadline=None)
+    @given(driven_loop_cases())
+    def test_matches_per_step_loop_bit_for_bit(self, case):
+        cutoff, rates, steps, rank, seed = case
+        rng = np.random.default_rng(seed)
+        dt = TAU_DM / 200
+        bounds = lindblad._boundaries(steps)
+        d_alphas = rng.uniform(-0.05, 0.05, len(bounds))
+        d_alphas[rng.random(len(bounds)) < 0.2] = 0.0
+        shape = (cutoff * cutoff, rank)
+        basis = np.linalg.qr(rng.normal(size=shape) + 1j * rng.normal(size=shape))[0]
+        got = list(lindblad._mode_channels(cutoff, rates, dt, (bounds, d_alphas), steps, basis))
+        want = list(per_step_channels(cutoff, rates, dt, bounds, d_alphas, steps, basis))
+        assert len(got) == len(want) == len(steps)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
 
 
 class TestContinuousLimit:
@@ -582,6 +648,34 @@ class TestEffectiveBackend:
         assert abs(b.population[-1] / a.population[-1] - 1) < 5e-3
 
 
+def bisect_multiplier(f_bs, g_bs, gamma_up, gamma_down, gamma_phi):
+    """The bracket-and-bisect search with one swap_fidelity evaluation per test.
+
+    The reference for calibrate_bs_multiplier, which makes the same tests
+    but answers most of them from what it has already evaluated.
+    """
+    def fid(mult):
+        return swap_fidelity(mult, g_bs, gamma_up, gamma_down, gamma_phi)
+
+    base = fid(1.0)
+    if f_bs >= base:
+        if f_bs - base < 1e-9:
+            return 1.0
+        raise FidelityUnreachable("above the base-rate limit")
+    lo, hi = 1.0, 2.0
+    while fid(hi) > f_bs:
+        lo, hi = hi, hi * 2.0
+        if hi > 1e9:
+            raise FidelityUnreachable("could not bracket")
+    while (hi - lo) / hi > lindblad.CALIBRATION_REL_TOL:
+        mid = 0.5 * (lo + hi)
+        if fid(mid) > f_bs:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 class TestBeamsplitterInfidelity:
     def test_perfect_fidelity_is_unitary_conjugation(self):
         sp = HilbertSpace(2, 5)
@@ -606,6 +700,20 @@ class TestBeamsplitterInfidelity:
         idx = space.index_of([0, 1])
         assert out[idx, idx].real == pytest.approx(0.99, abs=1e-3)
 
+    @settings(max_examples=20, deadline=None)
+    @given(st.floats(0.9, 0.999), st.floats(0.3, 3.0), st.floats(0.1, 10.0), st.floats(0.1, 10.0),
+           st.floats(0.1, 10.0))
+    def test_calibration_matches_plain_bisection(self, f_bs, g_scale, up, down, phi):
+        args = (f_bs, G_BS * g_scale, GAMMA_UP * up, GAMMA_DOWN * down, GAMMA_PHI * phi)
+        calibrate_bs_multiplier.cache_clear()
+        try:
+            want = bisect_multiplier(*args)
+        except FidelityUnreachable:
+            with pytest.raises(FidelityUnreachable):
+                calibrate_bs_multiplier(*args)
+            return
+        assert calibrate_bs_multiplier(*args) == want
+
     def test_unreachable_fidelity(self):
         with pytest.raises(FidelityUnreachable):
             calibrate_bs_multiplier(0.9999999, G_BS, GAMMA_UP, 1e4, 1e3)
@@ -624,6 +732,13 @@ class TestBeamsplitterInfidelity:
         calibrate_bs_multiplier.cache_clear()
         yield calls
         calibrate_bs_multiplier.cache_clear()
+
+    @pytest.mark.parametrize("f_bs", [0.9, 0.99, 0.999])
+    def test_calibration_evaluation_count(self, swap_calls, f_bs):
+        # the plain bracket-and-bisect search makes 28 evaluations at 0.99
+        got = calibrate_bs_multiplier(f_bs, G_BS, GAMMA_UP, GAMMA_DOWN, GAMMA_PHI)
+        assert len(swap_calls) <= 8
+        assert got == bisect_multiplier(f_bs, G_BS, GAMMA_UP, GAMMA_DOWN, GAMMA_PHI)
 
     def test_repeated_calibration_is_cached(self, swap_calls):
         first = calibrate_bs_multiplier(0.99, G_BS, GAMMA_UP, GAMMA_DOWN, GAMMA_PHI)

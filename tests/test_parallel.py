@@ -4,6 +4,7 @@ import multiprocessing
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fockscan import protocol
@@ -15,15 +16,21 @@ from fockscan.protocol import ProtocolConfig, scan_rate_grid
 
 GOLDEN = Path(__file__).parent / "golden"
 HUGE = 5000  # never reaches a real pool: the executor below is a stand-in
+FRESH_ERRORS = {"divide": "warn", "over": "warn", "under": "ignore", "invalid": "warn"}
 
 
 class SerialExecutor:
-    """Records the requested pool size and maps in this process."""
+    """Records the requested pool size and maps in this process.
+
+    The map runs as a freshly started worker would: from numpy's default
+    error state, after the pool's initializer.
+    """
 
     sizes = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, initializer=None, initargs=()):
         self.sizes.append(max_workers)
+        self.initializer, self.initargs = initializer, initargs
 
     def __enter__(self):
         return self
@@ -32,7 +39,10 @@ class SerialExecutor:
         return False
 
     def map(self, fn, *iterables):
-        return map(fn, *iterables)
+        with np.errstate(**FRESH_ERRORS):
+            if self.initializer is not None:
+                self.initializer(*self.initargs)
+            return list(map(fn, *iterables))
 
 
 @pytest.fixture
@@ -73,6 +83,20 @@ def test_jobs_below_one_rejected(jobs, pool_sizes, tmp_path, monkeypatch):
     monkeypatch.setenv("FOCKSCAN_JOBS", str(jobs))
     assert main(args) == 2
     assert pool_sizes == []
+
+
+def _error_state(_):
+    return np.geterr()
+
+
+def test_workers_start_with_the_callers_error_state(pool_sizes):
+    with np.errstate(over="raise", invalid="raise"):
+        want = np.geterr()
+        assert want != FRESH_ERRORS
+        assert pool_map(_error_state, [(0,), (1,)], HUGE) == [want, want]
+    assert pool_sizes == [2]
+    with np.errstate(**FRESH_ERRORS):
+        assert pool_map(_error_state, [(0,), (1,)], HUGE) == [FRESH_ERRORS] * 2
 
 
 def test_mc_population_pool_size(pool_sizes):
