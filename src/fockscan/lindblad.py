@@ -269,18 +269,17 @@ def _generator(cutoff: int, rates: tuple[float, float, float], eigen: bool = Fal
         if rate > 0:
             jump = math.sqrt(rate) * op
             ada = jump.conj().T @ jump
-            kron = _kron(np.stack([jump, ada, eye]), np.stack([jump.conj(), eye, ada.T]))
-            gen += kron[0] - 0.5 * (kron[1] + kron[2])
+            gen += _kron(jump, jump.conj()) - 0.5 * (_kron(ada, eye) + _kron(eye, ada.T))
     return gen
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.kron of each pair of square matrices along the leading axis, as one broadcast product.
+    """np.kron(a, b) of two square matrices, as one broadcast product and a reshape.
 
     Each entry is the single product a[i, j] b[k, l], as in np.kron.
     """
-    n, k = a.shape[-1], b.shape[-1]
-    return (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(len(a), n * k, n * k)
+    n, k = len(a), len(b)
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(n * k, n * k)
 
 
 @lru_cache(maxsize=64)
