@@ -36,7 +36,7 @@ import numpy as np
 from .errors import InvalidArgument, UnsupportedCavityCount
 from .fock import HilbertSpace, number_state, occupations, single_mode_ladder
 from .linalg import expm, max_abs, unitarity_defect
-from .tensorops import apply_to_vector
+from .tensorops import apply_left, apply_right_dag, apply_to_vector
 
 
 @dataclass(frozen=True)
@@ -169,8 +169,6 @@ def apply_plan(psi: np.ndarray, plan: EDPlan, space: HilbertSpace, inverse: bool
 
 def apply_plan_rho(rho: np.ndarray, plan: EDPlan, space: HilbertSpace, inverse: bool = False) -> np.ndarray:
     """Conjugate a density matrix by the ED gate (or its inverse)."""
-    from .tensorops import apply_left, apply_right_dag
-
     seq = plan.sequence[::-1] if inverse else plan.sequence
     out = rho
     for spec in seq:

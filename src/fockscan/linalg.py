@@ -1,9 +1,11 @@
-"""Dense complex linear-algebra helpers.
+"""Dense linear-algebra helpers.
 
 The matrix exponential here is a plain scaling-and-squaring evaluation of a
 truncated Taylor series.  The generators produced in this package (displacement
-and beamsplitter generators on truncated Fock spaces) have modest norm once
-scaled, so a fixed-order series reaches residuals near machine precision.
+and beamsplitter generators on truncated Fock spaces, and the real dissipator
+superoperators of lindblad) have modest norm once scaled, so a fixed-order
+series reaches residuals near machine precision.  A real matrix is
+exponentiated in real arithmetic, a complex one in complex arithmetic.
 """
 from __future__ import annotations
 
@@ -18,8 +20,8 @@ _THETA = 0.5
 
 
 def expm(mat: np.ndarray) -> np.ndarray:
-    """exp(mat) by scaling-and-squaring with a truncated Taylor series."""
-    a = np.asarray(mat, dtype=complex)
+    """exp(mat) by scaling-and-squaring with a truncated Taylor series; real if mat is real."""
+    a = np.asarray(mat, dtype=complex if np.iscomplexobj(mat) else float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("expm expects a square matrix")
     norm = np.linalg.norm(a, 1)
@@ -29,7 +31,7 @@ def expm(mat: np.ndarray) -> np.ndarray:
     scaled = a / (2.0 ** n_square)
 
     # Horner evaluation of sum_{k<=K} scaled^k / k!
-    eye = np.eye(a.shape[0], dtype=complex)
+    eye = np.eye(a.shape[0], dtype=a.dtype)
     result = eye + scaled / _TAYLOR_ORDER
     for k in range(_TAYLOR_ORDER - 1, 0, -1):
         result = eye + (scaled @ result) / k

@@ -10,22 +10,41 @@ one-mode channels:
 
     rho(t) = (Phi_0(t) (x) ... (x) Phi_{N-1}(t)) rho_0.
 
-_mode_channels computes one cavity's Phi as a cutoff^2 x cutoff^2 matrix on
-rho.ravel(), at the record steps only; cavities with equal rates share one
-run.  _run_cycle applies each Phi_i to rho_0 over mode i's ket and bra axes
-(tensorops.apply_channel) and reads every record from that dense state.
-Phi_i only meets the column span of rho_0 unfolded over mode i's ket and bra
-axes (a cutoff^2-row matrix), which the other modes' channels leave in
-place, so the engine evolves Phi on an orthonormal basis B of that span and
-applies (Phi B) B^dag.  B is one vector for any one-mode rho_0, at most
-(m+1)^2 for a distributed m-photon state and cutoff^2 for a full-rank
-rho_0; a step costs cutoff^4 flops per basis vector.
+Every map the engine applies preserves Hermiticity: the dissipator
+semigroup, the displacement Ad(D) and the readout Re Tr(O rho).  So it runs
+in real coordinates.  Each cavity's operators X have the coordinates
+x_k = Tr(G_k X) in one fixed real orthonormal basis of Hermitian matrices
+per cutoff, the generalised Gell-Mann basis (Bertlmann & Krammer, J. Phys.
+A 41, 235303, 2008) up to order and sign (_hermitian_basis): for each level
+pair i < j, adjacent, (E_ij + E_ji)/sqrt(2) and i(E_ij - E_ji)/sqrt(2),
+whose coordinates are sqrt(2) Re X_ij and sqrt(2) Im X_ij; then the diagonal
+E_kk.  A Hermitian X has real coordinates, and the N-mode rho has a real
+coordinate tensor with one cutoff^2 axis per cavity, on which the window's
+channel acts as Phi_0 (x) ... (x) Phi_{N-1}.
+
+_mode_channels computes one cavity's Phi as a real cutoff^2 x cutoff^2
+matrix on its coordinates, at the record steps only; cavities with equal
+rates share one run.  _run_cycle turns rho_0 and the readout O into
+coordinate tensors once per run.  Phi_i only meets the span of rho_0's
+tensor unfolded over mode i's axis (a cutoff^2-row matrix), which the other
+modes' channels leave in place, so the engine evolves Phi on an orthonormal
+basis B of that span, a real cutoff^2 x r block, and contracts rho_0's
+tensor with every B_i^T once, into a core of shape r_0 x ... x r_{N-1}.  B
+is one vector for any one-mode rho_0, at most (m+1)^2 for a distributed
+m-photon state and cutoff^2 for a full-rank rho_0; a step costs cutoff^4
+flops per basis vector.  Each record contracts the core with the blocks
+Phi_i B_i into the coordinate tensor of rho(t), reads the population as its
+dot product with O's, and the trace and leakage from its diagonal slice.  No
+record forms a channel matrix or the N-mode density matrix; final_state is
+built once, from the last record.
 
 * E(t) = exp(t L) of the one-mode dissipator superoperator L is exact.  L is
-  built directly as a cutoff^2 x cutoff^2 matrix from Kronecker products of
-  the one-mode collapse operators (_generator), and E(t) is cached per
-  cutoff, rate triple, t and basis (_factor).  E(t) is completely positive (CP)
-  for every t >= 0, being the semigroup of a Lindblad generator.
+  built as a cutoff^2 x cutoff^2 matrix on rho.ravel() from Kronecker
+  products of the one-mode collapse operators (_generator).  E(t) is the
+  exponential of its real form T^H L T, T the unitary whose columns are the
+  raveled basis matrices, and is cached per cutoff, rate triple, t and basis
+  (_factor).  E(t) is completely positive (CP) for every t >= 0, being the
+  semigroup of a Lindblad generator.
 * A drive-free run has a constant generator, so Phi(t_j) = E(t_j - t_{j-1})
   Phi(t_{j-1}) is exact.  The rounded record intervals differ, so E is
   computed once per distinct interval.
@@ -36,13 +55,18 @@ rho_0; a step costs cutoff^4 flops per basis vector.
   splitting is symmetric, so it is second order: the error at fixed t is
   O(h^2).  Adjacent half steps merge into one factor (first same as last).
   In the eigenbasis of i(a^dag - a), D(alpha) = Q e^{-i Lambda alpha}
-  Q^dag, so Ad(D) is an elementwise phase and a step is one matmul and one
-  multiply, phases[j] * (F @ psi); the factors are built in that basis
-  (_generator with eigen).  The phases of a record interval's steps come
-  from one exp of the outer product of their -i d_alpha with the
-  eigenvalue differences, and the merged half factors F from a per-run
-  dict keyed by their length in dt steps.  Without channels (E = 1) the
-  displacements compose exactly.
+  Q^dag, so Ad(D) multiplies each entry X_ij of Q^dag X Q by
+  e^{-i alpha (lambda_i - lambda_j)}: it rotates each pair of coordinates
+  and leaves the diagonal alone.  The engine keeps the block transposed,
+  one row per basis vector, so a step is two numpy calls: a real matmul
+  into a preallocated buffer, then an in-place multiply of the rows' pair
+  coordinates, viewed as complex numbers sqrt(2) X_ij, by their phases.
+  The factors are built in that basis (_generator with eigen), and one real
+  orthogonal matrix (_eigen_rotation) takes the block into it and out of
+  it.  The phases of a record interval's steps come from one exp of the
+  outer product of their -i d_alpha with the eigenvalue differences, and
+  the merged half factors from a per-run dict keyed by their length in dt
+  steps.  Without channels (E = 1) the displacements compose exactly.
 
 A run counts n_steps = round(tau_int / dt) steps of dt, the record-time
 quantum: its record times are rounded to whole steps.  A driven Strang step
@@ -95,7 +119,8 @@ search evaluates the fidelity about 7 times instead of about 28.
 
 A window's channels commute with each other and with the splitter on every
 cavity outside its pair, so each such cavity takes its exact factor
-E_i(duration) once; an effective-model window, which has no splitter, is
+E_i(duration) once, as the complex channel T E_i T^H on rho.ravel()
+(tensorops.apply_channel); an effective-model window, which has no splitter, is
 therefore exact.  The pair takes n_sub = max(64, ceil(duration rate /
 2e-3)) symmetric Strang steps E(h/2) Ad(U_sub) E(h/2), h = duration /
 n_sub, with adjacent half steps merged and U_sub the exact splitter unitary
@@ -111,6 +136,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .drive import mean_displacement
 from .errors import FidelityUnreachable, InvalidArgument, StabilityGuard, TruncationLeak
 from .fock import HilbertSpace, number_state, occupations, single_mode_ladder
 from .gates import BeamsplitterSpec, EDPlan, apply_plan, apply_plan_rho, pair_unitary
@@ -285,10 +311,43 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=64)
 def _factor(cutoff: int, rates: tuple[float, float, float], t: float,
             eigen: bool = False) -> np.ndarray:
-    """E(t) = exp(t L) of one cavity's dissipator (see _generator), read-only."""
-    out = expm(t * _generator(cutoff, rates, eigen))
+    """E(t) = exp(t L) of one cavity's dissipator on its Hermitian coordinates, real, read-only.
+
+    L is _generator's, in its real form (see _hermitian_basis).
+    """
+    out = expm(t * _real_form(_generator(cutoff, rates, eigen)))
     out.setflags(write=False)
     return out
+
+
+@lru_cache(maxsize=32)
+def _hermitian_basis(cutoff: int) -> np.ndarray:
+    """T, whose column k is G_k.ravel() for the k-th real orthonormal Hermitian basis matrix G_k.
+
+    For each level pair i < j, in np.triu_indices order, two adjacent
+    columns, (E_ij + E_ji) / sqrt(2) and i (E_ij - E_ji) / sqrt(2), whose
+    coordinates are sqrt(2) Re X_ij and sqrt(2) Im X_ij; then the diagonal
+    E_kk (see the module docstring).  T is unitary, the coordinates of a
+    Hermitian X are the real vector T^H X.ravel(), and a superoperator on
+    rho.ravel() that preserves Hermiticity acts on them as a real matrix
+    (_real_form).  Read-only.
+    """
+    c = cutoff
+    rows, cols = np.triu_indices(c, 1)
+    pairs = 2 * np.arange(len(rows))
+    out = np.zeros((c * c, c * c), dtype=complex)
+    out[rows * c + cols, pairs] = out[cols * c + rows, pairs] = math.sqrt(0.5)
+    out[rows * c + cols, pairs + 1] = 1j * math.sqrt(0.5)
+    out[cols * c + rows, pairs + 1] = -1j * math.sqrt(0.5)
+    out[np.arange(c) * (c + 1), np.arange(c * c - c, c * c)] = 1.0
+    out.setflags(write=False)
+    return out
+
+
+def _real_form(superop: np.ndarray) -> np.ndarray:
+    """T^H S T of a Hermiticity-preserving superoperator S on rho.ravel(), imaginary part dropped."""
+    herm = _hermitian_basis(math.isqrt(len(superop)))
+    return np.ascontiguousarray((herm.conj().T @ superop @ herm).real)
 
 
 @lru_cache(maxsize=32)
@@ -298,6 +357,45 @@ def _displacement_eigensystem(cutoff: int):
     herm = 1j * (a.conj().T - a)
     vals, vecs = np.linalg.eigh(herm)
     return vals, vecs
+
+
+@lru_cache(maxsize=32)
+def _eigen_rotation(cutoff: int) -> np.ndarray:
+    """R, real orthogonal: R y are the Hermitian coordinates of Q Y Q^dag when y are Y's, read-only.
+
+    Q is the eigenvector matrix of i(a^dag - a) (_displacement_eigensystem),
+    so R takes coordinates out of the displacement eigenbasis and R^T into it.
+    """
+    q = _displacement_eigensystem(cutoff)[1]
+    out = _real_form(_kron(q, q.conj()))
+    out.setflags(write=False)
+    return out
+
+
+def _contract(tensor: np.ndarray, mats) -> np.ndarray:
+    """tensor with mats[k] applied to every fibre along axis k (mats[k] @ fibre), one per axis.
+
+    Each product contracts the leading axis and appends the new one, so
+    after one matrix per axis the axes are back in order.
+    """
+    for mat in mats:
+        tensor = (tensor.reshape(len(tensor), -1).T @ mat.T).reshape(*tensor.shape[1:], len(mat))
+    return tensor
+
+
+def _coordinates(op: np.ndarray, space: HilbertSpace) -> np.ndarray:
+    """The real Hermitian coordinates of a Hermitian operator on space: one cutoff^2 axis per mode."""
+    c, n = space.cutoff, space.n_modes
+    paired = op.reshape((c,) * (2 * n)).transpose([a for m in range(n) for a in (m, n + m)])
+    herm_dag = _hermitian_basis(c).conj().T
+    return np.ascontiguousarray(_contract(paired.reshape((c * c,) * n), [herm_dag] * n).real)
+
+
+def _operator(coords: np.ndarray, space: HilbertSpace) -> np.ndarray:
+    """The dim x dim operator on space with the given Hermitian coordinates (see _coordinates)."""
+    c, n = space.cutoff, space.n_modes
+    op = _contract(coords, [_hermitian_basis(c)] * n).reshape((c,) * (2 * n))
+    return op.transpose([*range(0, 2 * n, 2), *range(1, 2 * n, 2)]).reshape(space.dim, space.dim)
 
 
 def _check_stability(dt: float, total_rate: float) -> None:
@@ -364,21 +462,17 @@ def _boundaries(steps) -> list[int]:
     return out
 
 
-def _rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """vec(q X q^dag) for every column vec(X) of v (cutoff^2 rows)."""
-    c = q.shape[0]
-    x = q @ v.reshape(c, c, -1).transpose(2, 0, 1) @ q.conj().T
-    return x.transpose(1, 2, 0).reshape(c * c, -1)
-
-
 def _mode_channels(cutoff: int, rates, dt: float, drive, steps, basis: np.ndarray):
     """Yield Phi(s dt) @ basis for one cavity at each record step s of steps (ascending, >= 1).
 
-    Phi is the cutoff^2 x cutoff^2 matrix acting on rho.ravel() of one
-    cavity with the given rates, and basis has cutoff^2 rows (see
-    _run_cycle).  drive is (bounds, d_alphas), the Strang steps' end points
-    _boundaries(steps) as a list and the array of their displacements, or
-    None for a drive-free run (see the module docstring).
+    Phi is the real cutoff^2 x cutoff^2 matrix acting on one cavity's
+    Hermitian coordinates (see _hermitian_basis) with the given rates, and
+    basis is real with cutoff^2 rows (see _run_cycle).  drive is (bounds,
+    d_alphas), the Strang steps' end points _boundaries(steps) as a list
+    and the array of their displacements, or None for a drive-free run (see
+    the module docstring).  A driven run evolves the block transposed, one
+    row per basis vector, so that each row's (Re, Im) pair coordinates are
+    adjacent and take their phases as complex numbers.
     """
     if drive is None:
         phi, done = basis, 0
@@ -386,26 +480,32 @@ def _mode_channels(cutoff: int, rates, dt: float, drive, steps, basis: np.ndarra
             phi, done = _factor(cutoff, rates, (step - done) * dt) @ phi, step
             yield phi
         return
-    vals, vecs = _displacement_eigensystem(cutoff)
-    freqs = (vals[:, None] - vals[None, :]).reshape(-1, 1)
+    vals, _ = _displacement_eigensystem(cutoff)
+    rows, cols = np.triu_indices(cutoff, 1)
+    freqs, pairs = vals[rows] - vals[cols], 2 * len(rows)
+    rot = _eigen_rotation(cutoff)
     bounds, d_alphas = drive
-    halves = {}  # E(k dt / 2) in the eigenbasis, per k
+    halves = {}  # E(k dt / 2)^T in the eigenbasis, per k, contiguous for the row-major product
 
     def half(k):
         if k not in halves:
-            halves[k] = _factor(cutoff, rates, 0.5 * k * dt, True)
+            halves[k] = np.ascontiguousarray(_factor(cutoff, rates, 0.5 * k * dt, True).T)
         return halves[k]
 
-    psi, done, size, first = _rotate(vecs.conj().T, basis), 0, 0, 0
+    psi, done, size, first = basis.T @ rot, 0, 0, 0
+    buf = np.empty_like(psi)
     for step in steps:
         last = bounds.index(step, first) + 1
         phases = np.exp(np.multiply.outer(-1j * d_alphas[first:last], freqs))
         for bound, phase in zip(bounds[first:last], phases):
             # the previous step's closing half merged with this step's opening half
-            psi = phase * (half(size + bound - done) @ psi)
+            np.matmul(psi, half(size + bound - done), out=buf)
+            pair_coords = buf[:, :pairs].view(complex)
+            pair_coords *= phase
+            psi, buf = buf, psi
             done, size = bound, bound - done
         first = last
-        yield _rotate(vecs, half(size) @ psi)
+        yield (psi @ half(size) @ rot.T).T
 
 
 def _primary_states(space: HilbertSpace, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -432,11 +532,13 @@ def _run_cycle(
 
     Reads readout at t = 0, at each of record_times (rounded to whole dt
     steps) inside the run, and at its end: a state vector t as <t|rho|t>, or
-    a Hermitian observable O (a matrix) as Re Tr(O rho).  Signal runs drive
-    with heating disabled; background runs heat with the drive off.
-    drive_scale multiplies every displacement increment.  One _mode_channels
-    run serves every cavity with the same rates; n_steps is the number of dt
-    steps.
+    a Hermitian observable O (a matrix) as Re Tr(O rho).  rho0 is Hermitian;
+    both are read only as real coordinate tensors (see the module
+    docstring), and final_state is the state at the last record.  Signal
+    runs drive with heating disabled; background runs heat with the drive
+    off.  drive_scale multiplies every displacement increment.  One
+    _mode_channels run serves every cavity with the same rates; n_steps is
+    the number of dt steps.
     """
     if populate not in ("signal", "background"):
         raise InvalidArgument("populate must be 'signal' or 'background'")
@@ -454,18 +556,17 @@ def _run_cycle(
     n_steps = max(1, int(round(tau_int / dt))) if tau_int > 0 else 0
     record_steps = {int(round(t / dt)) for t in np.asarray(record_times, dtype=float)}
     steps = sorted({s for s in record_steps if 0 < s < n_steps} | {n_steps}) if n_steps else []
-    rho = rho0.copy()
+    coords = _coordinates(rho0, space)
+    obs = _coordinates(np.outer(readout, readout.conj()) if readout.ndim == 1 else readout, space)
     times, pops, traces, leaks = [], [], [], []
     tops = _top_levels(space)
+    diagonal = (slice(c * c - c, None),) * n  # the E_kk coordinates of every mode
 
-    def record(step):
+    def record(step, coords):
         t = step * dt
         times.append(t)
-        if readout.ndim == 1:
-            pops.append(float(np.real(np.vdot(readout, rho @ readout))))
-        else:
-            pops.append(float(np.real(np.vdot(readout, rho))))
-        diag = np.diag(rho).real
+        pops.append(float(np.vdot(obs, coords)))
+        diag = coords[diagonal].ravel()
         traces.append(abs(diag.sum() - 1.0))
         leak = _leakage_probs(diag, tops)
         leaks.append(leak)
@@ -474,31 +575,25 @@ def _run_cycle(
                 f"leakage {leak:.3g} exceeded budget {leak_tol:g} at t = {t:.3g} s"
             )
 
-    from .drive import mean_displacement
-
     drive = None
     if signal and g:
         bounds = _boundaries(steps)
         amps = mean_displacement(g, tau_dm, np.array([0] + bounds) * dt)
         drive = bounds, drive_scale * np.diff(amps)
-    rho0, tensor = rho, rho.reshape((c,) * (2 * n))
-    engines, bases = [], []
-    for rates, modes in groups.items():
-        # the span of rho_0's unfoldings over each mode's ket and bra axes,
-        # joined from each mode's basis weighted by its norms (see the module docstring)
-        spans = [_span(np.moveaxis(tensor, (mode, n + mode), (0, 1)).reshape(c * c, -1))
-                 for mode in modes]
+    engines, bases, owner = [], [None] * n, [0] * n
+    for group, (rates, modes) in enumerate(groups.items()):
+        # the span of rho_0's unfoldings over each mode's axis, joined from
+        # each mode's basis weighted by its norms (see the module docstring)
+        spans = [_span(np.moveaxis(coords, mode, 0).reshape(c * c, -1)) for mode in modes]
         basis, _ = _span(np.hstack([u * s for u, s in spans]))
         engines.append(_mode_channels(c, rates, dt, drive, steps, basis))
-        bases.append((modes, basis.conj().T))
-    record(0)
+        for mode in modes:
+            bases[mode], owner[mode] = basis.T, group
+    core = _contract(coords, bases)
+    record(0, coords)
     for step, *blocks in zip(steps, *engines):
-        rho = rho0
-        for block, (modes, basis_dag) in zip(blocks, bases):
-            phi = block @ basis_dag
-            for mode in modes:
-                rho = apply_channel(phi, rho, mode, space)
-        record(step)
+        coords = _contract(core, [blocks[group] for group in owner])
+        record(step, coords)
     return PropagationResult(
         times=np.asarray(times),
         population=np.asarray(pops),
@@ -506,7 +601,7 @@ def _run_cycle(
         leakage=np.asarray(leaks),
         dt=dt,
         n_steps=n_steps,
-        final_state=rho,
+        final_state=_operator(coords, space),
     )
 
 
@@ -620,18 +715,30 @@ def _run_windows(
     its adjoint), so that Re Tr(G^dag(O) r) = Re Tr(O G(r)) for every state r.
     """
     c = space.cutoff
+    herm = _hermitian_basis(c)
+    complex_channels = {}  # T E(t) T^H, or its adjoint, on rho.ravel(), per (rates, t)
+
+    def channels(rates, modes, t):
+        """(mode, channel) for each listed mode over time t."""
+        out = []
+        for mode in modes:
+            if (rates[mode], t) not in complex_channels:
+                factor = _factor(c, rates[mode], t)
+                complex_channels[rates[mode], t] = (
+                    herm @ (factor.T if adjoint else factor) @ herm.conj().T)
+            out.append((mode, complex_channels[rates[mode], t]))
+        return out
+
+    def dissipate(rho, mode_channels):
+        for mode, phi in mode_channels:
+            rho = apply_channel(phi, rho, mode, space)
+        return rho
+
     for noise, spec, duration in (windows[::-1] if inverse != adjoint else windows):
         rates = _mode_rates(noise, space)
-
-        def dissipate(rho, modes, t):
-            for mode in modes:
-                phi = _factor(c, rates[mode], t)
-                rho = apply_channel(phi.conj().T if adjoint else phi, rho, mode, space)
-            return rho
-
         pair = (spec.mode_a, spec.mode_b) if spec is not None else ()
-        rho = dissipate(rho, [mode for mode in range(space.n_modes) if mode not in pair],
-                        duration)
+        rest = [mode for mode in range(space.n_modes) if mode not in pair]
+        rho = dissipate(rho, channels(rates, rest, duration))
         if spec is None:
             continue
         n_sub = 1
@@ -641,10 +748,11 @@ def _run_windows(
         sub = pair_unitary(replace(spec, theta=spec.theta / n_sub), c)
         if inverse != adjoint:
             sub = sub.conj().T
+        step, half = channels(rates, pair, h), channels(rates, pair, 0.5 * h)
         for k in range(n_sub):
-            rho = dissipate(rho, pair, h if k else 0.5 * h)
+            rho = dissipate(rho, step if k else half)
             rho = apply_right_dag(sub, apply_left(sub, rho, pair, space), pair, space)
-        rho = dissipate(rho, pair, 0.5 * h)
+        rho = dissipate(rho, half)
     return rho
 
 

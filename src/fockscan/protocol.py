@@ -32,8 +32,8 @@ from .drive import (
     rho_dm_si,
 )
 from .errors import DimensionCeilingExceeded, InvalidArgument
-from .fock import HilbertSpace
-from .gates import EDPlan, apply_plan, make_plan
+from .fock import HilbertSpace, occupations
+from .gates import EDPlan, apply_plan, apply_plan_rho, make_plan
 from .lindblad import (
     NoiseModel,
     TransformedRates,
@@ -52,10 +52,13 @@ from .sensitivity import thermal_occupation
 
 FULL_BACKEND_MAX_MODES = 3
 # A full-backend run holds at its peak about FULL_BACKEND_WORKING_COPIES
-# dim x dim complex matrices (state, channel-application temporaries, rho0
-# and readout; tracemalloc gave 5.2 with ideal gates and 7.4 with lossy ones
-# at N=3, cutoff 7) besides its one-mode channel matrices of cutoff^4
-# entries, dim^2 each at N=2: every entry of the _factor cache, plus
+# dim x dim complex matrices (rho0 and readout, their real coordinate
+# tensors and the temporaries that convert them, and with lossy gates the
+# windows' channel-application temporaries; tracemalloc put a whole
+# simulate_populations call at 5.7 with ideal gates and 8.3 with lossy ones
+# at N=3, cutoff 7, factors included) besides its one-mode channel matrices
+# of cutoff^4 entries, dim^2 each at N=2, counted here as complex although
+# the cached factors are real: every entry of the _factor cache, plus
 # FULL_BACKEND_FACTOR_WORKING for the factor being built (5 at its peak) and
 # the engine's basis and vectors.
 FULL_BACKEND_WORKING_COPIES = 8
@@ -533,9 +536,6 @@ def spectator_calibration(
     m >= 1 swaps primary photons onto the spectators and breaks the equality
     with a spectator excess.
     """
-    from .fock import occupations as occ_table
-    from .gates import apply_plan_rho
-
     cutoff = cutoff if cutoff is not None else max(m + 3, 3)
     space = HilbertSpace(n_cavities, cutoff)
     plan = make_plan(ed_scheme, n_cavities)
@@ -544,7 +544,7 @@ def spectator_calibration(
     res = propagate_cycle(space, m, noise, 0.0, tau, tau, "background", ed=plan, dt=dt)
     rho = apply_plan_rho(res.final_state, plan, space, inverse=True)
     diag = np.diag(rho).real
-    occ = occ_table(space)
+    occ = occupations(space)
     primary_mask = (occ[:, 0] == m + 1) & (occ[:, 1:] == 0).all(axis=1)
     primary_rate = float(diag[primary_mask].sum()) / ((m + 1) * tau)
     spect = tuple(

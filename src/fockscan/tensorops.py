@@ -23,7 +23,10 @@ dimensions the propagators step through.
 apply_channel applies a one-mode channel, a cutoff^2 x cutoff^2 matrix on
 that mode's rho.ravel(), over the mode's ket and bra axes of a density
 matrix: one transpose brings the two axes to the front, one matmul applies
-the channel, and one transpose puts them back.
+the channel, and one transpose puts them back.  It serves the lossy gate
+windows (lindblad._run_windows); the integration engine works on real
+Hermitian coordinates instead and never applies a channel to a density
+matrix.
 """
 from __future__ import annotations
 

@@ -1,7 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import dense_model
 from dense_model import beamsplitter, ed_residuals, ed_unitary, ladder
@@ -195,6 +198,36 @@ class TestVerifyEd:
             lhs = apply_plan(inside, plan, sp, inverse=True)
             rhs = apply_to_vector(d_main, psi, (0,), sp)
             assert np.linalg.norm(lhs - rhs) < 1e-4
+
+
+class TestRandomPlans:
+    """Random accepted (scheme, N <= 4) plans through verify_ed, at cutoffs 3-6.
+
+    The displacement residual is truncation-limited below cutoff 8, so it is
+    not asserted; the other residuals do not depend on the truncation.
+    """
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(["linear", "binary"]), st.integers(1, 4), st.integers(3, 6),
+           st.data())
+    def test_truncation_free_residuals(self, scheme, n, cutoff, data):
+        try:
+            plan = make_plan(scheme, n)
+        except UnsupportedCavityCount:
+            assume(False)
+        space = HilbertSpace(n, cutoff)
+        rep = verify_ed(plan, space, max_fock=data.draw(st.integers(0, cutoff - 2)))
+        for residual in (rep.unitarity_residual, rep.conjugation_residual, rep.dual_residual,
+                         rep.coefficient_column_residual, rep.sum_rule_residual):
+            assert residual <= 1e-12
+        if n == 1:
+            return
+        # one splitter's angle raised by 1e-6 moves the primary photon's amplitudes
+        k = data.draw(st.integers(0, n - 2))
+        sequence = list(plan.sequence)
+        sequence[k] = replace(sequence[k], theta=sequence[k].theta + 1e-6)
+        bent = replace(plan, sequence=tuple(sequence))
+        assert verify_ed(bent, space, max_fock=1).coefficient_column_residual > 1e-8
 
 
 class TestPlanApplication:

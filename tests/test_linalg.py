@@ -15,6 +15,17 @@ def test_expm_matches_scipy_pade(dim, scale):
     assert max_abs(ours - ref) / max_abs(ref) < 1e-12
 
 
+@pytest.mark.parametrize("dim,scale", [(4, 0.3), (16, 2.0), (81, 8.0), (25, 30.0)])
+def test_expm_real_input_stays_real(dim, scale):
+    rng = np.random.default_rng(dim)
+    a = rng.normal(size=(dim, dim))
+    a *= scale / np.linalg.norm(a, 1)
+    ours = expm(a)
+    ref = expm(a.astype(complex))
+    assert ours.dtype == float
+    assert max_abs(ours - ref) / max_abs(ref) <= 1e-14
+
+
 def test_expm_anti_hermitian_is_unitary():
     rng = np.random.default_rng(7)
     a = rng.normal(size=(30, 30)) + 1j * rng.normal(size=(30, 30))

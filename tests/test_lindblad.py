@@ -197,6 +197,40 @@ class TestDissipator:
             assert lindblad._kron(left, right).tobytes() == np.kron(left, right).tobytes()
 
 
+class TestHermitianCoordinates:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 3), st.integers(2, 6), st.integers(0, 2 ** 32 - 1))
+    def test_round_trip(self, n, cutoff, seed):
+        space = HilbertSpace(n, cutoff)
+        rho = random_hermitian(np.random.default_rng(seed), space.dim)
+        coords = lindblad._coordinates(rho, space)
+        assert coords.dtype == float and coords.shape == (cutoff * cutoff,) * n
+        back = lindblad._operator(coords, space)
+        assert np.abs(back - rho).max() <= 1e-15 * np.abs(rho).max()
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 6), st.tuples(RATES, RATES, RATES), st.booleans())
+    def test_generator_real_form_drops_only_rounding(self, cutoff, rates, eigen):
+        gen = lindblad._generator(cutoff, rates, eigen)
+        herm = lindblad._hermitian_basis(cutoff)
+        full = herm.conj().T @ gen @ herm
+        assert np.abs(full.imag).max() <= 1e-14 * np.abs(gen).max()
+        assert np.array_equal(lindblad._real_form(gen), full.real)
+
+    @pytest.mark.parametrize("cutoff", range(2, 10))
+    def test_eigen_rotation_is_orthogonal(self, cutoff):
+        rot = lindblad._eigen_rotation(cutoff)
+        assert rot.dtype == float
+        assert np.abs(rot @ rot.T - np.eye(cutoff * cutoff)).max() <= 1e-14
+        # it takes the coordinates of Q^dag X Q to those of X
+        q = lindblad._displacement_eigensystem(cutoff)[1]
+        one = HilbertSpace(1, cutoff)
+        x = random_hermitian(np.random.default_rng(cutoff), cutoff)
+        want = lindblad._coordinates(x, one)
+        got = rot @ lindblad._coordinates(q.conj().T @ x @ q, one)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
 class TestPropagateCycle:
     def test_frozen_when_no_drive_no_noise(self):
         sp = HilbertSpace(2, 4)
@@ -471,23 +505,27 @@ class TestStride:
 def per_step_channels(cutoff, rates, dt, bounds, d_alphas, steps, basis):
     """The driven loop one Strang step at a time, with its own phase exp and factor lookup.
 
-    The reference for lindblad._mode_channels: the same arithmetic, without
-    the per-interval phase table or the per-run factor dict.
+    The reference for lindblad._mode_channels: the same arithmetic on rows
+    of Hermitian coordinates, without the per-interval phase table, the
+    per-run factor dict or the preallocated buffers.
     """
-    vals, vecs = lindblad._displacement_eigensystem(cutoff)
-    freqs = (vals[:, None] - vals[None, :]).reshape(-1, 1)
+    vals, _ = lindblad._displacement_eigensystem(cutoff)
+    rows, cols = np.triu_indices(cutoff, 1)
+    freqs, pairs = vals[rows] - vals[cols], 2 * len(rows)
+    rot = lindblad._eigen_rotation(cutoff)
     records = set(steps)
 
     def half(k):
-        return lindblad._factor(cutoff, rates, 0.5 * k * dt, True)
+        return np.ascontiguousarray(lindblad._factor(cutoff, rates, 0.5 * k * dt, True).T)
 
-    psi, done, size = lindblad._rotate(vecs.conj().T, basis), 0, 0
+    psi, done, size = basis.T @ rot, 0, 0
     for bound, d_alpha in zip(bounds, d_alphas):
-        psi = half(size + bound - done) @ psi
-        psi = np.exp(-1j * d_alpha * freqs) * psi
+        psi = psi @ half(size + bound - done)
+        rotated = psi[:, :pairs].view(complex) * np.exp(-1j * d_alpha * freqs)
+        psi[:, :pairs] = rotated.view(float)
         done, size = bound, bound - done
         if bound in records:
-            yield lindblad._rotate(vecs, half(size) @ psi)
+            yield (psi @ half(size) @ rot.T).T
 
 
 @st.composite
@@ -513,7 +551,7 @@ class TestDrivenLoop:
         d_alphas = rng.uniform(-0.05, 0.05, len(bounds))
         d_alphas[rng.random(len(bounds)) < 0.2] = 0.0
         shape = (cutoff * cutoff, rank)
-        basis = np.linalg.qr(rng.normal(size=shape) + 1j * rng.normal(size=shape))[0]
+        basis = np.linalg.qr(rng.normal(size=shape))[0]
         got = list(lindblad._mode_channels(cutoff, rates, dt, (bounds, d_alphas), steps, basis))
         want = list(per_step_channels(cutoff, rates, dt, bounds, d_alphas, steps, basis))
         assert len(got) == len(want) == len(steps)
