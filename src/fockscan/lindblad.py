@@ -794,9 +794,9 @@ def calibrate_bs_multiplier(
     the loops, up to SECANT_STEPS secant steps on fid - f_bs from x = 1
     and 2 (an iterate outside the bracket so far or above 1e9 ends them)
     and two evaluations at 1e-9 relative on either side of the last
-    iterate settle almost every test: 7 evaluations at f_bs 0.9, 0.99 and
-    0.999 and the reference rates, where the plain search makes 28 at
-    0.99.
+    iterate settle almost every test: 7, 6 and 6 evaluations at f_bs 0.9,
+    0.99 and 0.999 and the reference rates, where the plain search makes 28
+    at 0.99.
 
     The search is a pure function of its float arguments, so the result
     is cached per exact argument tuple (a raised FidelityUnreachable is
