@@ -50,6 +50,7 @@ from .fock import HilbertSpace
 from .gates import make_plan, verify_ed
 from .parallel import pool_map
 from .protocol import (
+    TAU_GRID_TAUDM,
     default_tau_grid,
     optimal_tau_int,
     scan_rate_grid,
@@ -189,9 +190,14 @@ def cmd_simulate_cycle(doc, args, out_dir: Path) -> int:
     return 0
 
 
-def _sweep_one(cfg, lo, hi, points):
-    grid = default_tau_grid(cfg.tau_dm, lo, hi, points)
-    return snr_sweep(cfg, grid)
+def _grid_units(sec: dict) -> tuple:
+    """The sweep section's integration-time grid in tau_dm units, TAU_GRID_TAUDM where unset."""
+    keys = ("tau_int_min_taudm", "tau_int_max_taudm", "points")
+    return tuple(sec.get(key, default) for key, default in zip(keys, TAU_GRID_TAUDM))
+
+
+def _sweep_one(cfg, units):
+    return snr_sweep(cfg, default_tau_grid(cfg.tau_dm, *units))
 
 
 def cmd_snr_sweep(doc, args, out_dir: Path) -> int:
@@ -199,11 +205,9 @@ def cmd_snr_sweep(doc, args, out_dir: Path) -> int:
     cfg = build_protocol_config(doc, backend=args.backend, seed=args.seed)
     sec = doc.get("sweep", {})
     m_list = sec.get("fock_m_list", [cfg.fock_m])
-    lo = sec.get("tau_int_min_taudm", 0.2)
-    hi = sec.get("tau_int_max_taudm", 40.0)
-    points = sec.get("points", 60)
+    units = _grid_units(sec)
     configs = [replace(cfg, fock_m=m, cutoff=None) for m in m_list]
-    sweeps = pool_map(_sweep_one, [(c, lo, hi, points) for c in configs], args.jobs)
+    sweeps = pool_map(_sweep_one, [(c, units) for c in configs], args.jobs)
 
     head = _header(doc, args, "snr-sweep",
                    backend=sweeps[0].backend, dt_s=_fmt(sweeps[0].diagnostics["dt"]))
@@ -212,11 +216,11 @@ def cmd_snr_sweep(doc, args, out_dir: Path) -> int:
     for m, c, sw in zip(m_list, configs, sweeps):
         for t, ns, nb, s in zip(sw.tau_int, sw.n_s, sw.n_b, sw.snr):
             rows.append((m, t / cfg.tau_dm, s, ns, nb))
-        opt = optimal_tau_int(c.tau_dm, m, c.rates(), tau_overhead=2 * c.tau_ed() + c.tau_spam)
+        tau_opt = optimal_tau_int(c.tau_dm, m, c.rates(), tau_overhead=2 * c.tau_ed() + c.tau_spam)
         summary[f"m={m}"] = {
             "tau_opt_over_taudm": sw.tau_opt / cfg.tau_dm,
             "snr_max": sw.snr_max,
-            "tau_opt_closed_form_over_taudm": opt.tau_opt / cfg.tau_dm,
+            "tau_opt_closed_form_over_taudm": tau_opt / cfg.tau_dm,
             "backend": sw.backend,
             "dt_s": sw.diagnostics["dt"],
             "trace_defect": max(sw.diagnostics["trace_defect_signal"],
@@ -237,10 +241,7 @@ def cmd_scan_rate(doc, args, out_dir: Path) -> int:
     sec = doc.get("sweep", {})
     n_list = sec.get("n_cavities_list", [1, 2, 4, 8])
     m_list = sec.get("fock_m_list", [0, 1, 2, 3, 4, 5])
-    lo = sec.get("tau_int_min_taudm", 0.2)
-    hi = sec.get("tau_int_max_taudm", 40.0)
-    points = sec.get("points", 60)
-    rows = scan_rate_grid(cfg, n_list, m_list, (lo, hi, points), jobs=args.jobs)
+    rows = scan_rate_grid(cfg, n_list, m_list, _grid_units(sec), jobs=args.jobs)
     head = _header(doc, args, "scan-rate",
                    backends="+".join(sorted({r.backend for r in rows})))
     _write_csv(

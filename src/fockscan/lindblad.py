@@ -205,21 +205,6 @@ class TransformedRates:
     bar_gamma_phi: float
 
     @property
-    def gamma_m_plus_1(self) -> float:
-        """Thermal deposition rate into |m+1>: (m+1) x averaged heating."""
-        return (self.fock_m + 1) * self.bar_gamma_up_1
-
-    @property
-    def gamma_m(self) -> float:
-        """Decay-driven depletion of |m>: m x averaged decay."""
-        return self.fock_m * self.bar_gamma_down
-
-    @property
-    def gamma_m_phi(self) -> float:
-        """Dephasing-driven photon swap out of |m>: m (1 - 1/N) x averaged dephasing."""
-        return self.fock_m * (1.0 - 1.0 / self.n_cavities) * self.bar_gamma_phi
-
-    @property
     def gamma_down_eff(self) -> float:
         return self.bar_gamma_down + (1.0 - 1.0 / self.n_cavities) * self.bar_gamma_phi
 

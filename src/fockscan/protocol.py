@@ -11,10 +11,12 @@ with tau_cycle = tau_int + 2 tau_ed + tau_spam.  Signal and background
 populations come from separate runs (heating off with the drive on, and
 vice versa).
 
-The semi-classical layer reproduces the same quantities from closed-form
-rates and provides the a-priori optimal integration time; the simulated
-sweep provides the measured one plus the efficiency eta used by the
-sensitivity projections.
+The simulated sweep gives the measured optimal integration time and the
+efficiency eta used by the sensitivity projections; optimal_tau_int gives
+the a-priori one, by maximising the closed-form survival-times-buildup SNR.
+The closed-form rates themselves (R_s ~ N (m+1), background (m+1) x
+averaged heating) are not computed here: the engine reproduces them, and
+the tests hold it to them through tests/analytic_model.py.
 """
 from __future__ import annotations
 
@@ -170,15 +172,26 @@ class ProtocolConfig:
         return transformed_rates(self.n_cavities, self.noise_model(), self.fock_m)
 
 
+# Simulated populations are read as Re Tr(O rho) after thousands of steps,
+# so one that has decayed to zero comes back as a rounding residue of
+# either sign: down to -5.4e-16 for the m = 5 signal of a q_cavity 1e5
+# sweep, while trace residues on the golden runs reach 4.1e-15.  The floor
+# sits over two orders of magnitude above both.  A negative population
+# above -POPULATION_FLOOR is read as 0; anything lower is an error.
+POPULATION_FLOOR = 1e-12
+
+
 def snr_from_counts(n_s: float, n_b: float, tau_cycle: float, tau_tot: float) -> float:
     """R_s tau_tot / sqrt(R_b tau_tot) with R = n / tau_cycle.
 
     Gaussian background-count statistics are baked in: the denominator is
     the root of the expected false-positive count.  A zero background with a
-    finite signal returns +inf (legitimate in lossless ideal runs).
+    finite signal returns +inf (legitimate in lossless ideal runs).  A
+    population within POPULATION_FLOOR below zero is read as 0.
     """
-    if min(n_s, n_b) < 0 or tau_cycle <= 0 or tau_tot <= 0:
+    if min(n_s, n_b) < -POPULATION_FLOOR or tau_cycle <= 0 or tau_tot <= 0:
         raise InvalidArgument("populations must be >= 0 and times positive")
+    n_s, n_b = max(n_s, 0.0), max(n_b, 0.0)
     if n_b == 0.0:
         return math.inf if n_s > 0 else 0.0
     return (n_s / tau_cycle) * tau_tot / math.sqrt((n_b / tau_cycle) * tau_tot)
@@ -337,140 +350,44 @@ def ideal_reference(config: ProtocolConfig) -> ProtocolConfig:
     return replace(config, noise=lossless, bs_fidelity=1.0)
 
 
-def default_tau_grid(tau_dm: float, lo: float = 0.2, hi: float = 40.0, points: int = 60) -> np.ndarray:
+# The sweep grid unless a config sets it, in units of tau_dm: first point,
+# last point, point count.
+TAU_GRID_TAUDM = (0.2, 40.0, 60)
+
+
+def default_tau_grid(tau_dm: float, lo: float, hi: float, points: int) -> np.ndarray:
     return np.linspace(lo * tau_dm, hi * tau_dm, points)
 
 
 # ---------------------------------------------------------------------------
-# Semi-classical layer
+# A-priori integration time
 # ---------------------------------------------------------------------------
-
-def _exp_diff(exponent: np.ndarray, step: np.ndarray) -> np.ndarray:
-    """(e^exponent - e^(exponent - step)) / step, stable for exponent <= 0.
-
-    Equals e^exponent phi(-step) with phi(x) = (e^x - 1)/x; written as a
-    difference of two never-overflowing exponentials so huge rates stay
-    finite, with a series fallback for |step| -> 0.
-    """
-    small = np.abs(step) < 1e-8
-    safe = np.where(small, 1.0, step)
-    out = np.where(
-        small,
-        np.exp(exponent) * (1.0 - step / 2.0),
-        (np.exp(exponent) - np.exp(exponent - safe)) / safe,
-    )
-    return out
-
-
-def semiclassical_rates(
-    g: float,
-    tau_dm: float,
-    n_cavities: int,
-    m: int,
-    rates: TransformedRates,
-    t,
-    include_dm_backreaction: bool = False,
-):
-    """Closed-form signal and background rates R_s(t), R_b(t).
-
-    With gamma = bar_down + (1 - 1/N) bar_phi and a = 1/tau_dm:
-
-        R_s = 2 g^2 tau_dm N (m+1) e^{-(m+1) gamma t} [phi(gamma t) - phi((gamma - a) t)]
-        R_b = (m+1) bar_up e^{-(m+1) gamma t} phi(gamma t),
-
-    where phi(x) = (e^x - 1)/x.  The optional DM-backreaction switch also
-    depletes the |m> level at (2m+1)/(m+1) x instantaneous signal rate and
-    evaluates the signal integral by quadrature instead of the closed form.
-    """
-    tt = np.asarray(t, dtype=float)
-    gamma = rates.gamma_down_eff
-    a = 1.0 / tau_dm
-    pref = 2.0 * g * g * tau_dm * n_cavities * (m + 1)
-    if not include_dm_backreaction:
-        # e^{-(m+1) g t} phi(g t)       = (e^{-m g t} - e^{-(m+1) g t}) / (g t)
-        # e^{-(m+1) g t} phi((g - a) t) = (e^{-(m g + a) t} - e^{-(m+1) g t}) / ((g - a) t)
-        term1 = _exp_diff(-m * gamma * tt, gamma * tt)
-        term2 = _exp_diff(-(m * gamma + a) * tt, (gamma - a) * tt)
-        r_s = pref * (term1 - term2)
-        r_b = (m + 1) * rates.bar_gamma_up_1 * term1
-        return (float(r_s), float(r_b)) if np.isscalar(t) else (r_s, r_b)
-
-    t_max = float(np.max(tt))
-    fine = np.linspace(0.0, max(t_max, tau_dm * 1e-3), 4001)
-    r_inst = pref * (-np.expm1(-fine / tau_dm))
-    # n_m depletion: decay/dephasing plus the DM up+down transitions
-    cum_inst = np.concatenate([[0.0], np.cumsum((r_inst[1:] + r_inst[:-1]) / 2 * np.diff(fine))])
-    n_m = np.exp(-m * gamma * fine - (2 * m + 1) / (m + 1) * cum_inst)
-    kernel_rate = (m + 1) * gamma
-    n_s = _convolve_decay(fine, r_inst * n_m, kernel_rate)
-    n_bq = _convolve_decay(fine, (m + 1) * rates.bar_gamma_up_1 * n_m, kernel_rate)
-    r_s = np.interp(tt, fine, n_s) / np.where(tt == 0, 1.0, tt)
-    r_b = np.interp(tt, fine, n_bq) / np.where(tt == 0, 1.0, tt)
-    return (float(r_s), float(r_b)) if np.isscalar(t) else (r_s, r_b)
-
-
-def _convolve_decay(t: np.ndarray, source: np.ndarray, rate: float) -> np.ndarray:
-    """n(t) = integral_0^t source(t') e^{-rate (t - t')} dt' by trapezoid."""
-    weighted = source * np.exp(rate * t)
-    integ = np.concatenate([[0.0], np.cumsum((weighted[1:] + weighted[:-1]) / 2 * np.diff(t))])
-    return integ * np.exp(-rate * t)
-
-
-def semiclassical_rates_approx(
-    g: float,
-    tau_dm: float,
-    n_cavities: int,
-    m: int,
-    rates: TransformedRates,
-    t,
-):
-    """Diffusive-regime simplification, valid for tau_dm < t << 1/gamma:
-
-        R_s ~ 2 g^2 tau_dm N (m+1) e^{-(m+1) gamma t} (1 - tau_dm / t),
-        R_b ~ (m+1) bar_up e^{-(m+1) gamma t}.
-    """
-    tt = np.asarray(t, dtype=float)
-    gamma = rates.gamma_down_eff
-    decay = np.exp(-(m + 1) * gamma * tt)
-    r_s = 2.0 * g * g * tau_dm * n_cavities * (m + 1) * decay * (1.0 - tau_dm / tt)
-    r_b = (m + 1) * rates.bar_gamma_up_1 * decay
-    return (float(r_s), float(r_b)) if np.isscalar(t) else (r_s, r_b)
-
-
-@dataclass(frozen=True)
-class OptimalTauInt:
-    tau_opt: float          # maximiser of the closed-form-rate SNR
-    tau_analytic: float     # stationary point of the exponential approximation
-
 
 def optimal_tau_int(
     tau_dm: float, m: int, rates: TransformedRates, tau_overhead: float = 0.0
-) -> OptimalTauInt:
+) -> float:
     """A-priori optimal integration time for the diffusive-buildup SNR model.
 
-    The survival-times-buildup approximation SNR(t) ~ e^{-(m+1) gamma t / 2}
-    (1 - tau_dm / t) has the exact stationary point
-
-        tau_analytic = (tau_dm / 2) (1 + sqrt(1 + 8 / ((m+1) gamma tau_dm))),
-
-    which approaches tau_dm when (m+1) gamma tau_dm >> 1 and diverges as
-    gamma -> 0.  tau_opt refines it by golden-section maximisation of the
-    same objective with the cycle-overhead duty factor sqrt(t / (t +
-    overhead)) restored, over the fixed interval (1, 100] tau_dm (the
-    objective is zero up to tau_dm); with zero overhead the two coincide.
+    Golden-section maximisation of the survival-times-buildup SNR
+    e^{-(m+1) gamma t / 2} (1 - tau_dm / t) sqrt(t / (t + overhead)) over
+    the fixed interval (1, 100] tau_dm (the objective is zero up to
+    tau_dm), with gamma = rates.gamma_down_eff.  With zero overhead the
+    maximiser is (tau_dm / 2) (1 + sqrt(1 + 8 / ((m+1) gamma tau_dm))).
+    Where both probes underflow to 0.0 (large (m+1) gamma tau_dm), the
+    log of the objective breaks the tie, so the search still walks
+    towards the maximum instead of the interval's far edge.
     """
     gamma = rates.gamma_down_eff
-    if gamma > 0:
-        x = (m + 1) * gamma * tau_dm
-        tau_analytic = 0.5 * tau_dm * (1.0 + math.sqrt(1.0 + 8.0 / x))
-    else:
-        tau_analytic = math.inf
 
     def objective(t: float) -> float:
         if t <= tau_dm:
             return 0.0
         duty = math.sqrt(t / (t + tau_overhead)) if tau_overhead > 0 else 1.0
         return math.exp(-0.5 * (m + 1) * gamma * t) * (1.0 - tau_dm / t) * duty
+
+    def log_objective(t: float) -> float:
+        return (-0.5 * (m + 1) * gamma * t + math.log(1.0 - tau_dm / t)
+                + 0.5 * math.log(t / (t + tau_overhead)))
 
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = (1.0 + 1e-9) * tau_dm, 100.0 * tau_dm
@@ -480,7 +397,7 @@ def optimal_tau_int(
     for _ in range(200):
         if b - a < 1e-6 * tau_dm:
             break
-        if fc > fd:
+        if fc > fd or (fc == fd == 0.0 and log_objective(c) > log_objective(d)):
             b, d, fd = d, c, fc
             c = b - inv_phi * (b - a)
             fc = objective(c)
@@ -488,20 +405,7 @@ def optimal_tau_int(
             a, c, fc = c, d, fd
             d = a + inv_phi * (b - a)
             fd = objective(d)
-    return OptimalTauInt(tau_opt=float(0.5 * (a + b)), tau_analytic=float(tau_analytic))
-
-
-def spam_background(p_e: float, e_ge: float, n_repeat: int, tau_cycle: float, r_b: float) -> float:
-    """Residual readout background after n repeated conditional measurements.
-
-    R_b' = (P_e^n + E_ge^n) / tau_cycle + R_b; with perfect readout it
-    reduces to R_b, and repeating the measurement drives it back there.
-    """
-    if not (0 <= p_e < 1 and 0 <= e_ge < 1):
-        raise InvalidArgument("P_e and E_ge must lie in [0, 1)")
-    if n_repeat < 1 or tau_cycle <= 0 or r_b < 0:
-        raise InvalidArgument("need n_repeat >= 1, tau_cycle > 0, r_b >= 0")
-    return (p_e ** n_repeat + e_ge ** n_repeat) / tau_cycle + r_b
+    return float(0.5 * (a + b))
 
 
 # ---------------------------------------------------------------------------
@@ -523,9 +427,6 @@ def spectator_calibration(
     m: int,
     noise: NoiseModel,
     tau: float,
-    ed_scheme: str = "binary",
-    dt: float | None = None,
-    cutoff: int | None = None,
 ) -> CalibrationResult:
     """Compare the signal-cavity background rate against the spectator average.
 
@@ -534,14 +435,12 @@ def spectator_calibration(
     bosonic enhancement, and the per-spectator occupation rate.  With
     heating-only noise the two agree (a unitarity sum rule); dephasing with
     m >= 1 swaps primary photons onto the spectators and breaks the equality
-    with a spectator excess.
+    with a spectator excess.  The binary plan distributes the state, the
+    cutoff is max(m + 3, 3) and the step tau / 400.
     """
-    cutoff = cutoff if cutoff is not None else max(m + 3, 3)
-    space = HilbertSpace(n_cavities, cutoff)
-    plan = make_plan(ed_scheme, n_cavities)
-    if dt is None:
-        dt = tau / 400.0
-    res = propagate_cycle(space, m, noise, 0.0, tau, tau, "background", ed=plan, dt=dt)
+    space = HilbertSpace(n_cavities, max(m + 3, 3))
+    plan = make_plan("binary", n_cavities)
+    res = propagate_cycle(space, m, noise, 0.0, tau, tau, "background", ed=plan, dt=tau / 400.0)
     rho = apply_plan_rho(res.final_state, plan, space, inverse=True)
     diag = np.diag(rho).real
     occ = occupations(space)
@@ -580,7 +479,7 @@ def scan_rate_grid(
     base: ProtocolConfig,
     n_list,
     m_list,
-    tau_grid_units: tuple[float, float, int] = (0.2, 40.0, 60),
+    tau_grid_units: tuple[float, float, int] = TAU_GRID_TAUDM,
     jobs: int = 1,
 ) -> list[ScanGridRow]:
     """Simulated and ideal peak SNR over an (N, m) grid, normalised to (N=1, m=0).

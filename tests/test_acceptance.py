@@ -166,7 +166,7 @@ def test_criterion_06_snr_curve_reproduction():
         opt = optimal_tau_int(cfg.tau_dm, m, cfg.rates(),
                               tau_overhead=2 * cfg.tau_ed() + cfg.tau_spam)
         argmaxes.append(sw.tau_opt)
-        closed.append(opt.tau_opt)
+        closed.append(opt)
         interior.append(grid[0] < sw.tau_opt < grid[-1])
     decreasing = all(a > b for a, b in zip(argmaxes, argmaxes[1:]))
     worst = max(abs(c - s) / s for c, s in zip(closed, argmaxes))
@@ -198,7 +198,7 @@ def test_criterion_08_calibration_sum_rule():
     for n in (2, 4):
         ups = tuple(0.4 + 0.12 * k for k in range(n))
         noise = NoiseModel(ups, (0.0,) * n, (0.0,) * n)
-        res = spectator_calibration(n, 1, noise, tau=5e-5, ed_scheme="binary")
+        res = spectator_calibration(n, 1, noise, tau=5e-5)
         worst = max(worst, abs(res.mean_spectator_rate / res.primary_rate - 1.0))
     noise_deph = NoiseModel((0.5, 0.5), (0.0, 0.0), (40.0, 40.0))
     deph = spectator_calibration(2, 1, noise_deph, tau=5e-5)

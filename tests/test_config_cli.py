@@ -317,6 +317,19 @@ class TestExitCodes:
             "config error: config validation failed: Additional properties are not allowed "
             "('detuning_linewidths' was unexpected) (at ['dm'])\n")
 
+    def test_low_q_sweep_exits_zero(self, tmp_path):
+        # at Q 1e5 the m = 5 signal decays to rounding residues of either sign,
+        # and the closed-form objective underflows at the search's first probes
+        doc = yaml.safe_load((GOLDEN / "configs" / "sweep.yaml").read_text())
+        del doc["protocol"]["decay_time_s"]
+        doc["protocol"]["q_cavity"] = 1.0e5
+        doc["sweep"]["fock_m_list"] = [4, 5]
+        cfg = tmp_path / "low_q.yaml"
+        cfg.write_text(yaml.safe_dump(doc))
+        assert run_cli(["snr-sweep", "--config", cfg, "--out", tmp_path, "--jobs", 1]) == 0
+        curves = json.loads((tmp_path / "snr_sweep.json").read_text())["curves"]
+        assert curves["m=5"]["tau_opt_closed_form_over_taudm"] < 2.0
+
     def test_insufficient_grid_coverage_exits_two(self, tmp_path):
         doc = yaml.safe_load((GOLDEN / "configs" / "sweep.yaml").read_text())
         doc["sweep"]["tau_int_max_taudm"] = 5.0
@@ -615,6 +628,17 @@ def test_golden_generator_reports_numeric_change():
     assert moved == "changed: max relative numeric change 8e-11"
     assert generate.compare(old, old + b"x\n") == "changed: text differs beyond its numbers"
     assert generate.compare(None, old) == "new"
+    # a rounding residue near 1e-15 is reported as an absolute change, per column
+    old = b"# seed=11\nt,n,trace_error\n0.5,1.25e-3,1.0e-15\n"
+    new = old.replace(b"1.25e-3", b"1.2500000001e-3").replace(b"1.0e-15", b"3.0e-15")
+    assert generate.compare(old, new) == (
+        "changed: max relative numeric change 8e-11, residues max absolute change 2e-15")
+    moved = generate.column_changes(old, new)
+    assert moved == {"# seed": 0.0, "t": 0.0, "n": pytest.approx(8e-11, rel=1e-3),
+                     "trace_error": pytest.approx(2e-15, rel=1e-3)}
+    doc = b'{"curves": {"m=0": {"leakage": 1e-15, "snr_max": 0.5}}}'
+    assert generate.column_changes(doc, doc.replace(b"1e-15", b"-1e-15")) == {
+        "curves.m=0.leakage": 2e-15, "curves.m=0.snr_max": 0.0}
 
 
 def _expected_bytes():

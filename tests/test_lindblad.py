@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from analytic_model import gamma_m, gamma_m_phi, gamma_m_plus_1
 from dense_model import (
     displacement,
     ladder,
@@ -72,23 +73,23 @@ class TestTransformedRates:
     def test_equal_rates_average(self):
         rates = transformed_rates(2, reference_noise(2), 1)
         assert rates.bar_gamma_up_1 == pytest.approx(GAMMA_UP)
-        assert rates.gamma_m_plus_1 == pytest.approx(2 * GAMMA_UP)
+        assert gamma_m_plus_1(rates) == pytest.approx(2 * GAMMA_UP)
 
     def test_single_cavity_has_no_dephasing_swap(self):
         rates = transformed_rates(1, reference_noise(1), 3)
-        assert rates.gamma_m_phi == 0.0
+        assert gamma_m_phi(rates) == 0.0
 
     def test_m_zero_structure(self):
         rates = transformed_rates(2, reference_noise(2), 0)
-        assert rates.gamma_m == 0.0
-        assert rates.gamma_m_plus_1 == pytest.approx(rates.bar_gamma_up_1)
+        assert gamma_m(rates) == 0.0
+        assert gamma_m_plus_1(rates) == pytest.approx(rates.bar_gamma_up_1)
 
     def test_unequal_rates(self):
         nm = NoiseModel((0.4, 0.8), (1.0, 3.0), (0.1, 0.3))
         rates = transformed_rates(2, nm, 2)
         assert rates.bar_gamma_up_1 == pytest.approx(0.6)
-        assert rates.gamma_m == pytest.approx(2 * 2.0)
-        assert rates.gamma_m_phi == pytest.approx(2 * 0.5 * 0.2)
+        assert gamma_m(rates) == pytest.approx(2 * 2.0)
+        assert gamma_m_phi(rates) == pytest.approx(2 * 0.5 * 0.2)
 
     def test_uniform_rates_identical_for_any_count(self):
         fields = {
