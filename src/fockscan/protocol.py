@@ -174,10 +174,11 @@ class ProtocolConfig:
 
 # Simulated populations are read as Re Tr(O rho) after thousands of steps,
 # so one that has decayed to zero comes back as a rounding residue of
-# either sign: down to -5.4e-16 for the m = 5 signal of a q_cavity 1e5
-# sweep, while trace residues on the golden runs reach 4.1e-15.  The floor
-# sits over two orders of magnitude above both.  A negative population
-# above -POPULATION_FLOOR is read as 0; anything lower is an error.
+# either sign.  The measured residues: down to -5.4e-16 for the m = 5
+# signal of a q_cavity 1e5 sweep (158 400 steps), and up to 4.1e-15 in the
+# trace defects of the golden runs.  The floor sits over two orders of
+# magnitude above both.  A negative population above -POPULATION_FLOOR is
+# read as 0; anything lower is an error.
 POPULATION_FLOOR = 1e-12
 
 
