@@ -28,7 +28,7 @@ construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -155,29 +155,29 @@ def make_plan(scheme: str, n_cavities: int) -> EDPlan:
     raise InvalidArgument(f"unknown ED scheme {scheme!r}")
 
 
+def _plan_steps(plan: EDPlan, space: HilbertSpace, inverse: bool) -> list:
+    """(pair unitary, modes) per splitter in application order; inverse reverses and conjugates."""
+    if plan.n_cavities != space.n_modes:
+        raise InvalidArgument("plan and space disagree on the cavity count")
+    steps = []
+    for spec in (plan.sequence[::-1] if inverse else plan.sequence):
+        u = pair_unitary(spec, space.cutoff)
+        steps.append((u.conj().T if inverse else u, (spec.mode_a, spec.mode_b)))
+    return steps
+
+
 def apply_plan(psi: np.ndarray, plan: EDPlan, space: HilbertSpace, inverse: bool = False) -> np.ndarray:
     """Apply the ED gate (or its inverse) to a state vector via pair contractions."""
-    seq = plan.sequence[::-1] if inverse else plan.sequence
-    out = psi
-    for spec in seq:
-        u = pair_unitary(spec, space.cutoff)
-        if inverse:
-            u = u.conj().T
-        out = apply_to_vector(u, out, (spec.mode_a, spec.mode_b), space)
-    return out
+    for u, modes in _plan_steps(plan, space, inverse):
+        psi = apply_to_vector(u, psi, modes, space)
+    return psi
 
 
 def apply_plan_rho(rho: np.ndarray, plan: EDPlan, space: HilbertSpace, inverse: bool = False) -> np.ndarray:
     """Conjugate a density matrix by the ED gate (or its inverse)."""
-    seq = plan.sequence[::-1] if inverse else plan.sequence
-    out = rho
-    for spec in seq:
-        u = pair_unitary(spec, space.cutoff)
-        if inverse:
-            u = u.conj().T
-        modes = (spec.mode_a, spec.mode_b)
-        out = apply_right_dag(u, apply_left(u, out, modes, space), modes, space)
-    return out
+    for u, modes in _plan_steps(plan, space, inverse):
+        rho = apply_right_dag(u, apply_left(u, rho, modes, space), modes, space)
+    return rho
 
 
 def single_photon_matrix(plan: EDPlan, space: HilbertSpace) -> np.ndarray:
@@ -221,19 +221,7 @@ class EDVerification:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "n_cavities": self.n_cavities,
-            "cutoff": self.cutoff,
-            "conjugation_residual": self.conjugation_residual,
-            "dual_residual": self.dual_residual,
-            "displacement_residual": self.displacement_residual,
-            "coefficient_column_residual": self.coefficient_column_residual,
-            "sum_rule_residual": self.sum_rule_residual,
-            "unitarity_residual": self.unitarity_residual,
-            "alpha": self.alpha,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 def verify_ed(

@@ -252,6 +252,15 @@ class TestPlanApplication:
             ):
                 assert np.abs(got - want).max() <= 1e-12, (scheme, n)
 
+    def test_plan_and_space_must_agree(self):
+        for plan, sp in ((linear_plan(2), HilbertSpace(3, 3)), (linear_plan(3), HilbertSpace(2, 3))):
+            psi = number_state(sp, [1] + [0] * (sp.n_modes - 1))
+            for inverse in (False, True):
+                with pytest.raises(InvalidArgument):
+                    apply_plan(psi, plan, sp, inverse)
+                with pytest.raises(InvalidArgument):
+                    apply_plan_rho(np.outer(psi, psi.conj()), plan, sp, inverse)
+
     def test_distributed_fock_state(self):
         # U_ED |m,0> puts the photons in the symmetric mode
         sp = HilbertSpace(2, 5)
