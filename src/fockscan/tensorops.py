@@ -30,6 +30,7 @@ applies a channel to a density matrix.
 """
 from __future__ import annotations
 
+import numbers
 from functools import lru_cache
 
 import numpy as np
@@ -41,7 +42,8 @@ from .fock import HilbertSpace
 @lru_cache(maxsize=256)
 def _layout(modes: tuple, n_modes: int, cutoff: int, rank: int, offsets: tuple) -> tuple:
     """Shape, permutation bringing the axes offset + mode to the front, its inverse, their size."""
-    if len(set(modes)) != len(modes) or not all(0 <= m < n_modes for m in modes):
+    if len(set(modes)) != len(modes) or not all(
+            isinstance(m, numbers.Integral) and 0 <= m < n_modes for m in modes):
         raise InvalidArgument(f"modes {modes} are not distinct modes of a {n_modes}-mode space")
     axes = tuple(offset + m for offset in offsets for m in modes)
     perm = axes + tuple(a for a in range(rank) if a not in axes)

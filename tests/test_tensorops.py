@@ -101,6 +101,12 @@ def test_invalid_modes_rejected():
     for mode in (-1, 2):
         with pytest.raises(InvalidArgument):
             apply_channel(np.eye(9), np.zeros((9, 9)), mode, space)
+    # A float mode is rejected before its layout is cached, so it cannot
+    # shadow the integer mode that compares equal to it.
+    one_mode = HilbertSpace(1, 7)
+    with pytest.raises(InvalidArgument):
+        apply_to_vector(np.eye(7), np.ones(7), (0.0,), one_mode)
+    assert np.array_equal(apply_to_vector(np.eye(7), np.ones(7), (0,), one_mode), np.ones(7))
 
 
 @pytest.mark.parametrize("n_modes,cutoff,mode",
