@@ -27,12 +27,13 @@ import numpy as np
 
 from . import __version__
 from .config import (
+    DEFAULT_TEMPS_MK,
     SCHEMA,
     build_protocol_config,
     build_sensitivity_params,
     config_hash,
     load_config,
-    require_sections,
+    require_keys,
     run_seed,
 )
 from .drive import mc_population, mean_population_detuned
@@ -115,18 +116,14 @@ def _header(doc, args, command, **extra) -> dict:
 # ---------------------------------------------------------------------------
 
 def cmd_validate_gates(doc, args, out_dir: Path) -> int:
-    require_sections(doc, ["gates"], "validate-gates")
+    require_keys(doc, ["gates"], "validate-gates")
     sec = doc["gates"]
     n = sec["n_cavities"]
     plan = make_plan(sec["scheme"], n)
     cutoff = sec.get("cutoff", 12)
     space = HilbertSpace(n, cutoff)
-    report = verify_ed(
-        plan, space,
-        alpha=sec.get("alpha", 0.05),
-        max_fock=sec.get("max_fock", 3),
-        tolerance=sec.get("tolerance", 1e-9),
-    )
+    report = verify_ed(plan, space, **{key: sec[key] for key in ("alpha", "max_fock", "tolerance")
+                                       if key in sec})
     payload = {"report": report.to_dict(), "scheme": sec["scheme"], "depth": plan.depth}
     _write_json(out_dir / "validate_gates.json", _header(doc, args, "validate-gates"), payload)
     print(json.dumps(payload["report"], sort_keys=True))
@@ -134,7 +131,7 @@ def cmd_validate_gates(doc, args, out_dir: Path) -> int:
 
 
 def cmd_mc_dm(doc, args, out_dir: Path) -> int:
-    require_sections(doc, ["protocol", "mc"], "mc-dm")
+    require_keys(doc, ["protocol", "mc"], "mc-dm")
     cfg = build_protocol_config(doc, backend=args.backend, seed=args.seed)
     sec = doc["mc"]
     tau_dm = cfg.tau_dm
@@ -157,7 +154,7 @@ def cmd_mc_dm(doc, args, out_dir: Path) -> int:
 
 
 def cmd_simulate_cycle(doc, args, out_dir: Path) -> int:
-    require_sections(doc, ["protocol", "cycle"], "simulate-cycle")
+    require_keys(doc, ["protocol", "cycle"], "simulate-cycle")
     cfg = build_protocol_config(doc, backend=args.backend, seed=args.seed)
     tau_int = doc["cycle"]["tau_int_taudm"] * cfg.tau_dm
     grid = np.linspace(tau_int / 120.0, tau_int, 120)
@@ -201,7 +198,7 @@ def _sweep_one(cfg, units):
 
 
 def cmd_snr_sweep(doc, args, out_dir: Path) -> int:
-    require_sections(doc, ["protocol"], "snr-sweep")
+    require_keys(doc, ["protocol"], "snr-sweep")
     cfg = build_protocol_config(doc, backend=args.backend, seed=args.seed)
     sec = doc.get("sweep", {})
     m_list = sec.get("fock_m_list", [cfg.fock_m])
@@ -236,7 +233,7 @@ def cmd_snr_sweep(doc, args, out_dir: Path) -> int:
 
 
 def cmd_scan_rate(doc, args, out_dir: Path) -> int:
-    require_sections(doc, ["protocol"], "scan-rate")
+    require_keys(doc, ["protocol"], "scan-rate")
     cfg = build_protocol_config(doc, backend=args.backend, seed=args.seed)
     sec = doc.get("sweep", {})
     n_list = sec.get("n_cavities_list", [1, 2, 4, 8])
@@ -262,18 +259,14 @@ def cmd_scan_rate(doc, args, out_dir: Path) -> int:
 
 
 def cmd_exclusion(doc, args, out_dir: Path) -> int:
-    require_sections(doc, ["sensitivity"], "exclusion")
+    require_keys(doc, [f"sensitivity.{key}" for key in
+                       ("freq_min_ghz", "freq_max_ghz", "freq_points", "tau_tot_s")], "exclusion")
     sec = doc["sensitivity"]
-    for key in ("freq_min_ghz", "freq_max_ghz", "freq_points", "tau_tot_s", "q_cavity",
-                "n_cavities", "fock_m", "target_epsilon"):
-        if key not in sec:
-            raise ConfigError(f"exclusion needs sensitivity.{key}")
     freqs = np.linspace(sec["freq_min_ghz"], sec["freq_max_ghz"], sec["freq_points"]) * 1e9
-    temps = sec.get("temps_mk", [50.0])
     tau_tot = sec["tau_tot_s"]
     rows = []
     fits = {}
-    for temp_mk in temps:
+    for temp_mk in sec.get("temps_mk", DEFAULT_TEMPS_MK):
         params = build_sensitivity_params(doc, temp_k=temp_mk * 1e-3)
         eps = np.array([exclusion_epsilon(TWO_PI * f, params, tau_tot) for f in freqs])
         for f, e in zip(freqs, eps):
@@ -295,26 +288,22 @@ def cmd_exclusion(doc, args, out_dir: Path) -> int:
 
 
 def cmd_reach(doc, args, out_dir: Path) -> int:
-    require_sections(doc, ["sensitivity"], "reach")
+    require_keys(doc, ["sensitivity.freq_min_ghz", "sensitivity.time_budget_hours"], "reach")
     sec = doc["sensitivity"]
-    for key in ("freq_min_ghz", "time_budget_hours", "target_epsilon", "q_cavity"):
-        if key not in sec:
-            raise ConfigError(f"reach needs sensitivity.{key}")
     budget = sec["time_budget_hours"] * 3600.0
     omega0 = TWO_PI * sec["freq_min_ghz"] * 1e9
-    configs = sec.get("configurations")
-    if not configs:
-        configs = [{"n_cavities": sec["n_cavities"], "fock_m": sec["fock_m"]}]
     head = _header(doc, args, "reach", time_budget_s=_fmt(budget))
     rows = []
     bands = {}
-    for conf in configs:
-        params = build_sensitivity_params(doc, n_cavities=conf["n_cavities"], fock_m=conf["fock_m"])
-        band = reach_band(sec["target_epsilon"], budget, params, omega0)
+    # without configurations, the section's own n_cavities and fock_m
+    for conf in sec.get("configurations") or [{}]:
+        params = build_sensitivity_params(doc, **conf)
+        n, m = params.n_cavities, params.fock_m
+        band = reach_band(budget, params, omega0)
         stride = max(1, band.n_steps // 2000)
         for (omega, tau_tot, cum) in band.steps[::stride]:
-            rows.append((conf["n_cavities"], conf["fock_m"], omega / TWO_PI, tau_tot, cum))
-        bands[f"N={conf['n_cavities']},m={conf['fock_m']}"] = {
+            rows.append((n, m, omega / TWO_PI, tau_tot, cum))
+        bands[f"N={n},m={m}"] = {
             "freq_start_hz": band.freq_start_hz,
             "freq_end_hz": band.freq_end_hz,
             "band_width_hz": band.freq_end_hz - band.freq_start_hz,

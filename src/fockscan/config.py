@@ -258,10 +258,25 @@ def config_hash(doc: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
-def require_sections(doc: dict, names, command: str):
-    missing = [n for n in names if n not in doc]
+def require_keys(doc: dict, paths, command: str):
+    """Raise ConfigError naming every 'section' or 'section.key' path in paths that doc lacks."""
+    missing = []
+    for path in paths:
+        section, _, key = path.partition(".")
+        if section not in doc or key and key not in doc[section]:
+            missing.append(path)
     if missing:
-        raise ConfigError(f"'{command}' needs config section(s): {', '.join(missing)}")
+        raise ConfigError(f"{command} needs config key(s): {', '.join(missing)}")
+
+
+# Optional config keys and the ProtocolConfig fields they set as given; an
+# absent key leaves the field's default.
+_PROTOCOL_FIELDS = {"tau_spam_s": "tau_spam", "ed_scheme": "ed_scheme",
+                    "bs_fidelity": "bs_fidelity", "dephasing_ratio": "dephasing_ratio",
+                    "cutoff": "cutoff"}
+_DM_FIELDS = {"q_dm": "q_dm", "epsilon": "epsilon", "coupling_rad_s": "coupling_override"}
+# sensitivity.temps_mk where the config leaves it out
+DEFAULT_TEMPS_MK = (50.0,)
 
 
 def build_protocol_config(doc: dict, backend: str | None = None, seed: int | None = None) -> ProtocolConfig:
@@ -269,37 +284,33 @@ def build_protocol_config(doc: dict, backend: str | None = None, seed: int | Non
 
     backend and seed, when given, override the config's top-level keys.
     """
-    proto = doc.get("protocol")
-    if proto is None:
-        raise ConfigError("config is missing the 'protocol' section")
+    require_keys(doc, ["protocol"], "the protocol model")
+    proto = doc["protocol"]
     dm = doc.get("dm", {})
     omega = TWO_PI * proto["freq_hz"]
     if ("q_cavity" in proto) == ("decay_time_s" in proto):
         raise ConfigError("give exactly one of protocol.q_cavity or protocol.decay_time_s")
     q_cav = proto.get("q_cavity", omega * proto.get("decay_time_s", 0.0))
-    kwargs = dict(
+    kwargs = {field: proto[key] for key, field in _PROTOCOL_FIELDS.items() if key in proto}
+    kwargs.update({field: dm[key] for key, field in _DM_FIELDS.items() if key in dm})
+    if "bs_rate_hz" in proto:
+        kwargs["g_bs"] = TWO_PI * proto["bs_rate_hz"]
+    if "rho_dm_gev_cm3" in dm:
+        kwargs["rho_dm"] = rho_dm_si(dm["rho_dm_gev_cm3"])
+    if backend:
+        kwargs["backend"] = backend
+    elif "backend" in doc:
+        kwargs["backend"] = doc["backend"]
+    return ProtocolConfig(
         n_cavities=proto["n_cavities"],
         fock_m=proto["fock_m"],
         omega=omega,
         temp_cavity=proto["temp_cavity_mk"] * 1e-3,
         q_cavity=q_cav,
         tau_tot=proto["tau_tot_s"],
-        tau_spam=proto.get("tau_spam_s", 20e-6),
-        ed_scheme=proto.get("ed_scheme", "binary"),
-        bs_fidelity=proto.get("bs_fidelity", 1.0),
-        g_bs=TWO_PI * proto.get("bs_rate_hz", 1e6),
-        dephasing_ratio=proto.get("dephasing_ratio", 0.1),
-        q_dm=dm.get("q_dm", 1e6),
-        epsilon=dm.get("epsilon", 1e-16),
-        rho_dm=rho_dm_si(dm.get("rho_dm_gev_cm3", 0.45)),
-        coupling_override=dm.get("coupling_rad_s"),
-        cutoff=proto.get("cutoff"),
+        seed=run_seed(doc, seed),
+        **kwargs,
     )
-    if backend:
-        kwargs["backend"] = backend
-    elif "backend" in doc:
-        kwargs["backend"] = doc["backend"]
-    return ProtocolConfig(**kwargs, seed=run_seed(doc, seed))
 
 
 def run_seed(doc: dict, seed: int | None = None) -> int:
@@ -308,18 +319,25 @@ def run_seed(doc: dict, seed: int | None = None) -> int:
 
 
 def build_sensitivity_params(doc: dict, n_cavities=None, fock_m=None, temp_k=None) -> SensitivityParams:
-    sens = doc.get("sensitivity")
-    if sens is None:
-        raise ConfigError("config is missing the 'sensitivity' section")
-    temps = sens.get("temps_mk", [50.0])
+    """Assemble SensitivityParams from the 'sensitivity' section.
+
+    n_cavities, fock_m and temp_k (in K), when given, override the section's
+    n_cavities, fock_m and first temps_mk entry.
+    """
+    sens = dict(doc.get("sensitivity", {}))
+    sens.update((key, value) for key, value in (("n_cavities", n_cavities), ("fock_m", fock_m))
+                if value is not None)
+    require_keys({"sensitivity": sens}, [f"sensitivity.{key}" for key in
+                                         ("q_cavity", "target_epsilon", "n_cavities", "fock_m")],
+                 "the sensitivity model")
+    if temp_k is None:
+        temp_k = sens.get("temps_mk", DEFAULT_TEMPS_MK)[0] * 1e-3
     return SensitivityParams(
         rho_dm=rho_dm_si(sens.get("rho_dm_gev_cm3", 0.45)),
         q_cav=sens["q_cavity"],
-        n_cavities=n_cavities if n_cavities is not None else sens["n_cavities"],
-        fock_m=fock_m if fock_m is not None else sens["fock_m"],
-        temp_cavity=temp_k if temp_k is not None else temps[0] * 1e-3,
+        n_cavities=sens["n_cavities"],
+        fock_m=sens["fock_m"],
+        temp_cavity=temp_k,
         target_epsilon=sens["target_epsilon"],
-        q_dm=sens.get("q_dm", 1e6),
-        zeta_snr=sens.get("zeta_snr", 1.62),
-        eta=sens.get("eta", 1.0),
+        **{key: sens[key] for key in ("q_dm", "zeta_snr", "eta") if key in sens},
     )

@@ -6,13 +6,18 @@ signal-to-noise ratio zeta at the target kinetic mixing.  The efficiency
 factor eta is an input here; the protocol layer measures it as the ratio of
 simulated to ideal peak SNR, and eta = 1 gives the loss-free curves.
 
-Every formula is evaluated through two independently coded routes (direct
-SI and natural-units-then-convert) and the pair is required to agree to
-1e-10 relative, as a standing dimensional audit.
+One relation gives all three: the per-step exposure
+tau_tot = zeta^2 w n_th / (4 eta^2 g^4 tau_dm^2 Q_cav N^2 (m+1)), stated only
+in `_exposure`.  `scan_rate` and `reach_band` read it forwards, and
+`exclusion_epsilon` inverts it through its eps^-4 scaling.  `_exposure`
+evaluates the rate through two independently coded routes (direct SI and
+natural-units-then-convert) and requires them to agree to 1e-10 relative,
+so every call of the three runs that standing dimensional audit.
 """
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,17 +114,15 @@ def scan_rate(params: SensitivityParams, geometry: CavityGeometry) -> ScanRateRe
 def _exposure(params, omega, volume, form_factor_g, n_th):
     """(tau_tot, SI scan rate) of one tuning step, after the unit audit.
 
-    The one implementation of `scan_rate`'s formulas.  Given arrays (one
+    The one statement of the exposure relation, which `scan_rate`,
+    `reach_band` and `exclusion_epsilon` all evaluate.  Given arrays (one
     entry per step) it applies the same float operations in the same order,
     elementwise, with every per-step power written as a product (see
     `drive._overflow_checked`); a step-invariant left prefix of a product
-    is then simply evaluated once.  Raises
-    InvalidArgument if the thermal occupation underflows to 0 on any step
-    (hbar w / k T > 745: the cavity is too cold for the model, and the
-    exposure would be zero), and ArithmeticError if the SI and natural-unit
-    routes disagree on any step.
+    is then simply evaluated once.  Raises InvalidArgument if the exposure
+    leaves the float range on any step (see `_require_warm`), and
+    ArithmeticError if the SI and natural-unit routes disagree on any step.
     """
-    _require_warm(n_th, omega, params.temp_cavity)
     g = _coupling(params.target_epsilon, form_factor_g, params.rho_dm, volume, omega)
     tau_dm = params.q_dm / omega
     g4 = _overflow_checked((g * g) * (g * g), g)
@@ -129,7 +132,9 @@ def _exposure(params, omega, volume, form_factor_g, n_th):
         / (4.0 * params.eta ** 2 * g4 * tau_dm2 * params.q_cav
            * params.n_cavities ** 2 * (params.fock_m + 1))
     )
-    rate_si = (omega / params.q_dm) / tau_tot
+    width = omega / params.q_dm
+    _require_warm(n_th, tau_tot, width, omega, params.temp_cavity)
+    rate_si = width / tau_tot
 
     # independent route: natural units (hbar = c = 1, rad/s as the energy unit)
     rho_nat = params.rho_dm * C_LIGHT ** 3 / HBAR   # (rad/s)^4
@@ -148,55 +153,44 @@ def _exposure(params, omega, volume, form_factor_g, n_th):
     return tau_tot, rate_si
 
 
-def _require_warm(n_th, omega, temp: float) -> None:
-    """Raise InvalidArgument if the thermal occupation underflowed to 0 at any omega.
+def _require_warm(n_th, tau_tot, width, omega, temp: float) -> None:
+    """Raise InvalidArgument at the first omega whose exposure left the float range.
 
-    That happens for hbar w / k T > 745: the cavity is too cold for the model.
+    Below the smallest normal float the thermal occupation or the exposure
+    has lost its precision (n_th does at hbar w / k T > 708.4, and is 0
+    past 745), and an exposure below width / (largest float) would
+    overflow the rate: either way the cavity is too cold for the model.
+    The test divides nothing by the exposure, so no floating-point error
+    state can preempt it.
     """
-    cold = np.flatnonzero(np.equal(n_th, 0.0))
+    tiny = sys.float_info.min
+    floor = np.maximum(tiny, width / sys.float_info.max)
+    cold = np.flatnonzero(np.less(n_th, tiny) | np.less(tau_tot, floor))
     if cold.size:
         w = float(np.ravel(omega)[cold[0]])
         x = HBAR * w / (K_B * temp)
         raise InvalidArgument(
             f"cavity temperature {temp:g} K is too cold at "
-            f"{w / (2.0 * math.pi):g} Hz: hbar w / k T = {x:.4g} underflows the "
-            "thermal occupation to 0, outside the model"
+            f"{w / (2.0 * math.pi):g} Hz: hbar w / k T = {x:.4g} takes the "
+            "per-step exposure out of the float range, outside the model"
         )
 
 
 def exclusion_epsilon(omega: float, params: SensitivityParams, tau_tot: float) -> float:
     """Kinetic mixing excluded after exposure tau_tot at frequency omega.
 
-    eps(w) = [ n_th zeta^2 w hbar^2 /
-               (16 eta^2 G^2 rho^2 Q_dm^2 Q_cav V(w)^2 tau_tot (m+1) N^2) ]^(1/4),
-    with V(w) the TM010 frequency-volume relation.  Raises InvalidArgument
-    where the thermal occupation underflows to 0, as scan_rate does.
+    The per-step exposure tau_step that `_exposure` gives at the target
+    mixing, with the TM010 frequency-volume relation V(w), scales as
+    eps^-4, so the mixing whose exposure is tau_tot is
+    eps(w) = target_epsilon (tau_step / tau_tot)^(1/4), exactly.  Raises
+    InvalidArgument where the exposure leaves the float range, as
+    scan_rate does.
     """
     if tau_tot <= 0 or omega <= 0:
         raise InvalidArgument("omega and tau_tot must be positive")
-    volume = cavity_volume_tm010(omega)
-    g_form = form_factor_tm010()
     n_th = thermal_occupation(omega, params.temp_cavity)
-    _require_warm(n_th, omega, params.temp_cavity)
-    eps4_si = (
-        n_th * params.zeta_snr ** 2 * omega * HBAR ** 2
-        / (16.0 * params.eta ** 2 * g_form ** 2 * params.rho_dm ** 2
-           * params.q_dm ** 2 * params.q_cav * volume ** 2 * tau_tot
-           * (params.fock_m + 1) * params.n_cavities ** 2)
-    )
-    # independent route in natural units
-    rho_nat = params.rho_dm * C_LIGHT ** 3 / HBAR
-    vol_nat = volume / C_LIGHT ** 3
-    eps4_nat = (
-        n_th * params.zeta_snr ** 2 * omega
-        / (16.0 * params.eta ** 2 * g_form ** 2 * rho_nat ** 2 * vol_nat ** 2
-           * params.q_dm ** 2 * params.q_cav * tau_tot
-           * (params.fock_m + 1) * params.n_cavities ** 2)
-    )
-    eps_si = eps4_si ** 0.25
-    if abs(eps4_nat ** 0.25 - eps_si) > _AUDIT_RTOL * eps_si:
-        raise ArithmeticError("unit audit failed in exclusion_epsilon")
-    return eps_si
+    tau_step = _exposure(params, omega, cavity_volume_tm010(omega), form_factor_tm010(), n_th)[0]
+    return params.target_epsilon * (tau_step / tau_tot) ** 0.25
 
 
 @dataclass(frozen=True, eq=False)
@@ -219,7 +213,6 @@ class ReachBand:
 
 
 def reach_band(
-    target_epsilon: float,
     time_budget: float,
     params: SensitivityParams,
     omega_start: float,
@@ -254,20 +247,14 @@ def reach_band(
     """
     if time_budget <= 0:
         raise BudgetTooSmall("time budget must be positive")
-    work = SensitivityParams(
-        rho_dm=params.rho_dm, q_cav=params.q_cav, n_cavities=params.n_cavities,
-        fock_m=params.fock_m, temp_cavity=params.temp_cavity,
-        target_epsilon=target_epsilon, q_dm=params.q_dm,
-        zeta_snr=params.zeta_snr, eta=params.eta,
-    )
     g_form = form_factor_tm010()
     blocks = []
     n_steps, spent, tau_tot = 0, 0.0, math.inf
     omegas = np.array([omega_start] if max_steps > 0 else [])
     while omegas.size:
-        taus = _chunk_exposures(work, omegas, g_form) if n_steps else None
+        taus = _chunk_exposures(params, omegas, g_form) if n_steps else None
         if taus is None:
-            taus = _replay(work, omegas, spent, time_budget, g_form)
+            taus = _replay(params, omegas, spent, time_budget, g_form)
         cum = np.add.accumulate(np.r_[spent, taus])[1:]
         over = np.flatnonzero(cum > time_budget)
         stop = int(over[0]) if over.size else taus.size

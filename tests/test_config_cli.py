@@ -267,6 +267,29 @@ class TestSchemaChecker:
         assert proc.stdout.strip() == "[]"
 
 
+def _key_paths(config):
+    """The path of every top-level and sensitivity key of a golden config."""
+    doc = yaml.safe_load((GOLDEN / "configs" / config).read_text())
+    return [(key,) for key in doc] + [("sensitivity", key) for key in doc["sensitivity"]]
+
+
+def _assert_too_cold(tmp_path, command, config, changes, message):
+    """Run command on a golden config with changed sensitivity keys; it must exit 2 as too cold."""
+    doc = yaml.safe_load((GOLDEN / "configs" / config).read_text())
+    doc["sensitivity"].update(changes)
+    cold = tmp_path / "cold.yaml"
+    cold.write_text(yaml.safe_dump(doc))
+    proc = subprocess.run(
+        [sys.executable, "-m", "fockscan.cli", command,
+         "--config", str(cold), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=dict(os.environ),
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(f"config error: cavity temperature {message}")
+    assert not any((tmp_path / "out").iterdir())
+
+
 class TestExitCodes:
     def test_gate_validation_ok(self, tmp_path):
         assert run_cli(["validate-gates", "--config", GOLDEN / "configs" / "gates.yaml",
@@ -337,37 +360,29 @@ class TestExitCodes:
         bad.write_text(yaml.safe_dump(doc))
         assert run_cli(["snr-sweep", "--config", bad, "--out", tmp_path]) == 2
 
-    def test_cold_cavity_reach_exits_two(self, tmp_path):
+    @pytest.mark.parametrize("changes,message", [
         # at 5 GHz and 0.1 mK, hbar w / k T ~ 2400 underflows n_th to 0
-        doc = yaml.safe_load((GOLDEN / "configs" / "reach.yaml").read_text())
-        doc["sensitivity"]["temps_mk"] = [0.1]
-        cold = tmp_path / "cold.yaml"
-        cold.write_text(yaml.safe_dump(doc))
-        proc = subprocess.run(
-            [sys.executable, "-m", "fockscan.cli", "reach",
-             "--config", str(cold), "--out", str(tmp_path / "out")],
-            capture_output=True, text=True, env=dict(os.environ),
-        )
-        assert proc.returncode == 2
-        assert "Traceback" not in proc.stderr
-        assert proc.stderr.startswith("config error: cavity temperature 0.0001 K is too cold")
-        assert "5e+09 Hz" in proc.stderr and "hbar w / k T = 2400" in proc.stderr
+        pytest.param({"temps_mk": [0.1]},
+                     "0.0001 K is too cold at 5e+09 Hz: hbar w / k T = 2400", id="0.1mK"),
+        # n_th is 4e-322 at the first step, and the exposure underflows to 0
+        pytest.param({"temps_mk": [0.3243], "target_epsilon": 1e-12, "n_cavities": 16,
+                      "fock_m": 10, "time_budget_hours": 1.0},
+                     "0.0003243 K is too cold at 5e+09 Hz: hbar w / k T = 739.9", id="0.3243mK"),
+    ])
+    def test_cold_cavity_reach_exits_two(self, tmp_path, changes, message):
+        _assert_too_cold(tmp_path, "reach", "reach.yaml", changes, message)
 
-    def test_cold_cavity_exclusion_exits_two(self, tmp_path):
+    @pytest.mark.parametrize("changes,message", [
         # the first grid point, 3 GHz at 0.1 mK, has hbar w / k T ~ 1440
-        doc = yaml.safe_load((GOLDEN / "configs" / "exclusion.yaml").read_text())
-        doc["sensitivity"]["temps_mk"] = [0.1]
-        cold = tmp_path / "cold.yaml"
-        cold.write_text(yaml.safe_dump(doc))
-        proc = subprocess.run(
-            [sys.executable, "-m", "fockscan.cli", "exclusion",
-             "--config", str(cold), "--out", str(tmp_path / "out")],
-            capture_output=True, text=True, env=dict(os.environ),
-        )
-        assert proc.returncode == 2
-        assert "Traceback" not in proc.stderr
-        assert proc.stderr.startswith("config error: cavity temperature 0.0001 K is too cold")
-        assert "3e+09 Hz" in proc.stderr and "hbar w / k T = 1440" in proc.stderr
+        pytest.param({"temps_mk": [0.1]},
+                     "0.0001 K is too cold at 3e+09 Hz: hbar w / k T = 1440", id="0.1mK"),
+        # eps^4 underflowed to 0 on every row of this grid, which made the fit NaN
+        pytest.param({"temps_mk": [0.36], "freq_min_ghz": 5.0, "freq_max_ghz": 5.5,
+                      "freq_points": 3},
+                     "0.00036 K is too cold at 5.5e+09 Hz: hbar w / k T = 733.2", id="0.36mK"),
+    ])
+    def test_cold_cavity_exclusion_exits_two(self, tmp_path, changes, message):
+        _assert_too_cold(tmp_path, "exclusion", "exclusion.yaml", changes, message)
 
     def test_oversized_full_backend_exits_two(self, tmp_path):
         # N=5 at m=5 (cutoff 9) is dimension 59049, under the 65536 ceiling,
@@ -443,6 +458,26 @@ class TestExitCodes:
             f"config error: config validation failed: {value!r} is not of type 'integer'"
             f" (at {where})\n")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command,config,where", [
+        pytest.param(command, config, where, id=f"{command}-{'.'.join(where)}")
+        for command, config in (("reach", "reach.yaml"), ("exclusion", "exclusion.yaml"))
+        for where in _key_paths(config)
+    ])
+    def test_deleted_key_exits_zero_or_two(self, tmp_path, capsys, command, config, where):
+        # every key is either optional or named when missing; none ends in a traceback
+        doc = yaml.safe_load((GOLDEN / "configs" / config).read_text())
+        node = doc
+        for key in where[:-1]:
+            node = node[key]
+        del node[where[-1]]
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(yaml.safe_dump(doc))
+        code = run_cli([command, "--config", bad, "--out", tmp_path / "out", "--jobs", 1])
+        err = capsys.readouterr().err
+        assert code in (0, 2)
+        if code == 2:
+            assert err.startswith("config error:")
 
     def test_non_utf8_config_exits_two(self, tmp_path, capsys):
         bad = tmp_path / "utf16.yaml"

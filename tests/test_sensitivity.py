@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.constants as const
@@ -8,7 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fockscan import sensitivity
-from fockscan.drive import CavityGeometry, cavity_volume_tm010, form_factor_tm010, rho_dm_si
+from fockscan.drive import (
+    _BESSEL_J0_ROOT,
+    C_LIGHT,
+    HBAR,
+    K_B,
+    CavityGeometry,
+    cavity_volume_tm010,
+    form_factor_tm010,
+    rho_dm_si,
+)
 from fockscan.errors import BudgetTooSmall, InvalidArgument
 from fockscan.sensitivity import (
     ReachBand,
@@ -108,7 +118,7 @@ class TestExclusion:
         geo = geometry_at(OMEGA7)
         tau_tot = scan_rate(params, geo).tau_tot_step
         eps = exclusion_epsilon(OMEGA7, params, tau_tot)
-        assert eps == pytest.approx(params.target_epsilon, rel=1e-10)
+        assert eps == pytest.approx(params.target_epsilon, rel=1e-10, abs=0)
 
     def test_shape_fit_and_temperature_ordering(self):
         freqs = np.linspace(3e9, 12e9, 30)
@@ -158,12 +168,12 @@ class TestExclusion:
 class TestReachBand:
     def test_budget_too_small(self):
         with pytest.raises(BudgetTooSmall):
-            reach_band(1e-16, 1e-6, make_params(), OMEGA7)
+            reach_band(1e-6, make_params(), OMEGA7)
         with pytest.raises(BudgetTooSmall):
-            reach_band(1e-16, -1.0, make_params(), OMEGA7)
+            reach_band(-1.0, make_params(), OMEGA7)
 
     def test_band_structure(self):
-        band = reach_band(1e-16, 30.0, make_params(), OMEGA7)
+        band = reach_band(30.0, make_params(), OMEGA7)
         assert isinstance(band, ReachBand)
         assert band.omega_end > band.omega_start
         assert band.total_time <= 30.0
@@ -175,7 +185,7 @@ class TestReachBand:
         # larger N^2 (m+1) never narrows the band
         widths = []
         for n, m in [(1, 0), (2, 1), (4, 5)]:
-            band = reach_band(1e-16, 3600.0, make_params(n_cavities=n, fock_m=m), OMEGA7)
+            band = reach_band(3600.0, make_params(n_cavities=n, fock_m=m), OMEGA7)
             widths.append(band.freq_end_hz - band.freq_start_hz)
         assert widths[0] < widths[1] < widths[2]
 
@@ -183,7 +193,7 @@ class TestReachBand:
         bands = {}
         for n, m in [(1, 0), (2, 1), (4, 5)]:
             bands[(n, m)] = reach_band(
-                1e-16, 15 * 3600.0, make_params(n_cavities=n, fock_m=m),
+                15 * 3600.0, make_params(n_cavities=n, fock_m=m),
                 2 * math.pi * 5e9,
             )
         w10 = bands[(1, 0)].freq_end_hz - bands[(1, 0)].freq_start_hz
@@ -215,6 +225,38 @@ def loop_reach(target_epsilon, time_budget, params, omega_start, max_steps=2_000
     return np.array(steps), spent, steps[-1][0]
 
 
+def closed_form_epsilon(omega, params, tau_tot):
+    """The closed form `exclusion_epsilon` replaced: eps^4 in SI units, then its fourth root.
+
+    eps(w) = [ n_th zeta^2 w hbar^2 /
+               (16 eta^2 G^2 rho^2 Q_dm^2 Q_cav V(w)^2 tau_tot (m+1) N^2) ]^(1/4)
+    """
+    volume = cavity_volume_tm010(omega)
+    eps4 = (
+        thermal_occupation(omega, params.temp_cavity) * params.zeta_snr ** 2 * omega * HBAR ** 2
+        / (16.0 * params.eta ** 2 * form_factor_tm010() ** 2 * params.rho_dm ** 2
+           * params.q_dm ** 2 * params.q_cav * volume ** 2 * tau_tot
+           * (params.fock_m + 1) * params.n_cavities ** 2)
+    )
+    return eps4 ** 0.25
+
+
+def mpmath_epsilon(omega, params, tau_tot):
+    """The same closed form evaluated at 50 digits from the same float inputs and constants."""
+    with mpmath.workdps(50):
+        w, hbar, j01 = mpmath.mpf(omega), mpmath.mpf(HBAR), mpmath.mpf(_BESSEL_J0_ROOT)
+        n_th = 1 / mpmath.expm1(hbar * w / (mpmath.mpf(K_B) * mpmath.mpf(params.temp_cavity)))
+        volume = 4 * mpmath.pi * (j01 * mpmath.mpf(C_LIGHT)) ** 3 / w ** 3
+        g_form = (2 / j01) ** 2 / 3
+        eps4 = (
+            n_th * mpmath.mpf(params.zeta_snr) ** 2 * w * hbar ** 2
+            / (16 * mpmath.mpf(params.eta) ** 2 * g_form ** 2 * mpmath.mpf(params.rho_dm) ** 2
+               * mpmath.mpf(params.q_dm) ** 2 * mpmath.mpf(params.q_cav) * volume ** 2
+               * mpmath.mpf(tau_tot) * (params.fock_m + 1) * params.n_cavities ** 2)
+        )
+        return float(mpmath.root(eps4, 4))
+
+
 def outcome(fn, *args, **kwargs):
     try:
         return fn(*args, **kwargs)
@@ -225,7 +267,9 @@ def outcome(fn, *args, **kwargs):
 def assert_same_band(args, kwargs=None):
     kwargs = kwargs or {}
     expected = outcome(loop_reach, *args, **kwargs)
-    got = outcome(reach_band, *args, **kwargs)
+    target_epsilon, time_budget, params, omega_start = args
+    params = dataclasses.replace(params, target_epsilon=target_epsilon)
+    got = outcome(reach_band, time_budget, params, omega_start, **kwargs)
     if isinstance(expected, Exception):
         assert type(got) is type(expected) and str(got) == str(expected)
         return expected
@@ -241,7 +285,7 @@ class TestReachBandChunked:
     """`reach_band` evaluates steps in chunks; it must equal the per-step loop bit for bit."""
 
     def test_steps_array(self):
-        band = reach_band(1e-16, 30.0, make_params(), OMEGA7)
+        band = reach_band(30.0, make_params(), OMEGA7)
         assert band.steps.shape == (band.n_steps, 3) and band.steps.dtype == np.float64
         assert not band.steps.flags.writeable
         assert band.steps[0, 0] == OMEGA7 and band.steps[-1, 0] == band.omega_end
@@ -274,24 +318,25 @@ class TestReachBandChunked:
         assert_same_band((1e-16, budget, params, omega), kwargs)
 
     def test_failure_past_the_band_end_raises_nothing(self):
-        # hbar w / k T rises from 700 by 0.1% a step, so n_th underflows to 0 about
-        # 62 steps in, inside the first chunk, and the loop rejects the cold step there
+        # hbar w / k T rises from 700 by 0.1% a step, so n_th drops below the smallest
+        # normal float (hbar w / k T > 708.4) 12 steps in, inside the first chunk, and
+        # the loop rejects the cold step there
         omega = 2 * math.pi * 5e9
         temp = const.hbar * omega / (const.k * 700.0)
         params = make_params(temp_cavity=temp, q_dm=1e3)
         tau0 = scan_rate(params, geometry_at(omega)).tau_tot_step
-        cold = r"cavity temperature .* K is too cold at .* Hz: hbar w / k T = 745\.\d"
+        cold = r"cavity temperature .* K is too cold at .* Hz: hbar w / k T = 708\.4"
         with pytest.raises(InvalidArgument, match=cold):
-            reach_band(1e-16, 1e6 * tau0, params, omega)
+            reach_band(1e6 * tau0, params, omega)
         # the loop raises the same class and message
         assert isinstance(assert_same_band((1e-16, 1e6 * tau0, params, omega)), InvalidArgument)
         band = assert_same_band((1e-16, 1.2 * tau0, params, omega))
-        assert 1 <= band.n_steps < 62
+        assert 1 <= band.n_steps < 12
 
     def test_audit_runs(self, monkeypatch):
         monkeypatch.setattr(sensitivity, "_AUDIT_RTOL", -1.0)
         with pytest.raises(ArithmeticError, match="unit audit failed"):
-            reach_band(1e-16, 30.0, make_params(), OMEGA7)
+            reach_band(30.0, make_params(), OMEGA7)
         # the chunked steps are audited too: a chunk that fails it is replayed
         omegas = OMEGA7 * np.cumprod(np.full(16, 1.0 + 1e-6))
         assert sensitivity._chunk_exposures(make_params(), omegas, form_factor_tm010()) is None
@@ -311,3 +356,48 @@ class TestReachBandChunked:
             scan_rate(params, geometry_at(OMEGA7))
         assert sensitivity._chunk_exposures(params, np.full(4, OMEGA7), form_factor_tm010()) is None
         assert isinstance(assert_same_band((1e80, 30.0, make_params(), OMEGA7)), OverflowError)
+
+
+class TestExclusionOracles:
+    """`exclusion_epsilon` inverts `_exposure`; it must match the closed form it replaced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        temp=st.floats(-2.0, 0.0).map(lambda e: 10.0 ** e),
+        freq=st.floats(9.0, math.log10(30e9)).map(lambda e: 10.0 ** e),
+        n_m=st.tuples(st.integers(1, 16), st.integers(0, 10)),
+        q_cav=st.floats(4.0, 10.0).map(lambda e: 10.0 ** e),
+        q_dm=st.floats(5.0, 7.0).map(lambda e: 10.0 ** e),
+        eta=st.floats(0.1, 1.0),
+        zeta=st.floats(0.5, 5.0),
+        target=st.floats(-18.0, -12.0).map(lambda e: 10.0 ** e),
+        tau_tot=st.floats(-2.0, 4.0).map(lambda e: 10.0 ** e),
+    )
+    def test_matches_closed_form(self, temp, freq, n_m, q_cav, q_dm, eta, zeta, target, tau_tot):
+        params = make_params(temp_cavity=temp, n_cavities=n_m[0], fock_m=n_m[1], q_cav=q_cav,
+                             q_dm=q_dm, eta=eta, zeta_snr=zeta, target_epsilon=target)
+        omega = 2 * math.pi * freq
+        eps = exclusion_epsilon(omega, params, tau_tot)
+        assert eps == pytest.approx(closed_form_epsilon(omega, params, tau_tot), rel=1e-12, abs=0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(x=st.floats(600.0, 700.0), freq=st.floats(4e9, 12e9))
+    def test_accurate_where_the_closed_form_underflows(self, x, freq):
+        # eps^4 lies below the normal float range here, so the closed form returns 0
+        # or the root of a subnormal, while the exposure stays a normal float
+        omega = 2 * math.pi * freq
+        params = make_params(temp_cavity=HBAR * omega / (K_B * x))
+        eps = exclusion_epsilon(omega, params, 10.0)
+        assert eps == pytest.approx(mpmath_epsilon(omega, params, 10.0), rel=1e-12, abs=0)
+
+    def test_closed_form_underflows_to_zero(self):
+        omega = 2 * math.pi * 5e9
+        params = make_params(temp_cavity=HBAR * omega / (K_B * 650.0))
+        assert closed_form_epsilon(omega, params, 10.0) == 0.0
+        assert exclusion_epsilon(omega, params, 10.0) == pytest.approx(
+            mpmath_epsilon(omega, params, 10.0), rel=1e-12, abs=0)
+
+    def test_audit_runs(self, monkeypatch):
+        monkeypatch.setattr(sensitivity, "_AUDIT_RTOL", -1.0)
+        with pytest.raises(ArithmeticError, match="unit audit failed"):
+            exclusion_epsilon(OMEGA7, make_params(), 10.0)
