@@ -162,7 +162,7 @@ class TestExclusion:
         slope, intercept = np.polyfit(x, np.log(eps), 1)
         coeff = math.exp(intercept)
         assert abs(slope / 0.25 - 1) < 1e-6
-        assert coeff == pytest.approx(0.61e-34, rel=0.15)
+        assert coeff == pytest.approx(0.61e-34, rel=0.15, abs=0)
 
 
 class TestReachBand:
