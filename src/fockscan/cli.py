@@ -301,7 +301,7 @@ def cmd_reach(doc, args, out_dir: Path) -> int:
         n, m = params.n_cavities, params.fock_m
         band = reach_band(budget, params, omega0)
         stride = max(1, band.n_steps // 2000)
-        for (omega, tau_tot, cum) in band.steps[::stride]:
+        for (omega, tau_tot, cum) in band.strided(stride):
             rows.append((n, m, omega / TWO_PI, tau_tot, cum))
         bands[f"N={n},m={m}"] = {
             "freq_start_hz": band.freq_start_hz,

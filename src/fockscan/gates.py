@@ -147,7 +147,9 @@ def binary_plan(n_cavities: int) -> EDPlan:
     return EDPlan("binary", n_cavities, tuple(seq), tuple(layers))
 
 
+@lru_cache(maxsize=64, typed=True)
 def make_plan(scheme: str, n_cavities: int) -> EDPlan:
+    """The ED plan of a scheme and cavity count, built once: an EDPlan is frozen and holds tuples."""
     if scheme == "linear":
         return linear_plan(n_cavities)
     if scheme == "binary":

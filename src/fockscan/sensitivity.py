@@ -39,7 +39,7 @@ _AUDIT_RTOL = 1e-10
 # reach_band evaluates its tuning steps in chunks that double from the first
 # size to the cap, after a first step of its own.
 _FIRST_CHUNK = 1024
-_MAX_CHUNK = 65536
+_MAX_CHUNK = 8192
 
 
 @dataclass(frozen=True)
@@ -75,8 +75,17 @@ def thermal_occupation(omega, temp: float):
         raise InvalidArgument("omega must be positive")
     x = HBAR * omega / (K_B * temp)
     if isinstance(x, np.ndarray):
-        return np.fromiter(map(_bose, x.tolist()), float, count=x.size)
+        # _bose's two branches, each over its own entries
+        cold = x > 40.0
+        n_th = np.empty_like(x)
+        n_th[~cold] = 1.0 / _scalar_map(math.expm1, x[~cold])
+        n_th[cold] = _scalar_map(math.exp, -x[cold])
+        return n_th
     return _bose(x)
+
+
+def _scalar_map(fn, x: np.ndarray) -> np.ndarray:
+    return np.fromiter(map(fn, x.tolist()), float, count=x.size)
 
 
 def _bose(x: float) -> float:
@@ -195,13 +204,20 @@ def exclusion_epsilon(omega: float, params: SensitivityParams, tau_tot: float) -
 
 @dataclass(frozen=True, eq=False)
 class ReachBand:
-    """Frequency interval covered before the time budget runs out."""
+    """Frequency interval covered before the time budget runs out.
+
+    Stores one float per tuning step, its exposure tau_tot (`exposures`,
+    read-only).  The step frequencies and the running time are derived on
+    request (`steps`, `strided`) by the same sequential products and sums
+    that `reach_band` evaluated, so they are bit-identical to its own.
+    """
 
     omega_start: float
     omega_end: float
     n_steps: int
     total_time: float
-    steps: np.ndarray  # (n_steps, 3), read-only: omega, tau_tot, cumulative time per step
+    q_dm: float              # step k+1 sits at (1 + 1/q_dm) times step k's frequency
+    exposures: np.ndarray    # (n_steps,), read-only: tau_tot of each step
 
     @property
     def freq_start_hz(self) -> float:
@@ -210,6 +226,28 @@ class ReachBand:
     @property
     def freq_end_hz(self) -> float:
         return self.omega_end / (2.0 * math.pi)
+
+    @property
+    def steps(self) -> np.ndarray:
+        """(n_steps, 3) read-only table: omega, tau_tot and cumulative time per step."""
+        return self.strided(1)
+
+    def strided(self, stride: int) -> np.ndarray:
+        """Rows 0, stride, 2 stride, ... of `steps`, without building the whole table."""
+        table = np.empty((-(-self.n_steps // stride), 3))
+        table[:, 0] = _frequencies(self.omega_start, self.q_dm, self.n_steps)[::stride]
+        table[:, 1] = self.exposures[::stride]
+        table[:, 2] = np.add.accumulate(self.exposures)[::stride]
+        table.flags.writeable = False
+        return table
+
+
+def _frequencies(omega_first, q_dm: float, n: int) -> np.ndarray:
+    """n tuning-step frequencies from omega_first: the loop's `omega *= 1 + 1/q_dm`, in sequence."""
+    omegas = np.full(n, 1.0 + 1.0 / q_dm)
+    omegas[0] = omega_first
+    with np.errstate(over="ignore"):
+        return np.multiply.accumulate(omegas, out=omegas)
 
 
 def reach_band(
@@ -224,9 +262,11 @@ def reach_band(
     progression, d omega = omega / Q_dm), and each step costs the exposure
     that reaches zeta_snr at the target mixing.  The band ends before the
     first step whose cost would take the running time past the budget.
+    The result keeps each step's exposure only (see `ReachBand`).
 
-    Steps are evaluated in chunks (1, then 1024 doubling to 65536), and the
-    result is bit-identical to a loop of `scan_rate` calls, one per step:
+    Steps are evaluated in chunks (1, then 1024 doubling to `_MAX_CHUNK`),
+    and the result is bit-identical to a loop of `scan_rate` calls, one
+    per step:
 
     - the frequencies come from a sequential `np.multiply.accumulate` and
       the running time from a sequential `np.add.accumulate`, the same
@@ -258,28 +298,28 @@ def reach_band(
         cum = np.add.accumulate(np.r_[spent, taus])[1:]
         over = np.flatnonzero(cum > time_budget)
         stop = int(over[0]) if over.size else taus.size
-        blocks.append(np.column_stack((omegas[:stop], taus[:stop], cum[:stop])))
+        blocks.append(taus[:stop])
         n_steps += stop
+        if stop:
+            omega_end, spent = omegas[stop - 1], cum[stop - 1]
         if stop < taus.size:
             tau_tot = float(taus[stop])
             break
-        spent = cum[-1]
         size = min(max(_FIRST_CHUNK, 2 * omegas.size), _MAX_CHUNK, max_steps - n_steps)
-        ratio = 1.0 + 1.0 / params.q_dm
-        with np.errstate(over="ignore"):
-            omegas = np.multiply.accumulate(np.r_[omegas[-1], np.full(size, ratio)])[1:]
+        omegas = _frequencies(omega_end, params.q_dm, size + 1)[1:]
     if not n_steps:
         raise BudgetTooSmall(
             f"budget {time_budget:g} s cannot afford one step (first step needs {tau_tot:g} s)"
         )
-    steps = np.concatenate(blocks)
-    steps.flags.writeable = False
+    exposures = np.concatenate(blocks)
+    exposures.flags.writeable = False
     return ReachBand(
         omega_start=omega_start,
-        omega_end=float(steps[-1, 0]),
+        omega_end=float(omega_end),
         n_steps=n_steps,
-        total_time=float(steps[-1, 2]),
-        steps=steps,
+        total_time=float(spent),
+        q_dm=params.q_dm,
+        exposures=exposures,
     )
 
 

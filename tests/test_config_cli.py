@@ -669,8 +669,8 @@ def test_golden_generator_reports_numeric_change():
     assert generate.compare(old, new) == (
         "changed: max relative numeric change 8e-11, residues max absolute change 2e-15")
     moved = generate.column_changes(old, new)
-    assert moved == {"# seed": 0.0, "t": 0.0, "n": pytest.approx(8e-11, rel=1e-3),
-                     "trace_error": pytest.approx(2e-15, rel=1e-3)}
+    assert moved == {"# seed": 0.0, "t": 0.0, "n": pytest.approx(8e-11, rel=1e-3, abs=0),
+                     "trace_error": pytest.approx(2e-15, rel=1e-3, abs=0)}
     doc = b'{"curves": {"m=0": {"leakage": 1e-15, "snr_max": 0.5}}}'
     assert generate.column_changes(doc, doc.replace(b"1e-15", b"-1e-15")) == {
         "curves.m=0.leakage": 2e-15, "curves.m=0.snr_max": 0.0}

@@ -90,6 +90,18 @@ class TestPlans:
         with pytest.raises(InvalidArgument):
             make_plan("ring", 4)
 
+    def test_plan_built_once(self):
+        # sweeps ask for the plan at every grid point
+        assert make_plan("binary", 4) is make_plan("binary", 4)
+        assert make_plan("linear", 3) is make_plan("linear", 3)
+        assert make_plan("linear", 2) is not make_plan("binary", 2)
+        # a raised error is not remembered: the same bad call raises again
+        for _ in range(2):
+            with pytest.raises(InvalidArgument):
+                make_plan("ring", 4)
+            with pytest.raises(UnsupportedCavityCount):
+                make_plan("binary", 6)
+
     def test_duration_scaling(self):
         g_bs = 2 * math.pi * 1e6
         lin = linear_plan(4)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -77,6 +78,18 @@ class TestThermalOccupation:
     def test_validation(self):
         with pytest.raises(InvalidArgument):
             thermal_occupation(OMEGA7, 0.0)
+
+    def test_array_path_matches_scalar_bit_for_bit(self):
+        # at T = 1 K, x = hbar w / k; each edge of x is bracketed by omegas a few ulps apart,
+        # which hit x = 40 and its two float neighbours, where the branch switches
+        edges = np.array([40.0, 700.0, 710.0, 1e-300]) * K_B / HBAR
+        near = (edges[:, None] + np.arange(-4, 5) * np.spacing(edges)[:, None]).ravel()
+        drawn = np.random.default_rng(7).uniform(1e-6, 60.0, 20_000) * K_B / HBAR
+        omegas = np.r_[near, drawn]
+        x = HBAR * omegas / K_B
+        assert {40.0, np.nextafter(40.0, 0.0), np.nextafter(40.0, 41.0)} <= set(x.tolist())
+        expected = np.array([sensitivity._bose(v) for v in x.tolist()])
+        assert np.array_equal(thermal_occupation(omegas, 1.0), expected)
 
 
 class TestScanRate:
@@ -290,6 +303,8 @@ class TestReachBandChunked:
         assert not band.steps.flags.writeable
         assert band.steps[0, 0] == OMEGA7 and band.steps[-1, 0] == band.omega_end
         assert band.steps[-1, 2] == band.total_time
+        assert not band.exposures.flags.writeable and band.exposures.shape == (band.n_steps,)
+        assert np.array_equal(band.strided(7), band.steps[::7])
 
     def test_long_band_matches_loop(self):
         # about 3 700 steps of 7.5 s: the first step, chunks of 1024 and 2048, part of one of 4096
@@ -332,6 +347,35 @@ class TestReachBandChunked:
         assert isinstance(assert_same_band((1e-16, 1e6 * tau0, params, omega)), InvalidArgument)
         band = assert_same_band((1e-16, 1.2 * tau0, params, omega))
         assert 1 <= band.n_steps < 12
+
+    def test_huge_occupation_falls_back_to_the_loop(self):
+        # at 1e300 K (1e308 K) hbar w / k T at 1 rad/s is subnormal (zero), so expm1 is too,
+        # and 1/expm1 overflows (divides by zero): the chunk flags it, so reach_band would
+        # replay it, and the band raises what the loop raises (here at the first step)
+        for temp in (1e300, 1e308):
+            params = make_params(temp_cavity=temp)
+            omegas = np.cumprod(np.full(16, 1.0 + 1e-6))
+            assert sensitivity._chunk_exposures(params, omegas, form_factor_tm010()) is None
+            assert isinstance(assert_same_band((1e-16, 30.0, params, 1.0)), Exception)
+
+    def test_memory_is_one_float_per_step(self):
+        # the 15-hour band from 5 GHz at N=4, m=5 (about 500 000 steps) holds its exposures
+        # once as chunk blocks and once concatenated (16 B a step) besides one chunk's
+        # temporaries; the three-column table alone would take 24 B a step
+        params, omega = make_params(), 2 * math.pi * 5e9
+        chunk = omega * np.cumprod(np.full(sensitivity._MAX_CHUNK, 1.0 + 1e-6))
+        tracemalloc.start()
+        try:
+            sensitivity._chunk_exposures(params, chunk, form_factor_tm010())
+            working_set = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            band = reach_band(15 * 3600.0, params, omega)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert band.n_steps > 100_000
+        assert peak < 24 * band.n_steps + working_set
 
     def test_audit_runs(self, monkeypatch):
         monkeypatch.setattr(sensitivity, "_AUDIT_RTOL", -1.0)
