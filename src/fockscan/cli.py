@@ -36,7 +36,7 @@ from .config import (
     require_keys,
     run_seed,
 )
-from .drive import mc_population, mean_population_detuned
+from .drive import mc_population, mean_population_detuned, require_mc_fits
 from .errors import (
     BudgetTooSmall,
     ConfigError,
@@ -138,6 +138,7 @@ def cmd_mc_dm(doc, args, out_dir: Path) -> int:
     n_traj = sec.get("n_traj", 10000)
     points = sec.get("points", 50)
     t_max = sec.get("t_max_taudm", 20.0)
+    require_mc_fits(n_traj, points, t_max)  # before the grid is built
     delta = sec.get("detuning_linewidths", 0.0) / tau_dm
     grid = np.linspace(t_max / points, t_max, points) * tau_dm
     g = cfg.coupling()
@@ -204,7 +205,7 @@ def cmd_snr_sweep(doc, args, out_dir: Path) -> int:
     m_list = sec.get("fock_m_list", [cfg.fock_m])
     units = _grid_units(sec)
     configs = [replace(cfg, fock_m=m, cutoff=None) for m in m_list]
-    sweeps = pool_map(_sweep_one, [(c, units) for c in configs], args.jobs)
+    sweeps = list(pool_map(_sweep_one, [(c, units) for c in configs], args.jobs))
 
     head = _header(doc, args, "snr-sweep",
                    backend=sweeps[0].backend, dt_s=_fmt(sweeps[0].diagnostics["dt"]))

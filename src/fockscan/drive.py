@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgument
+from .errors import DimensionCeilingExceeded, InvalidArgument
 from .parallel import pool_map
 
 _BESSEL_J0_ROOT = 2.4048  # first zero of J0, fixed to the 5 digits used throughout
@@ -163,6 +163,28 @@ class McResult:
     seed: int
 
 
+# mc_population refuses a run whose estimated peak (`_mc_bytes`: the
+# samples plus one chunk's working set) exceeds MC_MAX_BYTES, the full
+# backend's FULL_BACKEND_MAX_BYTES (protocol imports this module, so the
+# ceiling is stated here).  One chunk's working set per trajectory is
+# MC_PIECE_BYTES per renewal piece (gaps, phases and starts, the piece
+# index, and the complex phase factors, edges, increments and their prefix
+# sums) plus MC_POINT_BYTES per grid point (the complex amplitude and its
+# temporaries): tracemalloc put one _mc_chunk call at 108 and 66 bytes at
+# most, from 1 to 512 trajectories, 75 to 21 424 pieces and 50 to 5000
+# points.  Over `mc-dm` runs estimated at 10 MiB to 1 GiB, the process
+# peaked at most 36 MiB (its start-up footprint) above the estimate, so a
+# run at the ceiling stays near 2 GiB; with 50 points that is about 5
+# million trajectories, a minute's work.  The sample configs estimate
+# 10 MiB at most.
+MC_MAX_BYTES = 2 * 1024 ** 3
+MC_PIECE_BYTES = 112
+MC_POINT_BYTES = 72
+# trajectories per chunk: 10^4 trajectories at 50 points took 0.10 s at
+# 256 and 512 (0.11 s at 128), and the process peaked 2.5 MiB lower at 256
+MC_CHUNK = 256
+
+
 def mc_population(
     g: float,
     tau_dm: float,
@@ -171,7 +193,7 @@ def mc_population(
     n_traj: int,
     seed: int,
     n_jobs: int = 1,
-    _chunk: int = 512,
+    _chunk: int = MC_CHUNK,
 ) -> McResult:
     """Monte Carlo mean photon number from the phase-noisy equation of motion.
 
@@ -188,6 +210,15 @@ def mc_population(
     streams are seeded for a chunk of trajectories at once, and each
     trajectory's pieces are summed as prefix sums, so a trajectory costs
     O(points + pieces) array work and no Python work per element.
+
+    The samples live in one (n_traj, points) array, filled a chunk at a
+    time as `pool_map` yields each chunk, and the standard error is taken
+    in place on it by the ufunc calls of ndarray.std(ddof=1) (subtract the
+    mean, square, sum over trajectories, divide by n_traj - 1, sqrt), so
+    it is bit for bit samples.std(axis=0, ddof=1) / sqrt(n_traj) with one
+    such array alive instead of three.  Before anything is allocated,
+    `require_mc_fits` estimates that array plus one chunk's working set,
+    and raises DimensionCeilingExceeded if that exceeds MC_MAX_BYTES.
     """
     t = np.asarray(t_grid, dtype=float)
     if n_traj < 1:
@@ -196,18 +227,49 @@ def mc_population(
         raise InvalidArgument("seed must be >= 0")
     if t.ndim != 1 or t.size == 0 or np.any(np.diff(t) <= 0) or t[0] < 0:
         raise InvalidArgument("t_grid must be non-empty and strictly increasing")
+    require_mc_fits(n_traj, t.size, float(t[-1]) / tau_dm, _chunk)
 
-    chunks = [(start, min(start + _chunk, n_traj)) for start in range(0, n_traj, _chunk)]
-    args = [(g, tau_dm, delta, t, lo, hi, seed) for lo, hi in chunks]
-    blocks = pool_map(_mc_chunk, args, n_jobs)
-
-    samples = np.concatenate(blocks, axis=0)  # (n_traj, n_grid), index order fixed
+    args = [(g, tau_dm, delta, t, lo, min(lo + _chunk, n_traj), seed)
+            for lo in range(0, n_traj, _chunk)]
+    samples = np.empty((n_traj, t.size))  # row k is trajectory k
+    row = 0
+    for block in pool_map(_mc_chunk, args, n_jobs):
+        samples[row:row + len(block)] = block
+        row += len(block)
+        del block  # freed before the next chunk is computed
     mean = samples.mean(axis=0)
     if n_traj > 1:
-        stderr = samples.std(axis=0, ddof=1) / math.sqrt(n_traj)
+        np.subtract(samples, mean, out=samples)
+        np.multiply(samples, samples, out=samples)
+        stderr = np.sqrt(np.add.reduce(samples, axis=0) / (n_traj - 1)) / math.sqrt(n_traj)
     else:
         stderr = np.zeros_like(mean)
     return McResult(t_grid=t, mean=mean, stderr=stderr, n_traj=n_traj, seed=seed)
+
+
+def require_mc_fits(n_traj: int, points: int, t_max_taudm: float, chunk: int = MC_CHUNK) -> None:
+    """Raise DimensionCeilingExceeded if mc_population's estimated peak exceeds MC_MAX_BYTES.
+
+    Depends on the run's size alone, so a caller can check before it builds
+    the grid.
+    """
+    need = _mc_bytes(n_traj, points, min(chunk, n_traj), t_max_taudm)
+    if need > MC_MAX_BYTES:
+        raise DimensionCeilingExceeded(
+            f"the Monte Carlo run ({n_traj} trajectories, {points} points, "
+            f"t_max / tau_dm = {t_max_taudm:.4g}) would need about "
+            f"{need / 2 ** 30:.3g} GiB, over its {MC_MAX_BYTES / 2 ** 30:g} GiB limit"
+        )
+
+
+def _mc_bytes(n_traj: int, points: int, chunk: int, expect: float) -> float:
+    """Estimated peak bytes of mc_population: the samples plus one chunk's working set.
+
+    expect is t_max / tau_dm, the renewals a trajectory expects; a float
+    estimate, so that an absurd request gives a large number, not an error.
+    """
+    pieces = expect + 10.0 * math.sqrt(expect + 1.0) + 11.0  # _gap_block's gaps, plus one start
+    return 8.0 * n_traj * points + chunk * (MC_PIECE_BYTES * pieces + MC_POINT_BYTES * points)
 
 
 # numpy's SeedSequence: uint32 hash constants and pool size

@@ -497,7 +497,7 @@ def scan_rate_grid(
     tasks = [(n, m) for n in n_list for m in m_list]
     ref_key = (min(n_list), min(m_list))
     args = [(base, n, m, tau_grid_units) for n, m in tasks]
-    results = pool_map(_scan_point, args, jobs)
+    results = list(pool_map(_scan_point, args, jobs))
     by_key = {(n, m): res for (n, m), res in zip(tasks, results)}
     ref = by_key[ref_key]
     eta_ref = ref[0] / ref[2] if ref[2] > 0 else math.nan

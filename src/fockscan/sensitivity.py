@@ -67,13 +67,19 @@ def thermal_occupation(omega, temp: float):
     """Bose-Einstein occupation (exp(hbar w / k T) - 1)^-1, underflow-safe.
 
     Elementwise over an array of omega, through the same scalar exp and
-    expm1 (numpy's vectorised ones are not libm's on every CPU).
+    expm1 (numpy's vectorised ones are not libm's on every CPU).  Raises
+    the "too hot" InvalidArgument (see `_outside_model`) where hbar w / k T
+    is below the smallest normal float: there 1/expm1 has lost its
+    precision, overflows to inf, or divides by zero.
     """
     if temp <= 0:
         raise InvalidArgument("temperature must be positive")
     if np.any(np.less_equal(omega, 0)):
         raise InvalidArgument("omega must be positive")
     x = HBAR * omega / (K_B * temp)
+    hot = np.flatnonzero(np.less(x, sys.float_info.min))
+    if hot.size:
+        raise _outside_model("hot", temp, np.ravel(omega)[hot[0]])
     if isinstance(x, np.ndarray):
         # _bose's two branches, each over its own entries
         cold = x > 40.0
@@ -129,20 +135,23 @@ def _exposure(params, omega, volume, form_factor_g, n_th):
     elementwise, with every per-step power written as a product (see
     `drive._overflow_checked`); a step-invariant left prefix of a product
     is then simply evaluated once.  Raises InvalidArgument if the exposure
-    leaves the float range on any step (see `_require_warm`), and
+    leaves the float range on any step (see `_require_in_range`), and
     ArithmeticError if the SI and natural-unit routes disagree on any step.
     """
     g = _coupling(params.target_epsilon, form_factor_g, params.rho_dm, volume, omega)
     tau_dm = params.q_dm / omega
     g4 = _overflow_checked((g * g) * (g * g), g)
     tau_dm2 = _overflow_checked(tau_dm * tau_dm, tau_dm)
-    tau_tot = (
-        params.zeta_snr ** 2 * omega * n_th
-        / (4.0 * params.eta ** 2 * g4 * tau_dm2 * params.q_cav
-           * params.n_cavities ** 2 * (params.fock_m + 1))
-    )
+    # a float gives inf where this overflows; numpy is made to do the same,
+    # and _require_in_range names the cause
+    with np.errstate(over="ignore"):
+        tau_tot = (
+            params.zeta_snr ** 2 * omega * n_th
+            / (4.0 * params.eta ** 2 * g4 * tau_dm2 * params.q_cav
+               * params.n_cavities ** 2 * (params.fock_m + 1))
+        )
     width = omega / params.q_dm
-    _require_warm(n_th, tau_tot, width, omega, params.temp_cavity)
+    _require_in_range(n_th, tau_tot, width, omega, params.temp_cavity)
     rate_si = width / tau_tot
 
     # independent route: natural units (hbar = c = 1, rad/s as the energy unit)
@@ -162,27 +171,36 @@ def _exposure(params, omega, volume, form_factor_g, n_th):
     return tau_tot, rate_si
 
 
-def _require_warm(n_th, tau_tot, width, omega, temp: float) -> None:
+def _require_in_range(n_th, tau_tot, width, omega, temp: float) -> None:
     """Raise InvalidArgument at the first omega whose exposure left the float range.
 
-    Below the smallest normal float the thermal occupation or the exposure
-    has lost its precision (n_th does at hbar w / k T > 708.4, and is 0
-    past 745), and an exposure below width / (largest float) would
-    overflow the rate: either way the cavity is too cold for the model.
-    The test divides nothing by the exposure, so no floating-point error
-    state can preempt it.
+    Cold end: below the smallest normal float the thermal occupation or the
+    exposure has lost its precision (n_th does at hbar w / k T > 708.4, and
+    is 0 past 745), and an exposure below width / (largest float) would
+    overflow the rate.  That test divides nothing by the exposure, so no
+    floating-point error state can preempt it.  Hot end: an exposure so
+    long (or inf) that the rate width / tau_tot falls below the smallest
+    normal float.  Either way the cavity is outside the model.
     """
     tiny = sys.float_info.min
     floor = np.maximum(tiny, width / sys.float_info.max)
     cold = np.flatnonzero(np.less(n_th, tiny) | np.less(tau_tot, floor))
     if cold.size:
-        w = float(np.ravel(omega)[cold[0]])
-        x = HBAR * w / (K_B * temp)
-        raise InvalidArgument(
-            f"cavity temperature {temp:g} K is too cold at "
-            f"{w / (2.0 * math.pi):g} Hz: hbar w / k T = {x:.4g} takes the "
-            "per-step exposure out of the float range, outside the model"
-        )
+        raise _outside_model("cold", temp, np.ravel(omega)[cold[0]])
+    hot = np.flatnonzero(np.less(width / tau_tot, tiny))
+    if hot.size:
+        raise _outside_model("hot", temp, np.ravel(omega)[hot[0]])
+
+
+def _outside_model(side: str, temp: float, omega) -> InvalidArgument:
+    """The "too cold" or "too hot" error at omega, naming the temperature, frequency and hbar w / k T."""
+    w = float(omega)
+    x = HBAR * w / (K_B * temp)
+    return InvalidArgument(
+        f"cavity temperature {temp:g} K is too {side} at "
+        f"{w / (2.0 * math.pi):g} Hz: hbar w / k T = {x:.4g} takes the "
+        "per-step exposure out of the float range, outside the model"
+    )
 
 
 def exclusion_epsilon(omega: float, params: SensitivityParams, tau_tot: float) -> float:
@@ -206,10 +224,13 @@ def exclusion_epsilon(omega: float, params: SensitivityParams, tau_tot: float) -
 class ReachBand:
     """Frequency interval covered before the time budget runs out.
 
-    Stores one float per tuning step, its exposure tau_tot (`exposures`,
-    read-only).  The step frequencies and the running time are derived on
-    request (`steps`, `strided`) by the same sequential products and sums
-    that `reach_band` evaluated, so they are bit-identical to its own.
+    Stores one float per tuning step, its exposure tau_tot, in the
+    read-only chunk blocks `reach_band` evaluated them in (`blocks`).
+    `exposures` joins them on request.  The step frequencies and the
+    running time are derived on request (`steps`, `strided`) block by
+    block, carrying the last frequency and the running time from one block
+    into the next: the same sequential products and sums that `reach_band`
+    evaluated, so they are bit-identical to its own.
     """
 
     omega_start: float
@@ -217,7 +238,7 @@ class ReachBand:
     n_steps: int
     total_time: float
     q_dm: float              # step k+1 sits at (1 + 1/q_dm) times step k's frequency
-    exposures: np.ndarray    # (n_steps,), read-only: tau_tot of each step
+    blocks: tuple            # read-only float64 arrays: tau_tot of each step, in order
 
     @property
     def freq_start_hz(self) -> float:
@@ -228,16 +249,30 @@ class ReachBand:
         return self.omega_end / (2.0 * math.pi)
 
     @property
+    def exposures(self) -> np.ndarray:
+        """(n_steps,) read-only: tau_tot of each step."""
+        exposures = np.concatenate(self.blocks)
+        exposures.flags.writeable = False
+        return exposures
+
+    @property
     def steps(self) -> np.ndarray:
         """(n_steps, 3) read-only table: omega, tau_tot and cumulative time per step."""
         return self.strided(1)
 
     def strided(self, stride: int) -> np.ndarray:
-        """Rows 0, stride, 2 stride, ... of `steps`, without building the whole table."""
+        """Rows 0, stride, 2 stride, ... of `steps`, one block at a time."""
         table = np.empty((-(-self.n_steps // stride), 3))
-        table[:, 0] = _frequencies(self.omega_start, self.q_dm, self.n_steps)[::stride]
-        table[:, 1] = self.exposures[::stride]
-        table[:, 2] = np.add.accumulate(self.exposures)[::stride]
+        row, first, omega, spent = 0, 0, self.omega_start, 0.0
+        for block in self.blocks:
+            # omega and spent carry the next step's frequency and the time so far
+            omegas = _frequencies(omega, self.q_dm, block.size + 1)
+            cum = np.add.accumulate(np.r_[spent, block])
+            omega, spent = omegas[-1], cum[-1]
+            pick = slice(-first % stride, block.size, stride)
+            rows = np.stack([omegas[pick], block[pick], cum[1:][pick]], axis=1)
+            table[row:row + len(rows)] = rows
+            row, first = row + len(rows), first + block.size
         table.flags.writeable = False
         return table
 
@@ -262,7 +297,8 @@ def reach_band(
     progression, d omega = omega / Q_dm), and each step costs the exposure
     that reaches zeta_snr at the target mixing.  The band ends before the
     first step whose cost would take the running time past the budget.
-    The result keeps each step's exposure only (see `ReachBand`).
+    The result keeps each step's exposure only, in its chunk blocks (see
+    `ReachBand`).
 
     Steps are evaluated in chunks (1, then 1024 doubling to `_MAX_CHUNK`),
     and the result is bit-identical to a loop of `scan_rate` calls, one
@@ -298,28 +334,28 @@ def reach_band(
         cum = np.add.accumulate(np.r_[spent, taus])[1:]
         over = np.flatnonzero(cum > time_budget)
         stop = int(over[0]) if over.size else taus.size
-        blocks.append(taus[:stop])
-        n_steps += stop
         if stop:
+            blocks.append(taus[:stop])
+            blocks[-1].flags.writeable = False
+            n_steps += stop
             omega_end, spent = omegas[stop - 1], cum[stop - 1]
         if stop < taus.size:
             tau_tot = float(taus[stop])
             break
+        del cum  # freed before the next chunk is evaluated
         size = min(max(_FIRST_CHUNK, 2 * omegas.size), _MAX_CHUNK, max_steps - n_steps)
         omegas = _frequencies(omega_end, params.q_dm, size + 1)[1:]
     if not n_steps:
         raise BudgetTooSmall(
             f"budget {time_budget:g} s cannot afford one step (first step needs {tau_tot:g} s)"
         )
-    exposures = np.concatenate(blocks)
-    exposures.flags.writeable = False
     return ReachBand(
         omega_start=omega_start,
         omega_end=float(omega_end),
         n_steps=n_steps,
         total_time=float(spent),
         q_dm=params.q_dm,
-        exposures=exposures,
+        blocks=tuple(blocks),
     )
 
 

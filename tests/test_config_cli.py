@@ -273,15 +273,15 @@ def _key_paths(config):
     return [(key,) for key in doc] + [("sensitivity", key) for key in doc["sensitivity"]]
 
 
-def _assert_too_cold(tmp_path, command, config, changes, message):
-    """Run command on a golden config with changed sensitivity keys; it must exit 2 as too cold."""
+def _assert_outside_model(tmp_path, command, config, changes, message):
+    """Run command on a golden config with changed sensitivity keys; it must exit 2 as too cold or hot."""
     doc = yaml.safe_load((GOLDEN / "configs" / config).read_text())
     doc["sensitivity"].update(changes)
-    cold = tmp_path / "cold.yaml"
-    cold.write_text(yaml.safe_dump(doc))
+    changed = tmp_path / "changed.yaml"
+    changed.write_text(yaml.safe_dump(doc))
     proc = subprocess.run(
         [sys.executable, "-m", "fockscan.cli", command,
-         "--config", str(cold), "--out", str(tmp_path / "out")],
+         "--config", str(changed), "--out", str(tmp_path / "out")],
         capture_output=True, text=True, env=dict(os.environ),
     )
     assert proc.returncode == 2
@@ -370,7 +370,7 @@ class TestExitCodes:
                      "0.0003243 K is too cold at 5e+09 Hz: hbar w / k T = 739.9", id="0.3243mK"),
     ])
     def test_cold_cavity_reach_exits_two(self, tmp_path, changes, message):
-        _assert_too_cold(tmp_path, "reach", "reach.yaml", changes, message)
+        _assert_outside_model(tmp_path, "reach", "reach.yaml", changes, message)
 
     @pytest.mark.parametrize("changes,message", [
         # the first grid point, 3 GHz at 0.1 mK, has hbar w / k T ~ 1440
@@ -382,7 +382,48 @@ class TestExitCodes:
                      "0.00036 K is too cold at 5.5e+09 Hz: hbar w / k T = 733.2", id="0.36mK"),
     ])
     def test_cold_cavity_exclusion_exits_two(self, tmp_path, changes, message):
-        _assert_too_cold(tmp_path, "exclusion", "exclusion.yaml", changes, message)
+        _assert_outside_model(tmp_path, "exclusion", "exclusion.yaml", changes, message)
+
+    @pytest.mark.parametrize("command,config,message", [
+        # at 1e297 K the exposure overflowed a scalar multiply (exit 3) or the rate
+        # underflowed to 0 and failed the unit audit (exit 3)
+        ("reach", "reach.yaml",
+         "1e+297 K is too hot at 5e+09 Hz: hbar w / k T = 2.4e-298"),
+        ("exclusion", "exclusion.yaml",
+         "1e+297 K is too hot at 3e+09 Hz: hbar w / k T = 1.44e-298"),
+    ])
+    def test_hot_cavity_exits_two(self, tmp_path, command, config, message):
+        _assert_outside_model(tmp_path, command, config, {"temps_mk": [1e300]}, message)
+
+    @pytest.mark.parametrize("changes,estimate", [
+        # the sample config's 10^4 trajectories at 50 points, with one value changed
+        ({"t_max_taudm": 1e300}, "2.67e+295 GiB"),  # was a traceback: ValueError from numpy
+        ({"t_max_taudm": 1e5}, "2.76 GiB"),         # was a MemoryError at 788 MiB
+        ({"n_traj": 10 ** 7}, "3.73 GiB"),          # was a MemoryError after 97 s
+        ({"points": 10 ** 10}, "9.17e+05 GiB"),     # the grid alone would take 80 GB
+    ])
+    def test_oversized_monte_carlo_exits_two(self, tmp_path, changes, estimate):
+        # the child's address space is capped, so a missing guard fails, not by swapping
+        doc = yaml.safe_load((SAMPLE / "mc_drive.yaml").read_text())
+        doc["mc"].update(changes)
+        big = tmp_path / "big.yaml"
+        big.write_text(yaml.safe_dump(doc))
+        limit = 2 * 1024 ** 3
+
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "fockscan.cli", "mc-dm",
+             "--config", str(big), "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, preexec_fn=cap_address_space,
+            env=dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1"),
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: the Monte Carlo run (")
+        assert f"would need about {estimate}, over its 2 GiB limit" in proc.stderr
+        assert not any((tmp_path / "out").iterdir())
 
     def test_oversized_full_backend_exits_two(self, tmp_path):
         # N=5 at m=5 (cutoff 9) is dimension 59049, under the 65536 ceiling,

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from fockscan.drive import (
     mean_population_detuned,
     rho_dm_si,
 )
-from fockscan.errors import InvalidArgument
+from fockscan.errors import DimensionCeilingExceeded, InvalidArgument
 
 TAU = 1.0  # work in units of the coherence time where convenient
 
@@ -266,6 +267,64 @@ class TestChunkedMonteCarlo:
     def test_negative_seed_is_rejected(self):
         with pytest.raises(InvalidArgument):
             mc_population(1.0, TAU, 0.0, self.grid, 10, seed=-1)
+
+    @pytest.mark.parametrize("n_traj", [2, 600])
+    @pytest.mark.parametrize("grid", [np.linspace(0.25, 12.0, 17), np.array([12.0])],
+                             ids=["17 points", "one point"])
+    def test_outputs_equal_numpy_reductions_bit_for_bit(self, n_traj, grid):
+        # the in-place stderr makes ndarray.std's ufunc calls on an array of the same shape,
+        # so it sums in the same order: row by row, or pairwise down a one-point column
+        samples = chunk_rows(73.6, 0.4, grid, n_traj, 12, 512)
+        mean = samples.mean(axis=0)
+        stderr = samples.std(axis=0, ddof=1) / math.sqrt(n_traj)
+        for size in (1, 7, 128, 512):
+            for jobs in (1, 2):
+                res = mc_population(73.6, TAU, 0.4, grid, n_traj, 12, n_jobs=jobs, _chunk=size)
+                assert np.array_equal(res.mean, mean)
+                assert np.array_equal(res.stderr, stderr)
+
+    def test_memory_is_one_sample_array(self):
+        # 2000 trajectories at 400 points: the samples take 6.4 MB, one 16-trajectory
+        # chunk far less; a list of chunks, its concatenation or std's temporary would
+        # each add another 6.4 MB.  64 KiB covers the 125 chunks' argument tuples and
+        # the points-long results
+        n_traj, size, grid = 2000, 16, np.linspace(0.05, 20.0, 400)
+        tracemalloc.start()
+        try:
+            drive._mc_chunk(73.6, TAU, 0.4, grid, 0, size, 5)
+            working_set = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            mc_population(73.6, TAU, 0.4, grid, n_traj, 5, _chunk=size)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n_traj * grid.size + working_set + 64 * 1024
+
+    def test_estimate_covers_the_measured_peak(self):
+        # one chunk's tracemalloc peak stays under its share of the estimate
+        for t_max, points, size in [(20.0, 50, 512), (2000.0, 50, 64), (20.0, 2000, 64)]:
+            grid = np.linspace(t_max / points, t_max, points)
+            tracemalloc.start()
+            try:
+                drive._mc_chunk(73.6, TAU, 0.4, grid, 0, size, 5)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            samples = 8.0 * size * points
+            assert peak < drive._mc_bytes(size, points, size, t_max / TAU) - samples
+
+    @pytest.mark.parametrize("t_max,n_traj", [(1e300, 10), (1e5, 10_000), (20.0, 10 ** 7)])
+    def test_oversized_run_is_refused_before_allocating(self, t_max, n_traj):
+        grid = np.linspace(t_max / 50, t_max, 50)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DimensionCeilingExceeded, match=r"GiB, over its 2 GiB limit"):
+                mc_population(73.6, TAU, 0.0, grid, n_traj, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
 
 class TestStreamSeeding:

@@ -2,6 +2,7 @@
 import concurrent.futures
 import multiprocessing
 import os
+import time
 from pathlib import Path
 
 import numpy as np
@@ -60,16 +61,16 @@ def _add(a, b):
 
 def test_pool_is_bounded_by_tasks_and_cpus(pool_sizes, monkeypatch):
     tasks = [(i, 10 * i) for i in range(6)]
-    assert pool_map(_add, tasks, HUGE) == [11 * i for i in range(6)]
+    assert list(pool_map(_add, tasks, HUGE)) == [11 * i for i in range(6)]
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    assert pool_map(_add, tasks, HUGE) == [11 * i for i in range(6)]
+    assert list(pool_map(_add, tasks, HUGE)) == [11 * i for i in range(6)]
     assert pool_sizes == [6, 2]
 
 
 def test_single_worker_runs_in_process(pool_sizes):
-    assert pool_map(_add, [(1, 2), (3, 4)], 1) == [3, 7]
-    assert pool_map(_add, [(1, 2)], HUGE) == [3]
-    assert pool_map(_add, [], HUGE) == []
+    assert list(pool_map(_add, [(1, 2), (3, 4)], 1)) == [3, 7]
+    assert list(pool_map(_add, [(1, 2)], HUGE)) == [3]
+    assert list(pool_map(_add, [], HUGE)) == []
     assert pool_sizes == []
 
 
@@ -93,10 +94,52 @@ def test_workers_start_with_the_callers_error_state(pool_sizes):
     with np.errstate(over="raise", invalid="raise"):
         want = np.geterr()
         assert want != FRESH_ERRORS
-        assert pool_map(_error_state, [(0,), (1,)], HUGE) == [want, want]
+        assert list(pool_map(_error_state, [(0,), (1,)], HUGE)) == [want, want]
     assert pool_sizes == [2]
     with np.errstate(**FRESH_ERRORS):
-        assert pool_map(_error_state, [(0,), (1,)], HUGE) == [FRESH_ERRORS] * 2
+        assert list(pool_map(_error_state, [(0,), (1,)], HUGE)) == [FRESH_ERRORS] * 2
+
+
+def test_in_process_results_are_taken_one_call_at_a_time(pool_sizes):
+    calls = []
+
+    def record(i):
+        calls.append(i)
+        return 10 * i
+
+    results = pool_map(record, [(i,) for i in range(4)], 1)
+    assert calls == []
+    assert next(results) == 0 and calls == [0]
+    assert list(results) == [10, 20, 30] and calls == [0, 1, 2, 3]
+    assert pool_sizes == []
+
+
+def test_jobs_are_checked_and_error_state_captured_at_the_call(pool_sizes):
+    with pytest.raises(InvalidArgument):
+        pool_map(_add, [], 0)  # nothing to take: raised by the call itself
+    with np.errstate(over="raise", invalid="raise"):
+        want = np.geterr()
+        results = pool_map(_error_state, [(0,), (1,)], HUGE)
+    # taken outside the errstate block, after which the pool starts
+    assert pool_sizes == []
+    assert list(results) == [want, want]
+    assert pool_sizes == [2]
+
+
+def _sleep_then(index, delay):
+    time.sleep(delay)
+    return index, np.geterr()["over"]
+
+
+def test_real_pool_yields_in_order_and_stays_open_until_the_last(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    tasks = [(i, 0.15 * (3 - i)) for i in range(4)]  # later tasks finish first
+    with np.errstate(over="raise"):
+        results = pool_map(_sleep_then, tasks, 2)
+    assert next(results) == (0, "raise")
+    assert len(multiprocessing.active_children()) == 2
+    assert list(results) == [(i, "raise") for i in range(1, 4)]
+    assert multiprocessing.active_children() == []
 
 
 def test_mc_population_pool_size(pool_sizes):

@@ -79,6 +79,18 @@ class TestThermalOccupation:
         with pytest.raises(InvalidArgument):
             thermal_occupation(OMEGA7, 0.0)
 
+    def test_hot_end_is_outside_the_model(self):
+        # below the smallest normal float, hbar w / k T makes 1/expm1 lose its precision,
+        # overflow to inf (here) or divide by zero; either path names the first such omega
+        hot = r"cavity temperature 1e\+300 K is too hot at 0\.159155 Hz: hbar w / k T = 7\.638e-312"
+        with pytest.raises(InvalidArgument, match=hot):
+            thermal_occupation(1.0, 1e300)
+        with pytest.raises(InvalidArgument, match=hot):
+            thermal_occupation(np.array([1e20, 1.0, 2.0]), 1e300)
+        # a normal hbar w / k T is still in the model
+        x = HBAR * 1.0 / (K_B * 1e290)
+        assert x > 1e-302 and thermal_occupation(1.0, 1e290) == 1.0 / math.expm1(x)
+
     def test_array_path_matches_scalar_bit_for_bit(self):
         # at T = 1 K, x = hbar w / k; each edge of x is bracketed by omegas a few ulps apart,
         # which hit x = 40 and its two float neighbours, where the branch switches
@@ -349,25 +361,59 @@ class TestReachBandChunked:
         assert 1 <= band.n_steps < 12
 
     def test_huge_occupation_falls_back_to_the_loop(self):
-        # at 1e300 K (1e308 K) hbar w / k T at 1 rad/s is subnormal (zero), so expm1 is too,
-        # and 1/expm1 overflows (divides by zero): the chunk flags it, so reach_band would
-        # replay it, and the band raises what the loop raises (here at the first step)
+        # at 1e300 K (1e308 K) hbar w / k T at 1 rad/s is subnormal, where 1/expm1 overflows
+        # to inf: thermal_occupation rejects it in the chunk, so reach_band would replay it,
+        # and the band raises what the loop raises (here at the first step)
         for temp in (1e300, 1e308):
             params = make_params(temp_cavity=temp)
             omegas = np.cumprod(np.full(16, 1.0 + 1e-6))
             assert sensitivity._chunk_exposures(params, omegas, form_factor_tm010()) is None
             assert isinstance(assert_same_band((1e-16, 30.0, params, 1.0)), Exception)
 
+    def test_hot_cavity_is_outside_the_model(self):
+        # at 1e297 K and 5 GHz hbar w / k T is normal, but the exposure is so long that
+        # the rate underflows (the loop failed its unit audit, 0 against 8e-297)
+        hot = r"1e\+297 K is too hot at 5e\+09 Hz: hbar w / k T = 2\.4e-298 .* outside the model"
+        omega = 2 * math.pi * 5e9
+        params = make_params(temp_cavity=1e297, n_cavities=1, fock_m=0)
+        with pytest.raises(InvalidArgument, match=hot):
+            scan_rate(params, geometry_at(omega))
+        with pytest.raises(InvalidArgument, match=hot):
+            exclusion_epsilon(omega, params, 10.0)
+        with pytest.raises(InvalidArgument, match=hot):
+            reach_band(1800.0, params, omega)
+        assert isinstance(assert_same_band((1e-16, 1800.0, params, omega)), InvalidArgument)
+        # the first numpy multiply of the exposure overflows here, and is named too
+        with np.errstate(over="raise"), pytest.raises(InvalidArgument, match=hot):
+            exclusion_epsilon(np.float64(omega), params, 10.0)
+
+    def test_strided_across_block_boundaries(self):
+        # the 15-hour band runs through chunks of 1, 1024, 2048, 4096 and then 8192 steps;
+        # the reference builds each column over one array of all exposures
+        band = reach_band(15 * 3600.0, make_params(), 2 * math.pi * 5e9)
+        sizes = [block.size for block in band.blocks]
+        assert sizes[:5] == [1, 1024, 2048, 4096, 8192] and sum(sizes) == band.n_steps
+        omegas = np.full(band.n_steps, 1.0 + 1.0 / band.q_dm)
+        omegas[0] = band.omega_start
+        np.multiply.accumulate(omegas, out=omegas)
+        table = np.stack([omegas, band.exposures, np.add.accumulate(band.exposures)], axis=1)
+        n = band.n_steps
+        for stride in (1, 7, 8192, 8193, n, n + 5):
+            assert np.array_equal(band.strided(stride), table[::stride])
+        assert table[-1, 0] == band.omega_end and table[-1, 2] == band.total_time
+
     def test_memory_is_one_float_per_step(self):
         # the 15-hour band from 5 GHz at N=4, m=5 (about 500 000 steps) holds its exposures
-        # once as chunk blocks and once concatenated (16 B a step) besides one chunk's
-        # temporaries; the three-column table alone would take 24 B a step
+        # once, as chunk blocks (8 B a step), besides one chunk's working set: its
+        # frequencies and the temporaries of its exposures.  Joining the blocks would take
+        # another 8 B a step, and the three-column table 24 B
         params, omega = make_params(), 2 * math.pi * 5e9
-        chunk = omega * np.cumprod(np.full(sensitivity._MAX_CHUNK, 1.0 + 1e-6))
         tracemalloc.start()
         try:
+            chunk = omega * np.cumprod(np.full(sensitivity._MAX_CHUNK, 1.0 + 1e-6))
             sensitivity._chunk_exposures(params, chunk, form_factor_tm010())
             working_set = tracemalloc.get_traced_memory()[1]
+            del chunk
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
             band = reach_band(15 * 3600.0, params, omega)
@@ -375,7 +421,7 @@ class TestReachBandChunked:
         finally:
             tracemalloc.stop()
         assert band.n_steps > 100_000
-        assert peak < 24 * band.n_steps + working_set
+        assert peak < 8 * band.n_steps + working_set
 
     def test_audit_runs(self, monkeypatch):
         monkeypatch.setattr(sensitivity, "_AUDIT_RTOL", -1.0)
