@@ -176,7 +176,7 @@ class McResult:
 # peaked at most 36 MiB (its start-up footprint) above the estimate, so a
 # run at the ceiling stays near 2 GiB; with 50 points that is about 5
 # million trajectories, a minute's work.  The sample configs estimate
-# 10 MiB at most.
+# 6.8 MiB at most.
 MC_MAX_BYTES = 2 * 1024 ** 3
 MC_PIECE_BYTES = 112
 MC_POINT_BYTES = 72

@@ -10,9 +10,11 @@ class InvalidArgument(FockscanError, ValueError):
 
 
 class DimensionCeilingExceeded(FockscanError):
-    """Requested tensor-product space is larger than the fixed dimension ceiling.
+    """A request's size is over a fixed ceiling, checked before anything is allocated.
 
-    Callers hitting this should switch to the effective single-mode backend.
+    The ceilings are the full backend's dimension and memory estimate, where
+    callers hitting this should switch to the effective single-mode backend,
+    and a Monte Carlo run's memory estimate.
     """
 
 

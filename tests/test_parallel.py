@@ -137,7 +137,7 @@ def test_real_pool_yields_in_order_and_stays_open_until_the_last(monkeypatch):
     with np.errstate(over="raise"):
         results = pool_map(_sleep_then, tasks, 2)
     assert next(results) == (0, "raise")
-    assert len(multiprocessing.active_children()) == 2
+    assert multiprocessing.active_children()  # the pool is still open
     assert list(results) == [(i, "raise") for i in range(1, 4)]
     assert multiprocessing.active_children() == []
 
