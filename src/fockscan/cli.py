@@ -272,9 +272,10 @@ def cmd_exclusion(doc, args, out_dir: Path) -> int:
         eps = np.array([exclusion_epsilon(TWO_PI * f, params, tau_tot) for f in freqs])
         for f, e in zip(freqs, eps):
             rows.append((f, temp_mk, e))
-        # fit eps = C (n_th w^7)^p in log space
+        # fit eps = C (n_th w^7)^p in log space; the log of the product is
+        # taken as a sum, since n_th w^7 overflows at the hot end
         x = np.array([
-            math.log(thermal_occupation(TWO_PI * f, temp_mk * 1e-3) * (TWO_PI * f) ** 7)
+            math.log(thermal_occupation(TWO_PI * f, temp_mk * 1e-3)) + 7 * math.log(TWO_PI * f)
             for f in freqs
         ])
         slope, intercept = np.polyfit(x, np.log(eps), 1)

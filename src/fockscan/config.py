@@ -21,12 +21,23 @@ test dependency only.
 """
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from pathlib import Path
 
 import yaml
+
+# sha256 from CPython's builtin module (_sha256 up to 3.11, _sha2 from
+# 3.12), as the standard library's random.py takes _sha512: importing
+# hashlib imports _hashlib, which maps OpenSSL's libcrypto (3.5 MiB
+# resident) into every process for one hash of a few hundred bytes.
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 from .drive import rho_dm_si
 from .errors import ConfigError
@@ -255,7 +266,7 @@ def _non_finite_path(node, path=()):
 def config_hash(doc: dict) -> str:
     """sha256 of the canonical JSON form; identifies a run in output headers."""
     canon = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode()).hexdigest()[:16]
+    return sha256(canon.encode()).hexdigest()[:16]
 
 
 def require_keys(doc: dict, paths, command: str):

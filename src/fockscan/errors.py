@@ -14,7 +14,7 @@ class DimensionCeilingExceeded(FockscanError):
 
     The ceilings are the full backend's dimension and memory estimate, where
     callers hitting this should switch to the effective single-mode backend,
-    and a Monte Carlo run's memory estimate.
+    a Monte Carlo run's memory estimate, and a driven run's Strang steps.
     """
 
 

@@ -64,7 +64,9 @@ built once, from the last record.
   The factors are built in that basis (_generator with eigen), and one real
   orthogonal matrix (_eigen_rotation) takes the block into it and out of
   it.  The phases of a record interval's steps come from one exp of the
-  outer product of their -i d_alpha with the eigenvalue differences, and
+  outer product of their -i d_alpha with the eigenvalue differences, for
+  up to PHASE_ROWS steps at a time (so a long interval's table stays
+  small: it holds 32 bytes per step and level pair), and
   the merged half factors from a per-run dict keyed by their length in dt
   steps.  Without channels (E = 1) the displacements compose exactly.
 
@@ -137,7 +139,13 @@ from functools import lru_cache
 import numpy as np
 
 from .drive import mean_displacement
-from .errors import FidelityUnreachable, InvalidArgument, StabilityGuard, TruncationLeak
+from .errors import (
+    DimensionCeilingExceeded,
+    FidelityUnreachable,
+    InvalidArgument,
+    StabilityGuard,
+    TruncationLeak,
+)
 from .fock import HilbertSpace, number_state, occupations, single_mode_ladder
 from .gates import BeamsplitterSpec, EDPlan, apply_plan, apply_plan_rho, pair_unitary
 from .linalg import expm
@@ -145,6 +153,19 @@ from .tensorops import apply_channel, apply_left, apply_right_dag
 
 DEFAULT_LEAK_TOL = 1e-6
 STRIDE = 10  # dt steps per driven Strang step, at most (see the module docstring)
+# _run_cycle refuses a driven run of more than MAX_STRANG_STEPS Strang steps,
+# estimated as n_steps // STRIDE + records (at least what _boundaries lists),
+# before it lists them; the ceiling sits here, not beside protocol's
+# FULL_BACKEND_MAX_BYTES, because protocol imports this module.  Just
+# under the ceiling (N=2, ideal or lossy gates), a simulate-cycle run (120
+# records) took 6.3 s at m=2 (cutoff 6) and 20 s at m=5 (cutoff 9), and a
+# two-record snr-sweep, whose last interval holds almost every step, 21 s
+# at m=5 and 106 s at m=8 (cutoff 12); every one peaked at 95-97 MiB, about
+# 60 bytes per step over the process's start-up footprint.  The shipped and
+# golden configs take at most 830 steps per run, and the time-step study's
+# longest run (decay time 227 ns, 40 tau_dm) 156 287.
+MAX_STRANG_STEPS = 10 ** 6
+PHASE_ROWS = 1024  # driven steps per phase table, at most (see the module docstring)
 STABILITY_LIMIT = 0.05
 CALIBRATION_REL_TOL = 1e-6
 SECANT_STEPS = 8  # at most
@@ -481,14 +502,16 @@ def _mode_channels(cutoff: int, rates, dt: float, drive, steps, basis: np.ndarra
     buf = np.empty_like(psi)
     for step in steps:
         last = bounds.index(step, first) + 1
-        phases = np.exp(np.multiply.outer(-1j * d_alphas[first:last], freqs))
-        for bound, phase in zip(bounds[first:last], phases):
-            # the previous step's closing half merged with this step's opening half
-            np.matmul(psi, half(size + bound - done), out=buf)
-            pair_coords = buf[:, :pairs].view(complex)
-            pair_coords *= phase
-            psi, buf = buf, psi
-            done, size = bound, bound - done
+        for lo in range(first, last, PHASE_ROWS):
+            hi = min(lo + PHASE_ROWS, last)
+            phases = np.exp(np.multiply.outer(-1j * d_alphas[lo:hi], freqs))
+            for bound, phase in zip(bounds[lo:hi], phases):
+                # the previous step's closing half merged with this step's opening half
+                np.matmul(psi, half(size + bound - done), out=buf)
+                pair_coords = buf[:, :pairs].view(complex)
+                pair_coords *= phase
+                psi, buf = buf, psi
+                done, size = bound, bound - done
         first = last
         yield (psi @ half(size) @ rot.T).T
 
@@ -562,6 +585,12 @@ def _run_cycle(
 
     drive = None
     if signal and g:
+        estimate = n_steps // STRIDE + len(steps)
+        if estimate > MAX_STRANG_STEPS:
+            raise DimensionCeilingExceeded(
+                f"the driven run ({n_steps:.4g} steps of dt = {dt:.4g} s) would take about "
+                f"{estimate:.4g} Strang steps, over its limit of {MAX_STRANG_STEPS:g}"
+            )
         bounds = _boundaries(steps)
         amps = mean_displacement(g, tau_dm, np.array([0] + bounds) * dt)
         drive = bounds, drive_scale * np.diff(amps)

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import importlib.util
 import json
 import math
@@ -267,6 +268,55 @@ class TestSchemaChecker:
         assert proc.stdout.strip() == "[]"
 
 
+GOLDEN_CONFIGS = sorted((GOLDEN / "configs").glob("*.yaml"))
+
+
+def _canonical_sha256(path) -> str:
+    canon = json.dumps(load_config(path), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canon.encode()).hexdigest()[:16]
+
+
+class TestConfigHash:
+    @pytest.mark.parametrize("path", GOLDEN_CONFIGS, ids=lambda p: p.name)
+    def test_hash_is_sha256_of_canonical_json(self, path):
+        assert config_hash(load_config(path)) == _canonical_sha256(path)
+
+    def test_hashlib_fallback_gives_the_same_digest(self):
+        # without CPython's builtin sha256 modules, config takes hashlib's
+        code = ("import sys, json\n"
+                "sys.modules['_sha256'] = sys.modules['_sha2'] = None\n"
+                "from fockscan.config import config_hash, load_config\n"
+                "print(json.dumps(['_hashlib' in sys.modules]\n"
+                "                 + [config_hash(load_config(p)) for p in sys.argv[1:]]))")
+        proc = subprocess.run([sys.executable, "-c", code, *map(str, GOLDEN_CONFIGS)],
+                              capture_output=True, text=True, env=dict(os.environ), check=True)
+        assert json.loads(proc.stdout) == [True] + [_canonical_sha256(p) for p in GOLDEN_CONFIGS]
+
+    def test_cli_runs_leave_openssl_unloaded(self, tmp_path):
+        """No subcommand but mc-dm loads _hashlib, the module that maps OpenSSL's libcrypto.
+
+        mc-dm is left out: numpy.random imports secrets, which imports hmac
+        and with it hashlib, so its process loads OpenSSL whatever
+        config_hash does.
+        """
+        runs = [("scan-rate", "scan.yaml"), ("snr-sweep", "sweep.yaml"),
+                ("simulate-cycle", "cycle.yaml"), ("reach", "reach.yaml"),
+                ("exclusion", "exclusion.yaml"), ("validate-gates", "gates.yaml")]
+        code = ("import sys, json\n"
+                "from fockscan.cli import main\n"
+                "config, out, loaded = sys.argv[1], sys.argv[2], []\n"
+                "for command, name in json.loads(sys.argv[3]):\n"
+                "    code = main([command, '--config', f'{config}/{name}', '--jobs', '1',\n"
+                "                 '--out', f'{out}/{command}'])\n"
+                "    loaded.append([command, code, '_hashlib' in sys.modules])\n"
+                "print(json.dumps(loaded), file=sys.stderr)")
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(GOLDEN / "configs"), str(tmp_path), json.dumps(runs)],
+            capture_output=True, text=True, env=dict(os.environ), check=True,
+        )
+        assert json.loads(proc.stderr) == [[command, 0, False] for command, _ in runs]
+
+
 def _key_paths(config):
     """The path of every top-level and sensitivity key of a golden config."""
     doc = yaml.safe_load((GOLDEN / "configs" / config).read_text())
@@ -288,6 +338,27 @@ def _assert_outside_model(tmp_path, command, config, changes, message):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith(f"config error: cavity temperature {message}")
     assert not any((tmp_path / "out").iterdir())
+
+
+def _run_capped(tmp_path, command, doc, *flags):
+    """Run command on doc in a child whose address space is capped at 2 GiB.
+
+    The cap makes a missing size guard fail with MemoryError, not by
+    swapping or by running the machine out of memory.
+    """
+    config = tmp_path / "big.yaml"
+    config.write_text(yaml.safe_dump(doc))
+    limit = 2 * 1024 ** 3
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    return subprocess.run(
+        [sys.executable, "-m", "fockscan.cli", command, *flags,
+         "--config", str(config), "--out", str(tmp_path / "out"), "--jobs", "1"],
+        capture_output=True, text=True, preexec_fn=cap_address_space,
+        env=dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1"),
+    )
 
 
 class TestExitCodes:
@@ -395,6 +466,41 @@ class TestExitCodes:
     def test_hot_cavity_exits_two(self, tmp_path, command, config, message):
         _assert_outside_model(tmp_path, command, config, {"temps_mk": [1e300]}, message)
 
+    @pytest.mark.parametrize("command,config,section,key,value,estimate", [
+        # each was a MemoryError in the list of every Strang step, except the
+        # last, which ran 10^8-10^9 dt steps per run under the rate cap
+        ("simulate-cycle", "cycle_demo.yaml", "cycle", "tau_int_taudm", 1e30, "2e+31"),
+        ("simulate-cycle", "cycle_demo.yaml", "dm", "q_dm", 1e30, "3.756e+24"),
+        ("simulate-cycle", "cycle_demo.yaml", "protocol", "freq_hz", 1.0, "2.629e+10"),
+        ("snr-sweep", "snr_sweep_two_cavity.yaml", "sweep", "tau_int_max_taudm", 1e9, "2e+10"),
+        ("snr-sweep", "snr_sweep_two_cavity.yaml", "dm", "q_dm", 1e30, "1.563e+25"),
+        ("snr-sweep", "snr_sweep_two_cavity.yaml", "protocol", "freq_hz", 1e-3, "1.094e+14"),
+        ("snr-sweep", "snr_sweep_two_cavity.yaml", "protocol", "decay_time_s", 1e-9,
+         "3.547e+07"),
+    ])
+    def test_overlong_driven_run_exits_two(self, tmp_path, command, config, section, key, value,
+                                           estimate):
+        doc = yaml.safe_load((SAMPLE / config).read_text())
+        doc[section][key] = value
+        proc = _run_capped(tmp_path, command, doc)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: the driven run (")
+        assert f"would take about {estimate} Strang steps, over its limit of 1e+06" in proc.stderr
+        assert not any((tmp_path / "out").iterdir())
+
+    def test_hot_end_exclusion_fit_exits_zero(self, tmp_path):
+        # n_th w^7 overflowed in the fit at 1e250 K, although every epsilon is finite (was exit 3)
+        doc = yaml.safe_load((GOLDEN / "configs" / "exclusion.yaml").read_text())
+        doc["sensitivity"]["temps_mk"] = [1e250]
+        cfg = tmp_path / "hot.yaml"
+        cfg.write_text(yaml.safe_dump(doc))
+        assert run_cli(["exclusion", "--config", cfg, "--out", tmp_path, "--jobs", 1]) == 0
+        fit = json.loads((tmp_path / "exclusion.json").read_text())[
+            "fits_eps_eq_C_times_nth_w7_pow_p"]["1e+250mK"]
+        assert math.isfinite(fit["coefficient"]) and fit["coefficient"] > 0
+        assert abs(fit["exponent"] - 0.25) <= 1e-9
+
     @pytest.mark.parametrize("changes,estimate", [
         # the sample config's 10^4 trajectories at 50 points, with one value changed
         ({"t_max_taudm": 1e300}, "2.67e+295 GiB"),  # was a traceback: ValueError from numpy
@@ -406,19 +512,7 @@ class TestExitCodes:
         # the child's address space is capped, so a missing guard fails, not by swapping
         doc = yaml.safe_load((SAMPLE / "mc_drive.yaml").read_text())
         doc["mc"].update(changes)
-        big = tmp_path / "big.yaml"
-        big.write_text(yaml.safe_dump(doc))
-        limit = 2 * 1024 ** 3
-
-        def cap_address_space():
-            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-
-        proc = subprocess.run(
-            [sys.executable, "-m", "fockscan.cli", "mc-dm",
-             "--config", str(big), "--out", str(tmp_path / "out")],
-            capture_output=True, text=True, preexec_fn=cap_address_space,
-            env=dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1"),
-        )
+        proc = _run_capped(tmp_path, "mc-dm", doc)
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: the Monte Carlo run (")
@@ -431,19 +525,7 @@ class TestExitCodes:
         # is capped so a missing guard fails with MemoryError, not by swapping
         doc = yaml.safe_load((GOLDEN / "configs" / "cycle.yaml").read_text())
         doc["protocol"].update(n_cavities=5, fock_m=5, ed_scheme="linear")
-        big = tmp_path / "big.yaml"
-        big.write_text(yaml.safe_dump(doc))
-        limit = 2 * 1024 ** 3
-
-        def cap_address_space():
-            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-
-        proc = subprocess.run(
-            [sys.executable, "-m", "fockscan.cli", "simulate-cycle", "--backend", "full",
-             "--config", str(big), "--out", str(tmp_path / "out")],
-            capture_output=True, text=True, preexec_fn=cap_address_space,
-            env=dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1"),
-        )
+        proc = _run_capped(tmp_path, "simulate-cycle", doc, "--backend", "full")
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: the full backend at dimension 59049")

@@ -16,7 +16,13 @@ from dense_model import (
     window_channel,
 )
 from fockscan.drive import mean_displacement
-from fockscan.errors import FidelityUnreachable, InvalidArgument, StabilityGuard, TruncationLeak
+from fockscan.errors import (
+    DimensionCeilingExceeded,
+    FidelityUnreachable,
+    InvalidArgument,
+    StabilityGuard,
+    TruncationLeak,
+)
 from fockscan.fock import HilbertSpace, number_state
 from fockscan.gates import (
     BeamsplitterSpec,
@@ -480,6 +486,17 @@ class TestStride:
             assert sizes.max() - sizes.min() <= 1
             assert len(sizes) == math.ceil((end - start) / lindblad.STRIDE)
 
+    def test_driven_runs_over_the_ceiling_are_refused(self):
+        # the estimate n_steps // STRIDE + records is one over the ceiling
+        sp, dt = HilbertSpace(1, 4), TAU_DM / 200
+        tau = (lindblad.MAX_STRANG_STEPS * lindblad.STRIDE) * dt
+        with pytest.raises(DimensionCeilingExceeded, match=r"about 1e\+06 Strang steps"):
+            propagate_cycle(sp, 0, reference_noise(1), G_DRIVE, TAU_DM, tau, "signal", dt=dt)
+        # a drive-free run is exact at any length
+        res = propagate_cycle(sp, 0, reference_noise(1), G_DRIVE, TAU_DM, 1e30 * TAU_DM,
+                              "background", dt=dt)
+        assert res.n_steps > 10 ** 31 and len(res.population) == 2
+
     @pytest.mark.parametrize("n,m", [(1, m) for m in range(6)] + [(2, 0), (2, 1)])
     @pytest.mark.parametrize("populate", ["signal", "background"])
     def test_matches_per_step_oracle(self, n, m, populate):
@@ -553,6 +570,21 @@ class TestDrivenLoop:
         d_alphas[rng.random(len(bounds)) < 0.2] = 0.0
         shape = (cutoff * cutoff, rank)
         basis = np.linalg.qr(rng.normal(size=shape))[0]
+        got = list(lindblad._mode_channels(cutoff, rates, dt, (bounds, d_alphas), steps, basis))
+        want = list(per_step_channels(cutoff, rates, dt, bounds, d_alphas, steps, basis))
+        assert len(got) == len(want) == len(steps)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+    def test_phase_tables_split_long_intervals_bit_for_bit(self, monkeypatch):
+        # a record interval of more than PHASE_ROWS Strang steps takes its
+        # phases a table at a time; three rows here, so tables split mid-interval
+        monkeypatch.setattr(lindblad, "PHASE_ROWS", 3)
+        rng = np.random.default_rng(7)
+        cutoff, rates, steps, dt = 5, (1e3, 2e4, 5e2), [7, 95, 96, 230], TAU_DM / 200
+        bounds = lindblad._boundaries(steps)
+        d_alphas = rng.uniform(-0.05, 0.05, len(bounds))
+        basis = np.linalg.qr(rng.normal(size=(cutoff * cutoff, 4)))[0]
         got = list(lindblad._mode_channels(cutoff, rates, dt, (bounds, d_alphas), steps, basis))
         want = list(per_step_channels(cutoff, rates, dt, bounds, d_alphas, steps, basis))
         assert len(got) == len(want) == len(steps)
