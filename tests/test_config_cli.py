@@ -509,7 +509,6 @@ class TestExitCodes:
         ({"points": 10 ** 10}, "9.17e+05 GiB"),     # the grid alone would take 80 GB
     ])
     def test_oversized_monte_carlo_exits_two(self, tmp_path, changes, estimate):
-        # the child's address space is capped, so a missing guard fails, not by swapping
         doc = yaml.safe_load((SAMPLE / "mc_drive.yaml").read_text())
         doc["mc"].update(changes)
         proc = _run_capped(tmp_path, "mc-dm", doc)
@@ -521,8 +520,7 @@ class TestExitCodes:
 
     def test_oversized_full_backend_exits_two(self, tmp_path):
         # N=5 at m=5 (cutoff 9) is dimension 59049, under the 65536 ceiling,
-        # but one dense rho alone would take 56 GB; the child's address space
-        # is capped so a missing guard fails with MemoryError, not by swapping
+        # but one dense rho alone would take 56 GB
         doc = yaml.safe_load((GOLDEN / "configs" / "cycle.yaml").read_text())
         doc["protocol"].update(n_cavities=5, fock_m=5, ed_scheme="linear")
         proc = _run_capped(tmp_path, "simulate-cycle", doc, "--backend", "full")
